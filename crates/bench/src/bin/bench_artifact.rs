@@ -1,19 +1,14 @@
 //! Benchmark for the zero-copy CFDB2/CRDB2 artifact format.
 //!
-//! Quantifies what the v2 artifacts buy over the v1 snapshot codecs:
-//!
-//! * **Open time** — `io::from_snapshot` materializes every string,
-//!   profile, and column into owned heap structures; `artifact::open`
-//!   validates the section table and hands out borrowed slices. The
-//!   harness asserts the borrowed open is at least 20× faster on the
-//!   full generated world.
+//! * **Open time** — `artifact::open` validates the section table and
+//!   hands out borrowed slices; reported, not gated.
 //! * **First-query latency** — the observed mean pairing score of the
 //!   largest cuisine, from a freshly opened view: once against an
 //!   artifact carrying precomputed overlap-triangle sections (reused
 //!   via `OverlapCache::from_parts`) and once against a bare artifact
 //!   that must run the kernel build. Both answers are asserted
 //!   bit-identical.
-//! * **Resident bytes** — RSS delta of materializing the owned DBs vs
+//! * **Resident bytes** — the heap an owned in-memory world needs vs
 //!   the byte length of the buffers the borrowed views live on.
 //! * **Parity** — `analyze_world` from the owned DBs vs
 //!   `analyze_world_view` from the borrowed views, fingerprinted over
@@ -60,8 +55,9 @@ fn time_min_ms<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
 
 /// Heap bytes of the owned in-memory representation: every `String`
 /// and `Vec` payload plus its 24-byte (ptr, len, cap) header, plus the
-/// inline struct sizes. A content accounting, so it is what a fresh
-/// parse-on-load must allocate regardless of allocator state.
+/// inline struct sizes. A content accounting, so it is what
+/// materializing the owned databases must allocate regardless of
+/// allocator state.
 fn owned_heap_bytes(
     db: &culinaria_flavordb::FlavorDb,
     store: &culinaria_recipedb::RecipeStore,
@@ -143,10 +139,7 @@ fn main() {
 
     let world = world_from_env();
 
-    // ---- serialize both generations -------------------------------
-    let flavor_snap = culinaria_flavordb::io::to_snapshot(&world.flavor).expect("v1 flavor");
-    let recipe_snap = culinaria_recipedb::io::to_snapshot(&world.recipes).expect("v1 recipes");
-
+    // ---- serialize ------------------------------------------------
     let mut builder = FlavorArtifactBuilder::new(&world.flavor);
     let mut n_sections = 0usize;
     for region in world.recipes.regions() {
@@ -172,38 +165,19 @@ fn main() {
             .expect("v2 recipes"),
     );
     eprintln!(
-        "serialized: v1 {} + {} B, v2 {} + {} B ({} overlap sections)",
-        flavor_snap.len(),
-        recipe_snap.len(),
+        "serialized: {} + {} B ({} overlap sections)",
         flavor_art.as_slice().len(),
         recipe_art.as_slice().len(),
         n_sections,
     );
 
-    // ---- open time: parse-on-load vs validate-and-borrow ----------
-    // Interleaved min-of-N; each sample opens BOTH databases so the
-    // two paths do comparable logical work.
-    let mut parse_ms = f64::INFINITY;
-    let mut open_ms = f64::INFINITY;
-    for _ in 0..TIME_REPS {
-        parse_ms = parse_ms.min(time_min_ms(1, || {
-            let db = culinaria_flavordb::io::from_snapshot(flavor_snap.clone()).expect("parse v1");
-            let store =
-                culinaria_recipedb::io::from_snapshot(recipe_snap.clone()).expect("parse v1");
-            (db.n_ingredients(), store.n_recipes())
-        }));
-        open_ms = open_ms.min(time_min_ms(64, || {
-            let db = flavor_artifact::open(flavor_art.as_slice()).expect("open v2");
-            let store = recipe_artifact::open(recipe_art.as_slice()).expect("open v2");
-            (db.n_ingredients(), store.n_recipes())
-        }));
-    }
-    let open_speedup = parse_ms / open_ms;
-    eprintln!("open: v1 parse {parse_ms:.3} ms, v2 borrow {open_ms:.4} ms -> {open_speedup:.0}x");
-    assert!(
-        open_speedup >= 20.0,
-        "borrowed open must be >=20x faster than parse-on-load, got {open_speedup:.1}x"
-    );
+    // ---- open time: validate-and-borrow, both databases -----------
+    let open_ms = time_min_ms(64, || {
+        let db = flavor_artifact::open(flavor_art.as_slice()).expect("open v2");
+        let store = recipe_artifact::open(recipe_art.as_slice()).expect("open v2");
+        (db.n_ingredients(), store.n_recipes())
+    });
+    eprintln!("open: borrow {open_ms:.4} ms");
 
     // ---- first-query latency: section reuse vs kernel build -------
     let fview = flavor_artifact::open(flavor_art.as_slice()).expect("open v2");
@@ -232,7 +206,7 @@ fn main() {
     );
 
     // ---- resident bytes -------------------------------------------
-    // Owned: what parse-on-load allocates on the heap (content
+    // Owned: what the materialized databases hold on the heap (content
     // accounting). Borrowed: the artifact buffers ARE the resident
     // set; opening a view allocates nothing.
     let owned_resident = owned_heap_bytes(&world.flavor, &world.recipes);
@@ -281,10 +255,9 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"artifact_open\",\n  \"seed\": {seed},\n  \
          \"time_reps\": {TIME_REPS},\n  \"mc_recipes\": {mc_recipes},\n  \
-         \"v1_bytes\": {v1_bytes},\n  \"v2_bytes\": {borrowed_bytes},\n  \
+         \"v2_bytes\": {borrowed_bytes},\n  \
          \"overlap_sections\": {n_sections},\n  \
-         \"parse_open_ms\": {parse_ms:.4},\n  \"borrowed_open_ms\": {open_ms:.5},\n  \
-         \"open_speedup\": {open_speedup:.1},\n  \
+         \"borrowed_open_ms\": {open_ms:.5},\n  \
          \"first_query_section_reuse_ms\": {reuse_ms:.4},\n  \
          \"first_query_kernel_build_ms\": {build_ms:.4},\n  \
          \"first_query_parity\": \"bit-identical\",\n  \
@@ -292,7 +265,6 @@ fn main() {
          \"borrowed_resident_bytes\": {borrowed_bytes},\n  \
          \"borrowed_resident_bytes_no_sections\": {bare_bytes},\n  \
          \"world_parity\": [\n{rows}\n  ]\n}}\n",
-        v1_bytes = flavor_snap.len() + recipe_snap.len(),
         rows = parity_rows.join(",\n"),
     );
     std::fs::write(&out_path, &json).expect("write bench summary");

@@ -1,12 +1,11 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-//! CFDB2: the zero-copy flavor-database artifact.
+//! CFDB2: the zero-copy flavor-database artifact, and the only on-disk
+//! form of a [`FlavorDb`].
 //!
-//! CFDB1 ([`crate::io`]) is a *parse-on-load* snapshot: every open
-//! re-allocates the molecule table, every profile vector, and every
-//! name `String`. CFDB2 is the *serve* format the ROADMAP's query
-//! service needs: one 8-byte-aligned little-endian buffer whose
-//! sections are already in the shapes the hot paths consume —
+//! Opening it allocates nothing: it is one 8-byte-aligned
+//! little-endian buffer whose sections are already in the shapes the
+//! hot paths consume —
 //!
 //! * packed **bit planes** (one per ingredient slot, sized to the full
 //!   molecule universe, bit position = global molecule id) borrowable
@@ -912,10 +911,9 @@ impl<'a> BorrowedFlavorDb<'a> {
     }
 
     /// Rebuild an owned [`FlavorDb`] equal to the one the artifact was
-    /// built from (the CFDB1 migration path in reverse): replays
-    /// molecules in id order, ingredients in slot order (tombstoning
-    /// dead slots the way [`crate::io::from_snapshot`] does), then
-    /// synonyms.
+    /// built from: replays molecules in id order, ingredients in slot
+    /// order (recreating each dead slot as a tombstone so the id space
+    /// stays identical), then synonyms.
     pub fn to_flavor_db(&self) -> Result<FlavorDb, FlavorDbError> {
         let mut db = FlavorDb::new();
         for i in 0..self.n_molecules {

@@ -141,7 +141,7 @@ impl FlavorDb {
         Ok(id)
     }
 
-    /// Raw insertion used by snapshot decoding: explicit profile and
+    /// Raw insertion used by artifact materialization: explicit profile and
     /// compound flag, bypassing constituent resolution.
     pub(crate) fn add_ingredient_raw(
         &mut self,
@@ -153,7 +153,7 @@ impl FlavorDb {
         self.insert_ingredient(name, category, profile, is_compound)
     }
 
-    /// Raw synonym insertion used by snapshot decoding (no canonical
+    /// Raw synonym insertion used by artifact materialization (no canonical
     /// liveness check; the encoder only writes valid links).
     pub(crate) fn add_synonym_raw(&mut self, synonym: String, id: IngredientId) {
         self.synonyms.insert(synonym, id);

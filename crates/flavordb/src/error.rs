@@ -21,7 +21,7 @@ pub enum FlavorDbError {
     InvalidCompound(String),
     /// A synonym would shadow an existing canonical name.
     SynonymShadowsCanonical(String),
-    /// Snapshot decoding failed.
+    /// Rebuilding a database from an artifact failed.
     Snapshot(String),
 }
 

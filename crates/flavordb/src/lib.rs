@@ -39,7 +39,6 @@ pub mod error;
 pub mod generator;
 pub mod ids;
 pub mod ingredient;
-pub mod io;
 pub mod kernel;
 pub mod molecule;
 pub mod profile;

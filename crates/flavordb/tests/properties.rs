@@ -1,10 +1,12 @@
-//! Property-based tests of flavor-profile algebra and snapshot
+//! Property-based tests of flavor-profile algebra and CFDB2 artifact
 //! round-trips.
 
 use proptest::prelude::*;
 
 use culinaria_flavordb::generator::{generate_flavor_db, GeneratorConfig};
-use culinaria_flavordb::{io, Category, FlavorDb, FlavorProfile, MoleculeId};
+use culinaria_flavordb::{
+    artifact, AlignedBytes, Category, FlavorArtifactBuilder, FlavorProfile, MoleculeId,
+};
 
 fn arb_profile() -> impl Strategy<Value = FlavorProfile> {
     proptest::collection::vec(0u32..300, 0..60)
@@ -122,6 +124,7 @@ proptest! {
         seed in 0u64..10_000,
         n_ing in 5usize..40,
         remove_k in 0usize..5,
+        synonym_k in 0usize..5,
     ) {
         let cfg = GeneratorConfig {
             seed,
@@ -133,17 +136,35 @@ proptest! {
             shared_pool_fraction: 0.3,
         };
         let mut db = generate_flavor_db(&cfg);
-        // Tombstone a few ingredients to stress slot preservation.
+        // Tombstone a few ingredients to stress slot preservation, then
+        // point a few synonyms at survivors.
         let names: Vec<String> = db.ingredients().take(remove_k).map(|i| i.name.clone()).collect();
         for name in &names {
             db.remove_ingredient(name).expect("exists");
         }
-        let back = io::from_snapshot(io::to_snapshot(&db).expect("encodes")).expect("roundtrip decodes");
+        let live: Vec<String> = db.ingredients().take(synonym_k).map(|i| i.name.clone()).collect();
+        for (k, name) in live.iter().enumerate() {
+            db.add_synonym(&format!("alias {k}"), name).expect("live target");
+        }
+        // builder → open → to_flavor_db → builder: one byte encoding
+        // per logical content.
+        let bytes = AlignedBytes::from_vec(FlavorArtifactBuilder::new(&db).build().expect("encodes"));
+        let back = artifact::open(bytes.as_slice())
+            .expect("opens")
+            .to_flavor_db()
+            .expect("materializes");
         prop_assert_eq!(back.n_ingredients(), db.n_ingredients());
         prop_assert_eq!(back.n_ingredient_slots(), db.n_ingredient_slots());
         for (x, y) in db.ingredients().zip(back.ingredients()) {
             prop_assert_eq!(x, y);
         }
+        let mut want: Vec<_> = db.synonyms().collect();
+        let mut got: Vec<_> = back.synonyms().collect();
+        want.sort();
+        got.sort();
+        prop_assert_eq!(got, want);
+        let rebuilt = FlavorArtifactBuilder::new(&back).build().expect("re-encodes");
+        prop_assert_eq!(rebuilt.as_slice(), bytes.as_slice());
     }
 
     #[test]
@@ -208,78 +229,8 @@ fn regenerating_same_config_is_identical_via_snapshot_bytes() {
     let cfg = GeneratorConfig::tiny(77);
     let a = generate_flavor_db(&cfg);
     let b = generate_flavor_db(&cfg);
-    assert_eq!(io::to_snapshot(&a).unwrap(), io::to_snapshot(&b).unwrap());
-}
-
-#[test]
-fn snapshot_decoding_rejects_mutations_without_panicking() {
-    let db: FlavorDb = generate_flavor_db(&GeneratorConfig::tiny(3));
-    let snap = io::to_snapshot(&db).unwrap().to_vec();
-    // Flip each byte of the first kilobyte: decode must never panic.
-    for i in 0..snap.len().min(1024) {
-        let mut c = snap.clone();
-        c[i] ^= 0x5A;
-        let _ = io::from_snapshot(bytes::Bytes::from(c));
-    }
-}
-
-#[test]
-fn every_truncation_prefix_is_rejected() {
-    let db = generate_flavor_db(&GeneratorConfig::tiny(11));
-    let snap = io::to_snapshot(&db).unwrap();
-    // Decoding consumes the snapshot exactly, so every strict prefix
-    // must end mid-field and fail cleanly — no cut length may panic or
-    // decode to a database.
-    for cut in 0..snap.len() {
-        assert!(
-            io::from_snapshot(snap.slice(0..cut)).is_err(),
-            "cut at {cut} of {} decoded",
-            snap.len()
-        );
-    }
-}
-
-#[test]
-fn trailing_bytes_are_rejected() {
-    let db = generate_flavor_db(&GeneratorConfig::tiny(11));
-    let mut snap = io::to_snapshot(&db).unwrap().to_vec();
-    snap.push(0);
-    let err = io::from_snapshot(bytes::Bytes::from(snap)).unwrap_err();
-    assert!(err.to_string().contains("trailing"), "{err}");
-}
-
-#[test]
-fn absurd_counts_error_instead_of_allocating() {
-    // A five-byte header claiming u32::MAX molecules must fail on the
-    // missing body, not attempt a giant allocation.
-    let mut snap = b"CFDB1".to_vec();
-    snap.extend_from_slice(&u32::MAX.to_le_bytes());
-    assert!(io::from_snapshot(bytes::Bytes::from(snap)).is_err());
-    // Same for a profile length far beyond the remaining bytes.
-    let db = generate_flavor_db(&GeneratorConfig::tiny(4));
-    let good = io::to_snapshot(&db).unwrap().to_vec();
-    for i in 0..good.len().saturating_sub(4) {
-        let mut c = good.clone();
-        c[i..i + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let _ = io::from_snapshot(bytes::Bytes::from(c)); // must not panic or OOM
-    }
-}
-
-proptest! {
-    #[test]
-    fn snapshot_byte_flips_never_panic(
-        seed in 0u64..50,
-        flips in proptest::collection::vec((0usize..4096, 1u8..=255), 1..4),
-    ) {
-        let db = generate_flavor_db(&GeneratorConfig::tiny(seed));
-        let mut snap = io::to_snapshot(&db).unwrap().to_vec();
-        for (pos, mask) in flips {
-            let pos = pos % snap.len();
-            snap[pos] ^= mask;
-        }
-        // A flip inside a string body can still decode to a (different)
-        // valid snapshot; the contract is only that decoding never
-        // panics or over-allocates.
-        let _ = io::from_snapshot(bytes::Bytes::from(snap));
-    }
+    assert_eq!(
+        FlavorArtifactBuilder::new(&a).build().unwrap(),
+        FlavorArtifactBuilder::new(&b).build().unwrap()
+    );
 }

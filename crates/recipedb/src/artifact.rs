@@ -1,13 +1,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-//! CRDB2: the zero-copy recipe-store artifact.
+//! CRDB2: the zero-copy recipe-store artifact, and the only on-disk
+//! form of a [`RecipeStore`].
 //!
-//! The CRDB1 snapshot ([`crate::io`]) replays every recipe through
-//! [`RecipeStore::add_recipe`] on load — allocating a name `String`
-//! and an ingredient `Vec` per recipe and rebuilding the per-region
-//! partitions and inverted index from scratch. CRDB2 stores the same
-//! content in the shapes the analysis reads: recipe records over one
-//! interned string blob, a flat sorted ingredient-id column, and
+//! Opening it replays nothing: no recipe goes back through
+//! [`RecipeStore::add_recipe`], and no index is rebuilt. The store's
+//! content sits in the shapes the analysis reads: recipe records over
+//! one interned string blob, a flat sorted ingredient-id column, and
 //! *region-sharded recipe columns* so "give me the cuisine of Italy"
 //! is a validated slice borrow instead of a filter pass.
 //!

@@ -1,6 +1,11 @@
-//! Binary snapshots and CSV export of a [`RecipeStore`].
+//! A byte image and a CSV export of a [`RecipeStore`].
 //!
-//! Snapshot format `CRDB1` (little-endian):
+//! [`to_snapshot`] is a *comparison image*, not a storage format:
+//! nothing reads it back. Two stores hold the same recipes in the same
+//! order exactly when their images are equal, which is how the replay,
+//! streaming and benchmark suites check a rebuilt store against a cold
+//! import. The on-disk form of a store is the CRDB2 artifact
+//! ([`crate::artifact`]). Image layout (little-endian):
 //!
 //! ```text
 //! magic "CRDB1"
@@ -9,19 +14,15 @@
 //!               u32 n_ingredients, u32 × n (ingredient ids)
 //! ```
 //!
-//! `str` = u32 byte length + UTF-8 bytes. Indexes are rebuilt on load.
+//! `str` = u32 byte length + UTF-8 bytes.
 
-// User-reachable serialization/ingestion surface: panicking on bad
-// data is forbidden here — return errors instead.
+// User-reachable serialization surface: panicking on bad data is
+// forbidden here — return errors instead.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use culinaria_flavordb::IngredientId;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::{RecipeDbError, Result};
-use crate::recipe::Source;
-use crate::region::Region;
 use crate::store::RecipeStore;
 
 const MAGIC: &[u8; 5] = b"CRDB1";
@@ -45,26 +46,14 @@ fn put_count(buf: &mut BytesMut, n: usize, what: &str) -> Result<()> {
     Ok(())
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String> {
-    if buf.remaining() < 4 {
-        return Err(RecipeDbError::Snapshot("truncated string length".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(RecipeDbError::Snapshot("truncated string body".into()));
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| RecipeDbError::Snapshot("invalid utf-8".into()))
-}
-
-/// Encode a store to its binary snapshot.
+/// Encode a store to its comparison image.
 ///
 /// # Errors
 ///
 /// Returns [`RecipeDbError::Snapshot`] when a value does not fit the
 /// format's fixed-width fields (a recipe name or count beyond
 /// `u32::MAX`) — the writer checks every conversion instead of silently
-/// truncating and emitting a snapshot that decodes to different data.
+/// truncating, so two different stores never share an image.
 pub fn to_snapshot(store: &RecipeStore) -> Result<Bytes> {
     let mut buf = BytesMut::with_capacity(1 << 16);
     buf.put_slice(MAGIC);
@@ -79,49 +68,6 @@ pub fn to_snapshot(store: &RecipeStore) -> Result<Bytes> {
         }
     }
     Ok(buf.freeze())
-}
-
-/// Decode a snapshot back into a store (indexes rebuilt).
-pub fn from_snapshot(mut buf: Bytes) -> Result<RecipeStore> {
-    if buf.remaining() < MAGIC.len() || &buf.copy_to_bytes(MAGIC.len())[..] != MAGIC {
-        return Err(RecipeDbError::Snapshot("bad magic".into()));
-    }
-    if buf.remaining() < 4 {
-        return Err(RecipeDbError::Snapshot("truncated recipe count".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut store = RecipeStore::new();
-    for _ in 0..n {
-        let name = get_str(&mut buf)?;
-        if buf.remaining() < 2 {
-            return Err(RecipeDbError::Snapshot("truncated region/source".into()));
-        }
-        let region = Region::from_index(buf.get_u8() as usize)
-            .ok_or_else(|| RecipeDbError::Snapshot("bad region index".into()))?;
-        let source = Source::from_index(buf.get_u8() as usize)
-            .ok_or_else(|| RecipeDbError::Snapshot("bad source index".into()))?;
-        if buf.remaining() < 4 {
-            return Err(RecipeDbError::Snapshot("truncated ingredient count".into()));
-        }
-        let k = buf.get_u32_le() as usize;
-        if buf.remaining() < k * 4 {
-            return Err(RecipeDbError::Snapshot("truncated ingredient list".into()));
-        }
-        let mut ings = Vec::with_capacity(k);
-        for _ in 0..k {
-            ings.push(IngredientId(buf.get_u32_le()));
-        }
-        store
-            .add_recipe(&name, region, source, ings)
-            .map_err(|e| RecipeDbError::Snapshot(format!("recipe replay: {e}")))?;
-    }
-    if buf.has_remaining() {
-        return Err(RecipeDbError::Snapshot(format!(
-            "{} trailing bytes after snapshot",
-            buf.remaining()
-        )));
-    }
-    Ok(store)
 }
 
 /// Export the store as CSV: `recipe_id,name,region,source,ingredients`
@@ -150,6 +96,9 @@ pub fn to_csv(store: &RecipeStore) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recipe::Source;
+    use crate::region::Region;
+    use culinaria_flavordb::IngredientId;
 
     fn ing(id: u32) -> IngredientId {
         IngredientId(id)
@@ -172,38 +121,6 @@ mod tests {
         )
         .unwrap();
         s
-    }
-
-    #[test]
-    fn snapshot_roundtrip() {
-        let s = store();
-        let back = from_snapshot(to_snapshot(&s).unwrap()).unwrap();
-        assert_eq!(back.n_recipes(), 2);
-        for (a, b) in s.recipes().zip(back.recipes()) {
-            assert_eq!(a, b);
-        }
-        // Indexes rebuilt.
-        assert_eq!(back.recipes_with_ingredient(ing(1)).len(), 1);
-        assert_eq!(back.n_region_recipes(Region::Japan), 1);
-    }
-
-    #[test]
-    fn bad_magic_and_truncation() {
-        assert!(from_snapshot(Bytes::from_static(b"XXXXX")).is_err());
-        let snap = to_snapshot(&store()).unwrap();
-        for cut in [4, 7, 12, snap.len() - 2] {
-            assert!(from_snapshot(snap.slice(0..cut)).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn corrupt_bytes_never_panic() {
-        let snap = to_snapshot(&store()).unwrap().to_vec();
-        for i in 0..snap.len() {
-            let mut c = snap.clone();
-            c[i] = c[i].wrapping_add(1);
-            let _ = from_snapshot(Bytes::from(c)); // no panic
-        }
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! * [`import`] — the raw-text import pipeline: ingredient phrases →
 //!   alias resolution (`culinaria-text`) → ingredient ids
 //!   (`culinaria-flavordb`), with per-import curation statistics;
-//! * [`io`] — binary snapshots and CSV export;
+//! * [`artifact`] — CRDB2, the zero-copy on-disk form of a store;
+//! * [`io`] — a byte image for store-equality checks, and CSV export;
 //! * [`wal`] — the append-only, checksummed import log with
 //!   deterministic replay (streaming ingestion);
 //! * [`segment`] — the durable on-disk form of the log: size-rotated

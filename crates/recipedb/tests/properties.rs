@@ -1,12 +1,15 @@
-//! Property-based tests of recipe-store invariants and snapshot
+//! Property-based tests of recipe-store invariants and CRDB2 artifact
 //! round-trips.
 
 use proptest::prelude::*;
 
 use culinaria_flavordb::curated::curated_db;
 use culinaria_flavordb::IngredientId;
+use culinaria_recipedb::artifact::{self, AlignedBytes};
 use culinaria_recipedb::import::{Importer, RawRecipe};
-use culinaria_recipedb::{io, Recipe, RecipeId, RecipeStore, Region, Source};
+use culinaria_recipedb::{
+    io, Recipe, RecipeArtifactBuilder, RecipeId, RecipeStore, Region, Source,
+};
 
 /// Strategy: raw recipes over a mix of resolvable phrases (curated-db
 /// names, synonyms, misspellings) and junk.
@@ -127,7 +130,13 @@ proptest! {
 
     #[test]
     fn snapshot_roundtrip(store in arb_store()) {
-        let back = io::from_snapshot(io::to_snapshot(&store).expect("encodes")).expect("roundtrip decodes");
+        // builder → open → to_recipe_store → builder: one byte
+        // encoding per logical content.
+        let bytes = AlignedBytes::from_vec(RecipeArtifactBuilder::new(&store).build().expect("encodes"));
+        let back = artifact::open(bytes.as_slice())
+            .expect("opens")
+            .to_recipe_store()
+            .expect("materializes");
         prop_assert_eq!(back.n_recipes(), store.n_recipes());
         let pairs: Vec<(&Recipe, &Recipe)> = store.recipes().zip(back.recipes()).collect();
         for (a, b) in pairs {
@@ -137,6 +146,8 @@ proptest! {
             back.n_distinct_ingredients(),
             store.n_distinct_ingredients()
         );
+        let rebuilt = RecipeArtifactBuilder::new(&back).build().expect("re-encodes");
+        prop_assert_eq!(rebuilt.as_slice(), bytes.as_slice());
     }
 
     #[test]
@@ -191,69 +202,5 @@ proptest! {
         for (k, r) in store.recipes().enumerate() {
             prop_assert_eq!(r.id, RecipeId(k as u32));
         }
-    }
-}
-
-/// A deterministic non-trivial store for corruption sweeps.
-fn sweep_store(seed: u64) -> RecipeStore {
-    let mut store = RecipeStore::new();
-    for i in 0..40u64 {
-        let x = seed.wrapping_mul(31).wrapping_add(i);
-        let region = Region::ALL[(x % Region::ALL.len() as u64) as usize];
-        let ings: Vec<IngredientId> = (0..(x % 6) + 1)
-            .map(|j| IngredientId(((x + j) % 50) as u32))
-            .collect();
-        store
-            .add_recipe(&format!("recipe {i}"), region, Source::Synthetic, ings)
-            .expect("non-empty");
-    }
-    store
-}
-
-#[test]
-fn every_truncation_prefix_is_rejected() {
-    let snap = io::to_snapshot(&sweep_store(5)).unwrap();
-    // Decoding consumes the snapshot exactly, so every strict prefix
-    // must end mid-field and fail cleanly.
-    for cut in 0..snap.len().min(4096) {
-        assert!(
-            io::from_snapshot(snap.slice(0..cut)).is_err(),
-            "cut at {cut} of {} decoded",
-            snap.len()
-        );
-    }
-}
-
-#[test]
-fn trailing_bytes_are_rejected() {
-    let mut snap = io::to_snapshot(&sweep_store(5)).unwrap().to_vec();
-    snap.push(0);
-    let err = io::from_snapshot(bytes::Bytes::from(snap)).unwrap_err();
-    assert!(err.to_string().contains("trailing"), "{err}");
-}
-
-#[test]
-fn absurd_counts_error_instead_of_allocating() {
-    // A header claiming u32::MAX recipes must fail on the missing body,
-    // not attempt a giant allocation.
-    let mut snap = b"CRDB1".to_vec();
-    snap.extend_from_slice(&u32::MAX.to_le_bytes());
-    assert!(io::from_snapshot(bytes::Bytes::from(snap)).is_err());
-}
-
-proptest! {
-    #[test]
-    fn snapshot_byte_flips_never_panic(
-        seed in 0u64..20,
-        flips in proptest::collection::vec((0usize..4096, 1u8..=255), 1..4),
-    ) {
-        let mut snap = io::to_snapshot(&sweep_store(seed)).unwrap().to_vec();
-        for (pos, mask) in flips {
-            let pos = pos % snap.len();
-            snap[pos] ^= mask;
-        }
-        // Decoding a corrupted snapshot may error or (when the flip is
-        // inside a string body) succeed; it must never panic.
-        let _ = io::from_snapshot(bytes::Bytes::from(snap));
     }
 }

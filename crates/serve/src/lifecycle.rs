@@ -7,8 +7,8 @@
 //! (non-blocking) accepts, and each connection's [`super::deadline::DeadlineReader`]
 //! on its poll ticks. That keeps the shutdown sequence ordinary
 //! sequential code: stop accepting → connections drain their buffered
-//! frames → queues close → batchers flush replies → WAL fsync → socket
-//! unlink → exit 0 — with the determinism contract (serial-equivalent
+//! frames → queues close → batchers flush replies → socket unlink →
+//! exit 0 — with the determinism contract (serial-equivalent
 //! batch replies) untouched, because shutdown reuses the exact
 //! [`crate::BoundedQueue::close`] path every connection already ends
 //! with.

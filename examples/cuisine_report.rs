@@ -5,9 +5,8 @@
 //! Artifact-first like `quickstart`: opens the zero-copy CFDB2/CRDB2
 //! artifacts when the data directory holds them (materializing owned
 //! databases — the round-trip is lossless, so every number below is
-//! identical to the snapshot and generate paths over the same world),
-//! falls back to the CFDB1/CRDB1 snapshots, and generates a fresh
-//! world when neither is on disk.
+//! identical to the generate path over the same world), and generates
+//! a fresh world otherwise.
 //!
 //! ```sh
 //! cargo run --release --example cuisine_report -- INSC
@@ -26,7 +25,7 @@ use culinaria::datagen::{generate_world, World, WorldConfig};
 use culinaria::flavordb::{artifact as flavor_artifact, AlignedBytes, Category};
 use culinaria::recipedb::{artifact as recipe_artifact, Region};
 
-/// Three-tier world loading: v2 artifacts → v1 snapshots → generated.
+/// World loading: CFDB2/CRDB2 artifacts, else a generated world.
 /// Artifacts are materialized into owned databases so the report
 /// pipeline below runs unchanged — and prints unchanged numbers —
 /// whatever the source.
@@ -53,19 +52,6 @@ fn load_world(dir: &Path) -> (World, String) {
             }
             Err(e) => eprintln!("ignoring v2 artifacts: {e}"),
         }
-    }
-    if let (Ok(f), Ok(r)) = (
-        std::fs::read(dir.join("flavor.cfdb")),
-        std::fs::read(dir.join("recipes.crdb")),
-    ) {
-        let flavor = culinaria::flavordb::io::from_snapshot(bytes::Bytes::from(f))
-            .expect("valid CFDB1 snapshot");
-        let recipes = culinaria::recipedb::io::from_snapshot(bytes::Bytes::from(r))
-            .expect("valid CRDB1 snapshot");
-        return (
-            World { flavor, recipes },
-            format!("v1 snapshots in {}", dir.display()),
-        );
     }
     (
         generate_world(&WorldConfig::small()),

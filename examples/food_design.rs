@@ -5,11 +5,9 @@
 //!
 //! Artifact-first like `quickstart`: opens the zero-copy CFDB2/CRDB2
 //! artifacts when the data directory holds them (materialized into
-//! owned databases — the round-trip is lossless, so the numbers are
-//! identical to the v1-snapshot path over the same world), falls back
-//! to the CFDB1/CRDB1 snapshots, and otherwise seeds a small curated
-//! cuisine from free text (the fully annotated database, so the taste
-//! step has descriptors to enumerate).
+//! owned databases — the round-trip is lossless), and otherwise seeds
+//! a small curated cuisine from free text (the fully annotated
+//! database, so the taste step has descriptors to enumerate).
 //!
 //! ```sh
 //! cargo run --release --example food_design
@@ -74,8 +72,8 @@ fn curated_world() -> World {
     }
 }
 
-/// Three-tier world loading: v2 artifacts → v1 snapshots → curated
-/// corpus. The design pipeline below runs unchanged over any of them.
+/// World loading: CFDB2/CRDB2 artifacts, else the curated corpus.
+/// The design pipeline below runs unchanged over either.
 fn load_world(dir: &Path) -> (World, String) {
     if let (Ok(fbuf), Ok(rbuf)) = (
         AlignedBytes::read_file(dir.join("flavor.cfdb2")),
@@ -99,19 +97,6 @@ fn load_world(dir: &Path) -> (World, String) {
             }
             Err(e) => eprintln!("ignoring v2 artifacts: {e}"),
         }
-    }
-    if let (Ok(f), Ok(r)) = (
-        std::fs::read(dir.join("flavor.cfdb")),
-        std::fs::read(dir.join("recipes.crdb")),
-    ) {
-        let flavor = culinaria::flavordb::io::from_snapshot(bytes::Bytes::from(f))
-            .expect("valid CFDB1 snapshot");
-        let recipes = culinaria::recipedb::io::from_snapshot(bytes::Bytes::from(r))
-            .expect("valid CRDB1 snapshot");
-        return (
-            World { flavor, recipes },
-            format!("v1 snapshots in {}", dir.display()),
-        );
     }
     (
         curated_world(),

@@ -8,9 +8,9 @@
 //! co-usage (so the pairing is actually novel for that cuisine).
 //!
 //! Opens the zero-copy CFDB2/CRDB2 artifacts when a data directory
-//! holds them — reusing the artifact's precomputed overlap-triangle
-//! section for the region when `culinaria migrate-artifact` attached
-//! one — and falls back to generating a small world otherwise.
+//! holds them — reusing the precomputed overlap-triangle section that
+//! `culinaria generate` attaches for every populated region — and
+//! falls back to generating a small world otherwise.
 //!
 //! ```sh
 //! cargo run --release --example novel_pairings

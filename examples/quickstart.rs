@@ -2,10 +2,9 @@
 //! randomized null, and print the verdict.
 //!
 //! Opens the zero-copy CFDB2/CRDB2 artifacts when a data directory
-//! holds them (`culinaria generate` / `culinaria migrate-artifact`
-//! write `flavor.cfdb2` + `recipes.crdb2`), falls back to the CFDB1/
-//! CRDB1 snapshots, and generates a fresh world when neither is on
-//! disk. All three paths produce bit-identical analyses.
+//! holds them (`culinaria generate` writes `flavor.cfdb2` +
+//! `recipes.crdb2`), and generates a fresh world otherwise. Both paths
+//! produce bit-identical analyses over the same world.
 //!
 //! ```sh
 //! cargo run --release --example quickstart            # generates
@@ -89,22 +88,9 @@ fn main() {
         }
     }
 
-    // Owned fallback: parse the v1 snapshots, or generate a small
-    // world (every region present, ~4.5k recipes at 10% scale).
-    let world = match (
-        std::fs::read(dir.join("flavor.cfdb")),
-        std::fs::read(dir.join("recipes.crdb")),
-    ) {
-        (Ok(f), Ok(r)) => {
-            let flavor = culinaria::flavordb::io::from_snapshot(bytes::Bytes::from(f))
-                .expect("valid CFDB1 snapshot");
-            let recipes = culinaria::recipedb::io::from_snapshot(bytes::Bytes::from(r))
-                .expect("valid CRDB1 snapshot");
-            println!("world (v1 snapshots in {}):", dir.display());
-            culinaria::datagen::World { flavor, recipes }
-        }
-        _ => generate_world(&WorldConfig::small()),
-    };
+    // Owned fallback: generate a small world (every region present,
+    // ~4.5k recipes at 10% scale).
+    let world = generate_world(&WorldConfig::small());
     println!(
         "world: {} recipes across {} regions, {} ingredients",
         world.recipes.n_recipes(),

@@ -3,29 +3,35 @@
 //!
 //! ```text
 //! culinaria generate [--scale S] [--seed N] [--out DIR]
-//! culinaria migrate-artifact [--in DIR] [--out DIR] [--no-overlaps]
 //! culinaria analyze  [--scale S] [--seed N] [--mc N] [--metrics[=json]]
-//! culinaria report   <REGION> [--scale S] [--seed N] [--metrics[=json]]
+//! culinaria report   <REGION> [--scale S] [--seed N] [--mc N] [--metrics[=json]]
 //! culinaria import   <FILE> [--threads N] [--metrics[=json]]
-//! culinaria ingest   <FILE> (--log PATH | --wal DIR) [--threads N]
+//! culinaria ingest   <FILE> --wal DIR [--threads N]
 //!                    [--fsync always|batch|off] [--segment-bytes N]
-//! culinaria replay   (--log PATH | --wal DIR) [--prefix N] [--threads N] [--analyze]
+//! culinaria replay   --wal DIR [--prefix N] [--threads N] [--analyze]
 //! culinaria pairings <REGION> [--scale S] [--top K]
+//! culinaria suggest  <REGION> [--scale S] [--size N] [--uniform|--contrast]
 //! culinaria serve    (--stdio | --socket PATH) [--data DIR] [--threads N]
 //!                    [--batch N] [--cache-entries N] [--max-queue N]
 //!                    [--mc N] [--seed N] [--once] [--metrics[=json]]
 //!                    [--read-timeout MS] [--write-timeout MS] [--idle-timeout MS]
-//!                    [--max-conns N] [--force-bind] [--wal DIR]
-//!                    [--fsync always|batch|off] [--segment-bytes N]
+//!                    [--max-conns N] [--force-bind]
 //! culinaria regions
 //! ```
 //!
+//! `generate` writes the dataset as zero-copy artifacts: `flavor.cfdb2`
+//! (carrying one precomputed overlap section per populated region),
+//! `recipes.crdb2`, and a `recipes.csv` export. `serve` opens them.
+//! `ingest` and `replay` work on one durable log, the segmented WAL
+//! directory named by `--wal`.
+//!
+//! A flag value that does not parse is a usage error: the command
+//! exits 2 and names the flag before it touches any data.
 //! `--metrics` renders the observability registry (spans, counters,
 //! histograms — see `culinaria-obs`) to stderr when the command
 //! finishes; `--metrics=json` renders it as one JSON object instead.
 
 use std::collections::HashMap;
-use std::io::Write;
 use std::process::ExitCode;
 
 use culinaria::analysis::contribution::top_contributors;
@@ -37,12 +43,11 @@ use culinaria::analysis::z_analysis::{
 use culinaria::analysis::{FlavorViewRef, RecipesViewRef};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
 use culinaria::datagen::{generate_world, World, WorldConfig};
-use culinaria::flavordb::FlavorArtifactBuilder;
-use culinaria::flavordb::{AlignedBytes, FlavorDb};
+use culinaria::flavordb::{AlignedBytes, FlavorArtifactBuilder};
 use culinaria::obs::Metrics;
-use culinaria::recipedb::import::{ImportStats, Importer, RawRecipe};
+use culinaria::recipedb::import::{Importer, RawRecipe};
 use culinaria::recipedb::{
-    FsyncPolicy, IngestLog, RecipeArtifactBuilder, RecipeStore, Region, SegmentedLog, Source,
+    FsyncPolicy, RecipeArtifactBuilder, RecipeStore, Region, SegmentedLog, Source,
 };
 use culinaria::serve::protocol::{encode_conn_limit, write_frame};
 use culinaria::serve::{arm, install_signal_handlers, ServeConfig, Server};
@@ -88,17 +93,10 @@ fn parse_args(raw: &[String]) -> Args {
 }
 
 impl Args {
-    fn flag<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.flags
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Like [`Args::flag`], but a present-yet-unparseable value is an
-    /// error instead of a silent fall-back to the default. Long-lived
-    /// commands (`serve`) use this so a typo'd `--cache-entries lots`
-    /// refuses to start rather than running with a surprise default.
+    /// The value of `--name`, or `default` when the flag is absent. A
+    /// present-yet-unparseable value is an error naming the flag, so a
+    /// typo'd `--mc 2OO` exits 2 instead of running with a surprise
+    /// default.
     fn flag_checked<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.flags.get(name) {
             None => Ok(default),
@@ -110,17 +108,18 @@ impl Args {
 
     /// The metrics sink selected by `--metrics` (text) or
     /// `--metrics=json`; disabled (zero-cost no-op) when absent.
-    fn metrics(&self) -> MetricsSink {
-        match self.flags.get("metrics").map(String::as_str) {
-            None => MetricsSink {
-                metrics: Metrics::disabled(),
-                json: false,
-            },
-            Some(mode) => MetricsSink {
-                metrics: Metrics::enabled(),
-                json: mode == "json",
-            },
-        }
+    fn metrics(&self) -> Result<MetricsSink, String> {
+        let (metrics, json) = match self.flags.get("metrics").map(String::as_str) {
+            None => (Metrics::disabled(), false),
+            Some("") => (Metrics::enabled(), false),
+            Some("json") => (Metrics::enabled(), true),
+            Some(other) => {
+                return Err(format!(
+                    "--metrics: expected `--metrics` or `--metrics=json`, got {other:?}"
+                ))
+            }
+        };
+        Ok(MetricsSink { metrics, json })
     }
 }
 
@@ -145,15 +144,24 @@ impl MetricsSink {
     }
 }
 
-fn build_world(args: &Args) -> World {
+fn build_world(args: &Args) -> Result<World, String> {
     let mut cfg = WorldConfig::paper();
-    cfg.recipe_scale = args.flag("scale", 0.1);
-    cfg.seed = args.flag("seed", 2018u64);
+    cfg.recipe_scale = args.flag_checked("scale", 0.1)?;
+    cfg.seed = args.flag_checked("seed", 2018u64)?;
     eprintln!(
         "generating world (scale {}, seed {})…",
         cfg.recipe_scale, cfg.seed
     );
-    generate_world(&cfg)
+    Ok(generate_world(&cfg))
+}
+
+/// The Monte-Carlo settings of `--mc` and `--seed`.
+fn mc_config(args: &Args, default_recipes: usize) -> Result<MonteCarloConfig, String> {
+    Ok(MonteCarloConfig {
+        n_recipes: args.flag_checked("mc", default_recipes)?,
+        seed: args.flag_checked("seed", 2018u64)?,
+        n_threads: 0,
+    })
 }
 
 /// One malformed block found while parsing the `import` text format.
@@ -218,101 +226,21 @@ fn parse_raw_recipes(text: &str) -> (Vec<RawRecipe>, Vec<ParseIssue>) {
     (raws, issues)
 }
 
-/// `ingest --log`: the single-file image path. Replays prior history
-/// first so the grown log still replays ≡ one big batch, then appends
-/// and rewrites the file. `None` = failure (already reported).
-fn ingest_into_log(
-    log_path: &str,
-    db: &FlavorDb,
-    importer: &Importer,
-    raws: &[RawRecipe],
-    threads: usize,
-) -> Option<ImportStats> {
-    let mut log = match std::fs::read(log_path) {
-        Ok(bytes) => match IngestLog::from_bytes(&bytes) {
-            Ok(log) => log,
-            Err(e) => {
-                eprintln!("{log_path}: corrupt import log: {e}");
-                return None;
-            }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => IngestLog::new(),
-        Err(e) => {
-            eprintln!("cannot read {log_path}: {e}");
-            return None;
-        }
-    };
-    let mut store = if log.is_empty() {
-        RecipeStore::new()
-    } else {
-        match log.replay(db, importer, threads) {
-            Ok((store, _)) => store,
-            Err(e) => {
-                eprintln!("{log_path}: cannot replay existing log: {e}");
-                return None;
-            }
-        }
-    };
-    let prior = log.records().len();
-    let stats = match log.append_batch(db, importer, &mut store, raws, threads) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ingest failed: {e}");
-            return None;
-        }
-    };
-    if let Err(e) = std::fs::write(log_path, log.as_bytes()) {
-        eprintln!("cannot write {log_path}: {e}");
-        return None;
+/// Read a recipe text file, reporting every malformed block on stderr.
+fn read_raw_recipes(path: &str) -> Result<(Vec<RawRecipe>, usize), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let (raws, issues) = parse_raw_recipes(&text);
+    for issue in &issues {
+        eprintln!("{path}:{}: {}", issue.line, issue.message);
     }
-    println!(
-        "ingested {}/{} recipes ({} tombstoned); \
-         log {log_path}: {} records (+{}), {} bytes; store: {} recipes",
-        stats.stored,
-        stats.offered,
-        stats.failures.len(),
-        log.records().len(),
-        log.records().len() - prior,
-        log.as_bytes().len(),
-        store.n_recipes()
-    );
-    Some(stats)
+    Ok((raws, issues.len()))
 }
 
-/// `ingest --wal`: the durable segmented path. Open recovers the
-/// directory (torn tails truncated, orphans tolerated), prior records
-/// replay for history, the batch appends under the selected fsync
-/// policy, and the tail is made durable before returning. `None` =
-/// failure (already reported).
-fn ingest_into_wal(
-    args: &Args,
-    dir: &str,
-    db: &FlavorDb,
-    importer: &Importer,
-    raws: &[RawRecipe],
-    threads: usize,
-) -> Option<ImportStats> {
-    let policy = match args.flag_checked("fsync", FsyncPolicy::Batch) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg} (expected always|batch|off)");
-            return None;
-        }
-    };
-    let segment_bytes = match args.flag_checked("segment-bytes", 8u64 * 1024 * 1024) {
-        Ok(n) => n,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return None;
-        }
-    };
-    let mut log = match SegmentedLog::open(dir, policy, segment_bytes) {
-        Ok(log) => log,
-        Err(e) => {
-            eprintln!("{dir}: cannot open wal: {e}");
-            return None;
-        }
-    };
+/// Open (and recover) the segmented log in `dir`: torn tails are
+/// truncated and orphans tolerated, and either is reported on stderr.
+fn open_wal(dir: &str, policy: FsyncPolicy, segment_bytes: u64) -> Result<SegmentedLog, String> {
+    let log = SegmentedLog::open(dir, policy, segment_bytes)
+        .map_err(|e| format!("{dir}: cannot open wal: {e}"))?;
     let rec = log.recovery();
     if rec.recovered() || rec.orphans > 0 {
         eprintln!(
@@ -320,72 +248,61 @@ fn ingest_into_wal(
             rec.truncated_bytes, rec.orphans
         );
     }
-    let mut store = if log.is_empty() {
-        RecipeStore::new()
-    } else {
-        match log.replay(db, importer, threads) {
-            Ok((store, _)) => store,
-            Err(e) => {
-                eprintln!("{dir}: cannot replay existing wal: {e}");
-                return None;
-            }
-        }
-    };
-    let prior = log.len();
-    let stats = match log.append_batch(db, importer, &mut store, raws, threads) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ingest failed: {e}");
-            return None;
-        }
-    };
-    if let Err(e) = log.sync() {
-        eprintln!("{dir}: cannot sync wal tail: {e}");
-        return None;
+    Ok(log)
+}
+
+/// The `--wal DIR` every log command needs.
+fn wal_dir(args: &Args) -> Result<&str, String> {
+    match args.flags.get("wal") {
+        Some(dir) if !dir.is_empty() => Ok(dir),
+        _ => Err("needs --wal DIR (the segmented log directory)".to_owned()),
     }
-    println!(
-        "ingested {}/{} recipes ({} tombstoned); \
-         wal {dir}: {} records (+{}) across {} segment(s) [fsync={policy}]; store: {} recipes",
-        stats.stored,
-        stats.offered,
-        stats.failures.len(),
-        log.len(),
-        log.len() - prior,
-        log.n_segments(),
-        store.n_recipes()
-    );
-    Some(stats)
+}
+
+/// Report a runtime failure and exit 1; usage errors are `Err` (exit 2).
+fn fail(msg: impl std::fmt::Display) -> Result<ExitCode, String> {
+    eprintln!("{msg}");
+    Ok(ExitCode::FAILURE)
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         culinaria generate [--scale S] [--seed N] [--out DIR]   write dataset snapshots + CSV\n  \
-         culinaria migrate-artifact [--in DIR] [--out DIR]       CFDB1/CRDB1 → zero-copy v2 artifacts\n  \
+         culinaria generate [--scale S] [--seed N] [--out DIR]   write CFDB2/CRDB2 artifacts + CSV\n  \
          culinaria analyze  [--scale S] [--seed N] [--mc N]      Fig-4 z-score table\n  \
          culinaria report   <REGION> [--scale S] [--seed N]      one cuisine in depth\n  \
          culinaria import   <FILE> [--threads N]                 import raw recipes from a file\n  \
-         culinaria ingest   <FILE> (--log PATH | --wal DIR)      import + append to a replay log\n  \
-         culinaria replay   (--log PATH | --wal DIR) [--prefix N] [--analyze]  rebuild the store\n  \
+         culinaria ingest   <FILE> --wal DIR                     import + append to the log\n  \
+         culinaria replay   --wal DIR [--prefix N] [--analyze]   rebuild the store from the log\n  \
          culinaria pairings <REGION> [--scale S] [--top K]       novel pairing suggestions\n  \
          culinaria suggest  <REGION> [--size N] [--uniform|--contrast]  generate a recipe\n  \
          culinaria serve    (--stdio | --socket PATH) [--data DIR]      online query service\n  \
          culinaria regions                                       list Table 1 regions\n\
          \n\
-         analyze, report and import accept --metrics[=json]: a pipeline-\n\
-         telemetry dump (spans, counters, histograms) on stderr at exit."
+         analyze, report, import and replay accept --metrics[=json]: a\n\
+         pipeline-telemetry dump (spans, counters, histograms) on stderr at exit."
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = raw.first().cloned() else {
+    let Some(command) = raw.first() else {
         return usage();
     };
-    let args = parse_args(&raw[1..]);
+    match run(command, &parse_args(&raw[1..])) {
+        Ok(code) => code,
+        Err(msg) => {
+            eprintln!("{command}: {msg}");
+            ExitCode::from(2)
+        }
+    }
+}
 
-    match command.as_str() {
+/// Run one subcommand. `Err` is a usage error (exit 2); a runtime
+/// failure is reported where it happens and returns exit code 1.
+fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
+    match command {
         "regions" => {
             println!(
                 "{:5} {:24} {:>8} {:>12} {:>12}",
@@ -405,157 +322,55 @@ fn main() -> ExitCode {
                     }
                 );
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "generate" => {
-            let world = build_world(&args);
             let out = args
                 .flags
                 .get("out")
                 .cloned()
                 .unwrap_or_else(|| "culinaria-data".to_owned());
-            if let Err(e) = std::fs::create_dir_all(&out) {
-                eprintln!("cannot create {out}: {e}");
-                return ExitCode::FAILURE;
+            let world = build_world(args)?;
+            // One overlap section per populated region, so an analysis
+            // over the artifact reuses the triangle instead of sweeping
+            // the region's pool again.
+            let mut flavor = FlavorArtifactBuilder::new(&world.flavor);
+            for region in world.recipes.regions() {
+                let cache =
+                    OverlapCache::for_cuisine(&world.flavor, &world.recipes.cuisine(region));
+                if let Err(e) = flavor.add_overlap(region.code(), cache.pool(), cache.tri()) {
+                    return fail(format!("cannot attach {region} overlap section: {e}"));
+                }
             }
-            let write = |name: &str, bytes: &[u8]| -> std::io::Result<()> {
-                let path = format!("{out}/{name}");
-                let mut f = std::fs::File::create(&path)?;
-                f.write_all(bytes)?;
-                println!("wrote {path} ({} bytes)", bytes.len());
-                Ok(())
-            };
             let (flavor, recipes) = match (
-                culinaria::flavordb::io::to_snapshot(&world.flavor),
-                culinaria::recipedb::io::to_snapshot(&world.recipes),
-            ) {
-                (Ok(f), Ok(r)) => (f, r),
-                (Err(e), _) => {
-                    eprintln!("cannot encode flavor snapshot: {e}");
-                    return ExitCode::FAILURE;
-                }
-                (_, Err(e)) => {
-                    eprintln!("cannot encode recipe snapshot: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // v2 zero-copy artifacts ride along with the v1 snapshots,
-            // so downstream consumers can open without parsing.
-            let (flavor2, recipes2) = match (
-                FlavorArtifactBuilder::new(&world.flavor).build(),
+                flavor.build(),
                 RecipeArtifactBuilder::new(&world.recipes).build(),
             ) {
                 (Ok(f), Ok(r)) => (f, r),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("cannot encode v2 artifact: {e}");
-                    return ExitCode::FAILURE;
-                }
+                (Err(e), _) | (_, Err(e)) => return fail(format!("cannot encode artifact: {e}")),
             };
             let csv = culinaria::recipedb::io::to_csv(&world.recipes);
-            if let Err(e) = write("flavor.cfdb", &flavor)
-                .and_then(|_| write("recipes.crdb", &recipes))
-                .and_then(|_| write("flavor.cfdb2", &flavor2))
-                .and_then(|_| write("recipes.crdb2", &recipes2))
-                .and_then(|_| write("recipes.csv", csv.as_bytes()))
-            {
-                eprintln!("write failed: {e}");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        "migrate-artifact" => {
-            // CFDB1/CRDB1 snapshots → zero-copy CFDB2/CRDB2 artifacts,
-            // with per-region overlap triangles precomputed into the
-            // flavor artifact (skip with --no-overlaps) so analyses can
-            // reuse them instead of re-sweeping at open time.
-            let dir = args
-                .flags
-                .get("in")
-                .cloned()
-                .unwrap_or_else(|| "culinaria-data".to_owned());
-            let out = args
-                .flags
-                .get("out")
-                .cloned()
-                .unwrap_or_else(|| dir.clone());
-            let read = |name: &str| -> Option<Vec<u8>> {
-                let path = format!("{dir}/{name}");
-                match std::fs::read(&path) {
-                    Ok(b) => Some(b),
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        None
-                    }
-                }
-            };
-            let (Some(flavor_raw), Some(recipes_raw)) = (read("flavor.cfdb"), read("recipes.crdb"))
-            else {
-                return ExitCode::FAILURE;
-            };
-            let db = match culinaria::flavordb::io::from_snapshot(bytes::Bytes::from(flavor_raw)) {
-                Ok(db) => db,
-                Err(e) => {
-                    eprintln!("cannot decode flavor snapshot: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let store =
-                match culinaria::recipedb::io::from_snapshot(bytes::Bytes::from(recipes_raw)) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("cannot decode recipe snapshot: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            let mut builder = FlavorArtifactBuilder::new(&db);
-            if !args.flags.contains_key("no-overlaps") {
-                for region in store.regions() {
-                    let cuisine = store.cuisine(region);
-                    let cache = OverlapCache::for_cuisine(&db, &cuisine);
-                    if cache.is_empty() {
-                        continue;
-                    }
-                    if let Err(e) = builder.add_overlap(region.code(), cache.pool(), cache.tri()) {
-                        eprintln!("cannot attach {} overlap section: {e}", region.code());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            let (flavor2, recipes2) =
-                match (builder.build(), RecipeArtifactBuilder::new(&store).build()) {
-                    (Ok(f), Ok(r)) => (f, r),
-                    (Err(e), _) | (_, Err(e)) => {
-                        eprintln!("cannot encode v2 artifact: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
             if let Err(e) = std::fs::create_dir_all(&out) {
-                eprintln!("cannot create {out}: {e}");
-                return ExitCode::FAILURE;
+                return fail(format!("cannot create {out}: {e}"));
             }
             let write = |name: &str, bytes: &[u8]| -> std::io::Result<()> {
                 let path = format!("{out}/{name}");
-                let mut f = std::fs::File::create(&path)?;
-                f.write_all(bytes)?;
+                std::fs::write(&path, bytes)?;
                 println!("wrote {path} ({} bytes)", bytes.len());
                 Ok(())
             };
-            if let Err(e) =
-                write("flavor.cfdb2", &flavor2).and_then(|_| write("recipes.crdb2", &recipes2))
+            if let Err(e) = write("flavor.cfdb2", &flavor)
+                .and_then(|()| write("recipes.crdb2", &recipes))
+                .and_then(|()| write("recipes.csv", csv.as_bytes()))
             {
-                eprintln!("write failed: {e}");
-                return ExitCode::FAILURE;
+                return fail(format!("write failed: {e}"));
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "analyze" => {
-            let world = build_world(&args);
-            let mc = MonteCarloConfig {
-                n_recipes: args.flag("mc", 20_000usize),
-                seed: args.flag("seed", 2018u64),
-                n_threads: 0,
-            };
-            let sink = args.metrics();
+            let mc = mc_config(args, 20_000)?;
+            let sink = args.metrics()?;
+            let world = build_world(args)?;
             let analyses = match try_analyze_world_observed(
                 &world.flavor,
                 &world.recipes,
@@ -567,7 +382,7 @@ fn main() -> ExitCode {
                 Err(failure) => {
                     eprintln!("analysis failed: {failure}");
                     sink.dump();
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             println!("{}", analyses_to_frame(&analyses).to_table_string(22));
@@ -579,40 +394,30 @@ fn main() -> ExitCode {
                 .count();
             println!("pairing-sign agreement with the paper: {matches}/22");
             sink.dump();
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "import" => {
             let Some(path) = args.positional.first() else {
-                eprintln!("import needs a file path (see --help for the format)");
-                return ExitCode::from(2);
+                return Err("needs a file path (see --help for the format)".to_owned());
             };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+            let threads = args.flag_checked("threads", 0usize)?;
+            let sink = args.metrics()?;
+            let (raws, n_issues) = match read_raw_recipes(path) {
+                Ok(parsed) => parsed,
+                Err(msg) => return fail(msg),
             };
-            let (raws, issues) = parse_raw_recipes(&text);
-            for issue in &issues {
-                eprintln!("{path}:{}: {}", issue.line, issue.message);
-            }
             let db = culinaria::flavordb::curated::curated_db();
             let importer = Importer::from_flavor_db(&db);
             let mut store = RecipeStore::new();
-            let sink = args.metrics();
             let stats = match importer.import_batch_observed(
                 &db,
                 &mut store,
                 &raws,
-                args.flag("threads", 0usize),
+                threads,
                 &sink.metrics,
             ) {
                 Ok(s) => s,
-                Err(e) => {
-                    eprintln!("import failed: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(format!("import failed: {e}")),
             };
             println!(
                 "imported {}/{} recipes ({} dropped), {} lines resolved, {} unresolved",
@@ -632,138 +437,110 @@ fn main() -> ExitCode {
                 eprintln!("dropped {failure}");
             }
             sink.dump();
-            if issues.is_empty() {
-                ExitCode::SUCCESS
+            if n_issues == 0 {
+                Ok(ExitCode::SUCCESS)
             } else {
-                eprintln!(
-                    "{path}: {} malformed block(s) skipped — fix them and re-import",
-                    issues.len()
-                );
-                ExitCode::FAILURE
+                fail(format!(
+                    "{path}: {n_issues} malformed block(s) skipped — fix them and re-import"
+                ))
             }
         }
         "ingest" => {
             let Some(path) = args.positional.first() else {
-                eprintln!("ingest needs a file path (same text format as `import`)");
-                return ExitCode::from(2);
+                return Err("needs a file path (same text format as `import`)".to_owned());
             };
-            let log_path = args.flags.get("log").filter(|p| !p.is_empty()).cloned();
-            let wal_dir = args.flags.get("wal").filter(|p| !p.is_empty()).cloned();
-            if log_path.is_some() == wal_dir.is_some() {
-                eprintln!(
-                    "ingest needs exactly one log target: \
-                     --log PATH (single-file image) or --wal DIR (durable segments)"
-                );
-                return ExitCode::from(2);
-            }
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+            let dir = wal_dir(args)?;
+            let policy = args
+                .flag_checked("fsync", FsyncPolicy::Batch)
+                .map_err(|msg| format!("{msg} (expected always|batch|off)"))?;
+            let segment_bytes = args.flag_checked("segment-bytes", 8u64 * 1024 * 1024)?;
+            let threads = args.flag_checked("threads", 0usize)?;
+            let (raws, n_issues) = match read_raw_recipes(path) {
+                Ok(parsed) => parsed,
+                Err(msg) => return fail(msg),
             };
-            let (raws, issues) = parse_raw_recipes(&text);
-            for issue in &issues {
-                eprintln!("{path}:{}: {}", issue.line, issue.message);
-            }
             let db = culinaria::flavordb::curated::curated_db();
             let importer = Importer::from_flavor_db(&db);
-            let threads = args.flag("threads", 0usize);
-            let outcome = if let Some(dir) = wal_dir {
-                ingest_into_wal(&args, &dir, &db, &importer, &raws, threads)
+            let mut log = match open_wal(dir, policy, segment_bytes) {
+                Ok(log) => log,
+                Err(msg) => return fail(msg),
+            };
+            // Prior records replay first, so the grown log still
+            // replays ≡ one big batch.
+            let mut store = if log.is_empty() {
+                RecipeStore::new()
             } else {
-                let log_path = log_path.unwrap_or_default();
-                ingest_into_log(&log_path, &db, &importer, &raws, threads)
+                match log.replay(&db, &importer, threads) {
+                    Ok((store, _)) => store,
+                    Err(e) => return fail(format!("{dir}: cannot replay existing wal: {e}")),
+                }
             };
-            let Some(stats_ok) = outcome else {
-                return ExitCode::FAILURE;
+            let prior = log.len();
+            let stats = match log.append_batch(&db, &importer, &mut store, &raws, threads) {
+                Ok(s) => s,
+                Err(e) => return fail(format!("ingest failed: {e}")),
             };
-            for failure in &stats_ok.failures {
+            // The tail is durable before we report, whatever the policy.
+            if let Err(e) = log.sync() {
+                return fail(format!("{dir}: cannot sync wal tail: {e}"));
+            }
+            println!(
+                "ingested {}/{} recipes ({} tombstoned); \
+                 wal {dir}: {} records (+{}) across {} segment(s) [fsync={policy}]; store: {} recipes",
+                stats.stored,
+                stats.offered,
+                stats.failures.len(),
+                log.len(),
+                log.len() - prior,
+                log.n_segments(),
+                store.n_recipes()
+            );
+            for failure in &stats.failures {
                 eprintln!("tombstoned {failure}");
             }
-            if issues.is_empty() {
-                ExitCode::SUCCESS
+            if n_issues == 0 {
+                Ok(ExitCode::SUCCESS)
             } else {
-                eprintln!(
-                    "{path}: {} malformed block(s) skipped — fix them and re-ingest",
-                    issues.len()
-                );
-                ExitCode::FAILURE
+                fail(format!(
+                    "{path}: {n_issues} malformed block(s) skipped — fix them and re-ingest"
+                ))
             }
         }
         "replay" => {
-            let log_path = args.flags.get("log").filter(|p| !p.is_empty()).cloned();
-            let wal_dir = args.flags.get("wal").filter(|p| !p.is_empty()).cloned();
-            if log_path.is_some() == wal_dir.is_some() {
-                eprintln!("replay needs exactly one of --log PATH or --wal DIR");
-                return ExitCode::from(2);
-            }
+            let dir = wal_dir(args)?;
+            let threads = args.flag_checked("threads", 0usize)?;
+            // `--prefix` defaults to the whole log, whose length is
+            // known only once it is open; parse it first regardless.
+            let prefix = args
+                .flags
+                .contains_key("prefix")
+                .then(|| args.flag_checked("prefix", 0usize))
+                .transpose()?;
+            let mc = mc_config(args, 2000)?;
+            let sink = args.metrics()?;
             let db = culinaria::flavordb::curated::curated_db();
             let importer = Importer::from_flavor_db(&db);
-            let threads = args.flag("threads", 0usize);
-            let (total, n, replayed) = if let Some(dir) = wal_dir {
-                // Fsync off: replay only reads (recovery may still
-                // truncate a torn tail, which does sync).
-                let log = match SegmentedLog::open(&dir, FsyncPolicy::Off, 0) {
-                    Ok(log) => log,
-                    Err(e) => {
-                        eprintln!("{dir}: cannot open wal: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let rec = log.recovery();
-                if rec.recovered() || rec.orphans > 0 {
-                    eprintln!(
-                        "{dir}: recovered — {} torn byte(s) truncated, {} orphan segment(s)",
-                        rec.truncated_bytes, rec.orphans
-                    );
-                }
-                let n = args.flag("prefix", log.len());
-                let replayed = log.replay_prefix(&db, &importer, n, threads);
-                (log.len(), n, replayed)
-            } else {
-                let log_path = log_path.unwrap_or_default();
-                let bytes = match std::fs::read(&log_path) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("cannot read {log_path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let log = match IngestLog::from_bytes(&bytes) {
-                    Ok(log) => log,
-                    Err(e) => {
-                        eprintln!("{log_path}: corrupt import log: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let n = args.flag("prefix", log.records().len());
-                let replayed = log.replay_prefix(&db, &importer, n, threads);
-                (log.records().len(), n, replayed)
+            // Fsync off: replay only reads (recovery may still
+            // truncate a torn tail, which does sync).
+            let log = match open_wal(dir, FsyncPolicy::Off, 0) {
+                Ok(log) => log,
+                Err(msg) => return fail(msg),
             };
-            let (store, stats) = match replayed {
+            let n = prefix.unwrap_or(log.len());
+            let (store, stats) = match log.replay_prefix(&db, &importer, n, threads) {
                 Ok(out) => out,
-                Err(e) => {
-                    eprintln!("replay failed: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(format!("replay failed: {e}")),
             };
             println!(
-                "replayed {n}/{total} records: {} stored, {} tombstoned, \
+                "replayed {n}/{} records: {} stored, {} tombstoned, \
                  {} lines resolved, {} unresolved",
+                log.len(),
                 stats.stored,
                 stats.failures.len(),
                 stats.lines_resolved,
                 stats.lines_unresolved
             );
             if args.flags.contains_key("analyze") {
-                let mc = MonteCarloConfig {
-                    n_recipes: args.flag("mc", 2000usize),
-                    seed: args.flag("seed", 2018u64),
-                    n_threads: 0,
-                };
-                let sink = args.metrics();
                 let analyses = match try_analyze_world_observed(
                     &db,
                     &store,
@@ -775,13 +552,13 @@ fn main() -> ExitCode {
                     Err(failure) => {
                         eprintln!("analysis failed: {failure}");
                         sink.dump();
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 };
                 println!("{}", analyses_to_frame(&analyses).to_table_string(22));
                 sink.dump();
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "report" => {
             let Some(region) = args
@@ -789,17 +566,12 @@ fn main() -> ExitCode {
                 .first()
                 .and_then(|s| s.parse::<Region>().ok())
             else {
-                eprintln!("report needs a region code (see `culinaria regions`)");
-                return ExitCode::from(2);
+                return Err("needs a region code (see `culinaria regions`)".to_owned());
             };
-            let world = build_world(&args);
+            let mc = mc_config(args, 20_000)?;
+            let sink = args.metrics()?;
+            let world = build_world(args)?;
             let cuisine = world.recipes.cuisine(region);
-            let mc = MonteCarloConfig {
-                n_recipes: args.flag("mc", 20_000usize),
-                seed: args.flag("seed", 2018u64),
-                n_threads: 0,
-            };
-            let sink = args.metrics();
             let analysis = match try_analyze_cuisine_observed(
                 &world.flavor,
                 &cuisine,
@@ -808,14 +580,11 @@ fn main() -> ExitCode {
                 &sink.metrics,
             ) {
                 Ok(Some(analysis)) => analysis,
-                Ok(None) => {
-                    eprintln!("{region}: no pairing-bearing recipes");
-                    return ExitCode::FAILURE;
-                }
+                Ok(None) => return fail(format!("{region}: no pairing-bearing recipes")),
                 Err(failure) => {
                     eprintln!("report failed: {failure}");
                     sink.dump();
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             println!(
@@ -842,7 +611,7 @@ fn main() -> ExitCode {
                 );
             }
             sink.dump();
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "suggest" => {
             let Some(region) = args
@@ -850,11 +619,10 @@ fn main() -> ExitCode {
                 .first()
                 .and_then(|s| s.parse::<Region>().ok())
             else {
-                eprintln!("suggest needs a region code (see `culinaria regions`)");
-                return ExitCode::from(2);
+                return Err("needs a region code (see `culinaria regions`)".to_owned());
             };
-            let world = build_world(&args);
-            let size: usize = args.flag("size", 7usize);
+            let size = args.flag_checked("size", 7usize)?;
+            let world = build_world(args)?;
             let cuisine = world.recipes.cuisine(region);
             let objective = if args.flags.contains_key("contrast") {
                 Objective::MinimizeSharing
@@ -863,8 +631,9 @@ fn main() -> ExitCode {
             };
             let generator = RecipeGenerator::new(&world.flavor, &cuisine, 100);
             let Some(recipe) = generator.generate_recipe(size, objective, 0) else {
-                eprintln!("{region}: pool too small for a {size}-ingredient recipe");
-                return ExitCode::FAILURE;
+                return fail(format!(
+                    "{region}: pool too small for a {size}-ingredient recipe"
+                ));
             };
             println!(
                 "generated {} recipe for {} (Ns = {:.2}):",
@@ -878,7 +647,7 @@ fn main() -> ExitCode {
             for id in &recipe.ingredients {
                 println!("  {}", generator.name(*id));
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "pairings" => {
             let Some(region) = args
@@ -886,11 +655,10 @@ fn main() -> ExitCode {
                 .first()
                 .and_then(|s| s.parse::<Region>().ok())
             else {
-                eprintln!("pairings needs a region code (see `culinaria regions`)");
-                return ExitCode::from(2);
+                return Err("needs a region code (see `culinaria regions`)".to_owned());
             };
-            let world = build_world(&args);
-            let top_k: usize = args.flag("top", 10usize);
+            let top_k = args.flag_checked("top", 10usize)?;
+            let world = build_world(args)?;
             let cuisine = world.recipes.cuisine(region);
             let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
             let pool = cache.pool().to_vec();
@@ -920,25 +688,15 @@ fn main() -> ExitCode {
                 ) {
                     (Ok(a), Ok(b)) => (&a.name, &b.name),
                     (Err(e), _) | (_, Err(e)) => {
-                        eprintln!("pairing table references a dead ingredient: {e}");
-                        return ExitCode::FAILURE;
+                        return fail(format!("pairing table references a dead ingredient: {e}"))
                     }
                 };
                 println!("  {novelty:7.1}  {a} + {b}  (overlap {overlap}, co-used {cooc}×)");
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        "serve" => {
-            let opts = match ServeOptions::from_args(&args) {
-                Ok(opts) => opts,
-                Err(msg) => {
-                    eprintln!("serve: {msg}");
-                    return ExitCode::from(2);
-                }
-            };
-            run_serve(&opts)
-        }
-        _ => usage(),
+        "serve" => Ok(run_serve(&ServeOptions::from_args(args)?)),
+        _ => Ok(usage()),
     }
 }
 
@@ -964,13 +722,6 @@ struct ServeOptions {
     once: bool,
     /// Bind over a socket path even when a live server answers on it.
     force_bind: bool,
-    /// `Some(dir)` when `--wal DIR` asked for durable segments to be
-    /// opened (and recovered) at startup and fsynced at shutdown.
-    wal_dir: Option<String>,
-    /// Fsync policy for the WAL segments.
-    fsync: FsyncPolicy,
-    /// WAL segment rotation threshold in bytes (0 = never rotate).
-    segment_bytes: u64,
     /// `Some(json)` when `--metrics[=json]` asked for an exit dump.
     metrics_dump: Option<bool>,
 }
@@ -1006,25 +757,7 @@ impl ServeOptions {
         if force_bind && matches!(transport, ServeTransport::Stdio) {
             return Err("--force-bind only applies to --socket".to_owned());
         }
-        let wal_dir = match args.flags.get("wal") {
-            None => None,
-            Some(dir) if dir.is_empty() => return Err("--wal: needs a directory".to_owned()),
-            Some(dir) => Some(dir.clone()),
-        };
-        let fsync = args
-            .flag_checked("fsync", FsyncPolicy::Batch)
-            .map_err(|msg| format!("{msg} (expected always|batch|off)"))?;
-        let segment_bytes = args.flag_checked("segment-bytes", 8u64 * 1024 * 1024)?;
-        let metrics_dump = match args.flags.get("metrics").map(String::as_str) {
-            None => None,
-            Some("") => Some(false),
-            Some("json") => Some(true),
-            Some(other) => {
-                return Err(format!(
-                    "--metrics: expected `--metrics` or `--metrics=json`, got {other:?}"
-                ))
-            }
-        };
+        let dump = args.metrics()?;
         Ok(ServeOptions {
             data_dir: args
                 .flags
@@ -1035,134 +768,60 @@ impl ServeOptions {
             cfg,
             once: args.flags.contains_key("once"),
             force_bind,
-            wal_dir,
-            fsync,
-            segment_bytes,
-            metrics_dump,
+            metrics_dump: dump.metrics.is_enabled().then_some(dump.json),
         })
     }
 }
 
-/// The dataset backing a serve session, owned for the server's whole
-/// lifetime. Artifacts stay as aligned byte buffers — the borrowed
-/// views into them are built (O(1)) inside [`run_serve`].
-enum ServeData {
-    /// Zero-copy v2 artifacts (`flavor.cfdb2` + `recipes.crdb2`).
-    Artifacts(AlignedBytes, AlignedBytes),
-    /// Decoded v1 snapshots (`flavor.cfdb` + `recipes.crdb`).
-    Owned(Box<FlavorDb>, Box<RecipeStore>),
+/// Read the serve dataset, `flavor.cfdb2` + `recipes.crdb2`, into
+/// aligned buffers that live as long as the server. The borrowed views
+/// into them are built (O(1)) inside [`run_serve`].
+fn read_serve_data(dir: &str) -> Result<(AlignedBytes, AlignedBytes), String> {
+    let flavor = format!("{dir}/flavor.cfdb2");
+    let recipes = format!("{dir}/recipes.crdb2");
+    if !(std::path::Path::new(&flavor).exists() && std::path::Path::new(&recipes).exists()) {
+        return Err(format!(
+            "{dir}: no dataset (flavor.cfdb2 + recipes.crdb2) — \
+             run `culinaria generate --out {dir}` first"
+        ));
+    }
+    let read = |p: &str| AlignedBytes::read_file(p).map_err(|e| format!("cannot read {p}: {e}"));
+    Ok((read(&flavor)?, read(&recipes)?))
 }
 
-/// Load the serve dataset: v2 zero-copy artifacts first, v1 snapshots
-/// as a decoded fallback, otherwise a pointer at `culinaria generate`.
-fn open_serve_data(dir: &str) -> Result<ServeData, String> {
-    let path = |name: &str| format!("{dir}/{name}");
-    let f2 = path("flavor.cfdb2");
-    let r2 = path("recipes.crdb2");
-    if std::path::Path::new(&f2).exists() && std::path::Path::new(&r2).exists() {
-        let read =
-            |p: &str| AlignedBytes::read_file(p).map_err(|e| format!("cannot read {p}: {e}"));
-        return Ok(ServeData::Artifacts(read(&f2)?, read(&r2)?));
-    }
-    let f1 = path("flavor.cfdb");
-    let r1 = path("recipes.crdb");
-    if std::path::Path::new(&f1).exists() && std::path::Path::new(&r1).exists() {
-        eprintln!("serve: no v2 artifacts in {dir}, decoding v1 snapshots (slower open)");
-        let read = |p: &str| std::fs::read(p).map_err(|e| format!("cannot read {p}: {e}"));
-        let db = culinaria::flavordb::io::from_snapshot(bytes::Bytes::from(read(&f1)?))
-            .map_err(|e| format!("cannot decode {f1}: {e}"))?;
-        let store = culinaria::recipedb::io::from_snapshot(bytes::Bytes::from(read(&r1)?))
-            .map_err(|e| format!("cannot decode {r1}: {e}"))?;
-        return Ok(ServeData::Owned(Box::new(db), Box::new(store)));
-    }
-    Err(format!(
-        "{dir}: no dataset (flavor.cfdb2/recipes.crdb2 or flavor.cfdb/recipes.crdb) — \
-         run `culinaria generate --out {dir}` first"
-    ))
-}
-
+/// Open the artifacts and run the server until the transport drains.
 fn run_serve(opts: &ServeOptions) -> ExitCode {
-    let data = match open_serve_data(&opts.data_dir) {
-        Ok(data) => data,
+    let (fbuf, rbuf) = match read_serve_data(&opts.data_dir) {
+        Ok(bufs) => bufs,
         Err(msg) => {
             eprintln!("serve: {msg}");
             return ExitCode::FAILURE;
         }
     };
-    // Both arms converge on `serve_over`; the borrowed-artifact views
-    // only live as long as the buffers, hence the per-arm open here.
-    match &data {
-        ServeData::Artifacts(fbuf, rbuf) => {
-            let flavor = match culinaria::flavordb::artifact::open(fbuf.as_slice()) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("serve: corrupt flavor artifact: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let recipes = match culinaria::recipedb::artifact::open(rbuf.as_slice()) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("serve: corrupt recipe artifact: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!(
-                "serve: opened v2 artifacts from {} (zero-copy)",
-                opts.data_dir
-            );
-            serve_over(
-                FlavorViewRef::Artifact(&flavor),
-                RecipesViewRef::Artifact(&recipes),
-                opts,
-            )
+    let flavor = match culinaria::flavordb::artifact::open(fbuf.as_slice()) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("serve: corrupt flavor artifact: {e}");
+            return ExitCode::FAILURE;
         }
-        ServeData::Owned(db, store) => {
-            serve_over(FlavorViewRef::Owned(db), RecipesViewRef::Owned(store), opts)
+    };
+    let recipes = match culinaria::recipedb::artifact::open(rbuf.as_slice()) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("serve: corrupt recipe artifact: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-}
-
-/// Run the server over already-opened views until the transport drains.
-fn serve_over(
-    flavor: FlavorViewRef<'_>,
-    recipes: RecipesViewRef<'_>,
-    opts: &ServeOptions,
-) -> ExitCode {
+    };
+    eprintln!("serve: opened artifacts from {} (zero-copy)", opts.data_dir);
     // The METRICS endpoint serves live telemetry, so the server always
     // records; `--metrics[=json]` only controls the exit dump below.
-    let server = Server::new(flavor, recipes, opts.cfg, Metrics::enabled());
-    // Open (and recover) the durable WAL segments before accepting any
-    // traffic, so a corrupt directory fails loudly up front and a torn
-    // tail from the previous run is repaired exactly once.
-    let mut wal = match &opts.wal_dir {
-        None => None,
-        Some(dir) => match SegmentedLog::open(dir, opts.fsync, opts.segment_bytes) {
-            Ok(log) => {
-                let rec = log.recovery();
-                eprintln!(
-                    "serve: wal {dir}: {} record(s) across {} segment(s) [fsync={}]{}",
-                    log.len(),
-                    log.n_segments(),
-                    opts.fsync,
-                    if rec.recovered() || rec.orphans > 0 {
-                        format!(
-                            " — recovered: {} torn byte(s) truncated, {} orphan(s)",
-                            rec.truncated_bytes, rec.orphans
-                        )
-                    } else {
-                        String::new()
-                    }
-                );
-                Some(log)
-            }
-            Err(e) => {
-                eprintln!("serve: cannot open wal {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let mut code = match &opts.transport {
+    let server = Server::new(
+        FlavorViewRef::Artifact(&flavor),
+        RecipesViewRef::Artifact(&recipes),
+        opts.cfg,
+        Metrics::enabled(),
+    );
+    let code = match &opts.transport {
         ServeTransport::Stdio => {
             let stats = server.serve_connection(std::io::stdin().lock(), std::io::stdout());
             match stats {
@@ -1181,13 +840,6 @@ fn serve_over(
         }
         ServeTransport::Socket(path) => serve_socket(&server, path, opts),
     };
-    // Shutdown: make the WAL tail durable no matter the fsync policy.
-    if let Some(log) = wal.as_mut() {
-        if let Err(e) = log.sync() {
-            eprintln!("serve: cannot sync wal tail: {e}");
-            code = ExitCode::FAILURE;
-        }
-    }
     if let Some(json) = opts.metrics_dump {
         if json {
             eprintln!("{}", server.metrics().render_json());
@@ -1360,7 +1012,7 @@ mod tests {
         let args = parse(&["ita", "--uniform", "--size", "3"]);
         assert_eq!(args.positional, vec!["ita"]);
         assert_eq!(args.flags.get("uniform").map(String::as_str), Some(""));
-        assert_eq!(args.flag("size", 7usize), 3);
+        assert_eq!(args.flag_checked("size", 7usize), Ok(3));
     }
 
     #[test]
@@ -1382,28 +1034,31 @@ mod tests {
     fn valued_flags_and_positionals() {
         let args = parse(&["ita", "--scale", "0.5", "--seed", "7", "extra"]);
         assert_eq!(args.positional, vec!["ita", "extra"]);
-        assert!((args.flag("scale", 0.1f64) - 0.5).abs() < 1e-12);
-        assert_eq!(args.flag("seed", 2018u64), 7);
+        assert_eq!(args.flag_checked("scale", 0.1f64), Ok(0.5));
+        assert_eq!(args.flag_checked("seed", 2018u64), Ok(7));
         // Missing flag falls back to the default.
-        assert_eq!(args.flag("mc", 20_000usize), 20_000);
+        assert_eq!(args.flag_checked("mc", 20_000usize), Ok(20_000));
     }
 
     #[test]
     fn equals_syntax_binds_inline() {
         let args = parse(&["analyze", "--scale=0.5", "--metrics=json", "--seed", "7"]);
         assert_eq!(args.positional, vec!["analyze"]);
-        assert!((args.flag("scale", 0.1f64) - 0.5).abs() < 1e-12);
+        assert_eq!(args.flag_checked("scale", 0.1f64), Ok(0.5));
         assert_eq!(args.flags.get("metrics").map(String::as_str), Some("json"));
-        assert_eq!(args.flag("seed", 2018u64), 7);
+        assert_eq!(args.flag_checked("seed", 2018u64), Ok(7));
     }
 
     #[test]
     fn metrics_flag_selects_sink() {
-        assert!(!parse(&["analyze"]).metrics().metrics.is_enabled());
-        let text = parse(&["analyze", "--metrics"]).metrics();
+        let sink = |raw: &[&str]| parse(raw).metrics().expect("valid --metrics");
+        assert!(!sink(&["analyze"]).metrics.is_enabled());
+        let text = sink(&["analyze", "--metrics"]);
         assert!(text.metrics.is_enabled() && !text.json);
-        let json = parse(&["analyze", "--metrics=json"]).metrics();
+        let json = sink(&["analyze", "--metrics=json"]);
         assert!(json.metrics.is_enabled() && json.json);
+        let err = parse(&["analyze", "--metrics=xml"]).metrics().err();
+        assert!(err.is_some_and(|e| e.contains("--metrics")));
     }
 
     #[test]

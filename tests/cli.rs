@@ -14,6 +14,18 @@ fn run(args: &[&str]) -> (bool, String, String) {
     )
 }
 
+/// Like [`run`], but keeps the exact exit code (2 = usage error).
+fn run_code(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_culinaria"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
 #[test]
 fn regions_lists_all_22() {
     let (ok, stdout, _) = run(&["regions"]);
@@ -65,22 +77,68 @@ fn generate_writes_snapshots() {
     let dir_str = dir.to_str().expect("utf-8 temp path");
     let (ok, stdout, _) = run(&["generate", "--scale", "0.01", "--out", dir_str]);
     assert!(ok, "stdout: {stdout}");
-    for file in ["flavor.cfdb", "recipes.crdb", "recipes.csv"] {
-        let path = dir.join(file);
-        assert!(path.exists(), "{file} missing");
-        assert!(
-            path.metadata().expect("stat").len() > 100,
-            "{file} too small"
-        );
+    // Exactly the zero-copy artifacts and the CSV export.
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("output dir")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["flavor.cfdb2", "recipes.crdb2", "recipes.csv"]);
+    for file in &files {
+        let len = dir.join(file).metadata().expect("stat").len();
+        assert!(len > 100, "{file} too small");
     }
-    // Snapshots decode.
-    let flavor_bytes = std::fs::read(dir.join("flavor.cfdb")).expect("readable");
-    let db = culinaria::flavordb::io::from_snapshot(flavor_bytes.into()).expect("decodes");
-    assert!(db.n_ingredients() > 100);
-    let recipe_bytes = std::fs::read(dir.join("recipes.crdb")).expect("readable");
-    let store = culinaria::recipedb::io::from_snapshot(recipe_bytes.into()).expect("decodes");
-    assert!(store.n_recipes() > 100);
+    // The artifacts open, and the flavor one carries one overlap
+    // section per populated region.
+    let read = |name: &str| {
+        culinaria::flavordb::AlignedBytes::read_file(dir.join(name)).expect("readable")
+    };
+    let (flavor_buf, recipe_buf) = (read("flavor.cfdb2"), read("recipes.crdb2"));
+    let flavor = culinaria::flavordb::artifact::open(flavor_buf.as_slice()).expect("opens");
+    let recipes = culinaria::recipedb::artifact::open(recipe_buf.as_slice()).expect("opens");
+    assert!(flavor.n_ingredients() > 100);
+    assert!(recipes.n_recipes() > 100);
+    assert_eq!(flavor.n_overlaps(), recipes.regions().len());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_command_rejects_malformed_flags_before_touching_data() {
+    // Each case must exit 2, name the offending flag on stderr, and
+    // leave its output or log directory uncreated.
+    let dir = std::env::temp_dir().join(format!("culinaria-badflags-{}", std::process::id()));
+    let untouched = dir.to_str().expect("utf-8 temp path");
+    for (args, needle) in [
+        (
+            &["replay", "--wal", untouched, "--prefix", "1O"][..],
+            "--prefix",
+        ),
+        (&["analyze", "--mc", "2OO"][..], "--mc"),
+        (
+            &["generate", "--scale", "x", "--out", untouched][..],
+            "--scale",
+        ),
+        (
+            &[
+                "ingest",
+                "recipes.txt",
+                "--wal",
+                untouched,
+                "--threads",
+                "two",
+            ][..],
+            "--threads",
+        ),
+    ] {
+        let (code, stderr) = run_code(args);
+        assert_eq!(code, Some(2), "args {args:?}: stderr {stderr:?}");
+        assert!(
+            stderr.contains(needle),
+            "args {args:?}: stderr {stderr:?} does not name {needle:?}"
+        );
+        assert!(!dir.exists(), "args {args:?} touched {untouched}");
+    }
 }
 
 #[test]
@@ -139,6 +197,9 @@ fn serve_stdio_answers_framed_queries_over_artifacts() {
             &dir_str,
             "--mc",
             "200",
+            // One request per batch, so ZPROF is answered before METRICS.
+            "--batch",
+            "1",
             "--metrics=json",
         ])
         .stdin(std::process::Stdio::piped())
@@ -156,8 +217,9 @@ fn serve_stdio_answers_framed_queries_over_artifacts() {
     {
         let stdin = child.stdin.as_mut().expect("piped stdin");
         stdin.write_all(&frame("1 PING")).expect("write");
-        stdin.write_all(&frame("2 METRICS")).expect("write");
-        stdin.write_all(&frame("3 QUIT")).expect("write");
+        stdin.write_all(&frame("2 ZPROF ITA")).expect("write");
+        stdin.write_all(&frame("3 METRICS")).expect("write");
+        stdin.write_all(&frame("4 QUIT")).expect("write");
         stdin.flush().expect("flush");
     }
     drop(child.stdin.take());
@@ -183,11 +245,22 @@ fn serve_stdio_answers_framed_queries_over_artifacts() {
         "no pong in {replies:?}"
     );
     assert!(
-        replies
-            .iter()
-            .any(|r| r.starts_with("2 OK ") && r.contains("serve.requests")),
-        "no metrics reply in {replies:?}"
+        replies.iter().any(|r| r.starts_with("2 OK ")),
+        "no ZPROF reply in {replies:?}"
     );
+    let metrics = replies
+        .iter()
+        .find(|r| r.starts_with("3 OK ") && r.contains("serve.requests"))
+        .unwrap_or_else(|| panic!("no metrics reply in {replies:?}"));
+    // The ZPROF shard came from the overlap section `generate` attached,
+    // not from a fresh kernel sweep.
+    let reuse: u64 = metrics
+        .split("\"overlap.section_reuse\":")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(0);
+    assert!(reuse >= 1, "no overlap section reused: {metrics}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("zero-copy"),
@@ -202,69 +275,6 @@ fn serve_stdio_answers_framed_queries_over_artifacts() {
         stderr.contains("\"serve.requests\""),
         "no exit dump: {stderr}"
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn ingest_and_replay_round_trip_through_the_log() {
-    let dir = std::env::temp_dir().join(format!("culinaria-ingest-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let file = dir.join("recipes.txt");
-    std::fs::write(
-        &file,
-        "Bruschetta | ITA\ntomato\nolive oil\nbasil\n\n\
-         Header Only | JPN\n\n\
-         Caprese | ITA\ntomato\nbasil\n",
-    )
-    .expect("write recipes");
-    let file = file.to_str().expect("utf-8 path");
-    let log = dir.join("import.cwal");
-    let log = log.to_str().expect("utf-8 path");
-
-    // Missing --log fails fast with exit 2 and names the flag.
-    let (ok, _, stderr) = run(&["ingest", file]);
-    assert!(!ok);
-    assert!(stderr.contains("--log"), "stderr: {stderr}");
-    let (ok, _, stderr) = run(&["replay"]);
-    assert!(!ok);
-    assert!(stderr.contains("--log"), "stderr: {stderr}");
-
-    // First batch: two stored, the header-only block tombstoned.
-    let (ok, stdout, stderr) = run(&["ingest", file, "--log", log]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("ingested 2/3"), "stdout: {stdout}");
-    assert!(stdout.contains("3 records (+3)"), "stdout: {stdout}");
-    assert!(stderr.contains("Header Only"), "stderr: {stderr}");
-
-    // Second batch appends on top of the replayed history.
-    let (ok, stdout, _) = run(&["ingest", file, "--log", log, "--threads", "2"]);
-    assert!(ok);
-    assert!(stdout.contains("6 records (+3)"), "stdout: {stdout}");
-    assert!(stdout.contains("store: 4 recipes"), "stdout: {stdout}");
-
-    // Full replay and a prefix replay both reconstruct the stream.
-    let (ok, stdout, _) = run(&["replay", "--log", log]);
-    assert!(ok);
-    assert!(
-        stdout.contains("replayed 6/6 records: 4 stored, 2 tombstoned"),
-        "stdout: {stdout}"
-    );
-    let (ok, stdout, _) = run(&["replay", "--log", log, "--prefix", "3", "--threads", "2"]);
-    assert!(ok);
-    assert!(
-        stdout.contains("replayed 3/6 records: 2 stored, 1 tombstoned"),
-        "stdout: {stdout}"
-    );
-
-    // A corrupt log is reported, not panicked on.
-    let mut bytes = std::fs::read(log).expect("log readable");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xff;
-    let bad = dir.join("bad.cwal");
-    std::fs::write(&bad, &bytes).expect("write corrupt log");
-    let (ok, _, stderr) = run(&["replay", "--log", bad.to_str().expect("utf-8 path")]);
-    assert!(!ok);
-    assert!(stderr.contains("corrupt import log"), "stderr: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -310,15 +320,6 @@ fn serve_hardening_flags_are_validated_before_touching_data() {
             &["serve", "--stdio", "--max-conns", "many"][..],
             "--max-conns",
         ),
-        (
-            &["serve", "--stdio", "--fsync", "sometimes"][..],
-            "always|batch|off",
-        ),
-        (&["serve", "--stdio", "--wal="][..], "--wal"),
-        (
-            &["serve", "--stdio", "--segment-bytes", "big"][..],
-            "--segment-bytes",
-        ),
     ] {
         let (ok, _, stderr) = run(args);
         assert!(!ok, "args {args:?} should be rejected");
@@ -345,22 +346,12 @@ fn ingest_and_replay_round_trip_through_wal_segments() {
     let wal = dir.join("segments");
     let wal = wal.to_str().expect("utf-8 path");
 
-    // Exactly one log target, never both, never neither.
-    let (ok, _, stderr) = run(&["ingest", file]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("exactly one log target"),
-        "stderr: {stderr}"
-    );
-    let (ok, _, stderr) = run(&["ingest", file, "--log", "x.cwal", "--wal", wal]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("exactly one log target"),
-        "stderr: {stderr}"
-    );
-    let (ok, _, stderr) = run(&["replay", "--log", "x.cwal", "--wal", wal]);
-    assert!(!ok);
-    assert!(stderr.contains("exactly one of"), "stderr: {stderr}");
+    // A missing --wal is a usage error that names the flag.
+    for args in [&["ingest", file][..], &["replay"][..]] {
+        let (code, stderr) = run_code(args);
+        assert_eq!(code, Some(2), "args {args:?}: stderr {stderr:?}");
+        assert!(stderr.contains("--wal"), "args {args:?}: stderr {stderr:?}");
+    }
 
     // First batch, with a rotation threshold small enough that three
     // records span multiple segments.
@@ -435,12 +426,30 @@ fn ingest_and_replay_round_trip_through_wal_segments() {
         stdout.contains("replayed 6/6 records"),
         "whole records must survive a torn tail: {stdout}"
     );
+
+    // A flipped byte inside a sealed segment is corruption, not crash
+    // residue: replay reports it and fails instead of repairing.
+    let sealed = std::fs::read_dir(wal)
+        .expect("wal dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.to_string_lossy().ends_with(".cwal"))
+        .min()
+        .expect("sealed segment");
+    assert_ne!(sealed, open_seg, "rotation left no sealed segment");
+    let mut bytes = std::fs::read(&sealed).expect("sealed segment readable");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xff;
+    std::fs::write(&sealed, &bytes).expect("write corrupt segment");
+    let (ok, _, stderr) = run(&["replay", "--wal", wal]);
+    assert!(!ok, "corrupt sealed segment replayed");
+    assert!(stderr.contains("cannot open wal"), "stderr: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// End-to-end lifecycle over a real socket: clobber guard, live
-/// traffic, SIGTERM with zero dropped in-flight replies, socket
-/// cleanup, and a WAL that reopens clean after shutdown.
+/// traffic, SIGTERM with zero dropped in-flight replies, and socket
+/// cleanup.
 #[test]
 fn socket_serve_refuses_clobber_and_drains_on_sigterm() {
     use std::io::{Read as _, Write as _};
@@ -454,12 +463,10 @@ fn socket_serve_refuses_clobber_and_drains_on_sigterm() {
     assert!(ok, "generate failed: {stdout}");
     let sock = dir.join("serve.sock");
     let sock_str = sock.to_str().expect("utf-8 path").to_owned();
-    let wal = dir.join("wal");
-    let wal_str = wal.to_str().expect("utf-8 path").to_owned();
 
     let child = Command::new(env!("CARGO_BIN_EXE_culinaria"))
         .args([
-            "serve", "--socket", &sock_str, "--data", &data, "--mc", "200", "--wal", &wal_str,
+            "serve", "--socket", &sock_str, "--data", &data, "--mc", "200",
         ])
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -537,12 +544,6 @@ fn socket_serve_refuses_clobber_and_drains_on_sigterm() {
         stderr.contains("shutdown signal received; draining connections"),
         "stderr: {stderr}"
     );
-    assert!(stderr.contains("serve: wal"), "wal not opened: {stderr}");
     assert!(!sock.exists(), "socket file must be unlinked on shutdown");
-    // The WAL directory survived shutdown in a clean, reopenable state.
-    let log =
-        culinaria::recipedb::SegmentedLog::open(&wal, culinaria::recipedb::FsyncPolicy::Off, 0)
-            .expect("wal reopens");
-    assert!(!log.recovery().recovered(), "shutdown left a torn tail");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,23 +1,19 @@
-//! Integration: dataset snapshots round-trip across crates — a
-//! generated world survives flavor-DB and recipe-store serialization,
-//! and the analyses computed before and after are identical. The
-//! second half hardens the zero-copy CFDB2/CRDB2 artifacts: every
-//! truncation prefix rejected, arbitrary byte flips never panic,
-//! misaligned buffers and wrong magic/version rejected, rebuilds
-//! byte-identical, and borrowed analyses bit-identical to owned ones
-//! at every thread count.
+//! Integration: the zero-copy CFDB2/CRDB2 artifacts, the dataset's one
+//! on-disk format — every truncation prefix rejected, arbitrary byte
+//! flips never panic, misaligned buffers and wrong magic/version
+//! rejected, rebuilds byte-identical, identical worlds encoded to
+//! identical bytes, and borrowed analyses bit-identical to owned ones
+//! at every thread count. Also: the CSV export loads as a table.
 
 use proptest::prelude::*;
 
-use culinaria::analysis::pairing::mean_cuisine_score;
 use culinaria::analysis::z_analysis::analyze_world_view;
 use culinaria::analysis::{
     analyze_world, FlavorViewRef, MonteCarloConfig, NullModel, RecipesViewRef,
 };
 use culinaria::datagen::{generate_world, World, WorldConfig};
 use culinaria::flavordb::{
-    artifact as flavor_artifact, io as flavor_io, AlignedBytes, ArtifactError,
-    FlavorArtifactBuilder,
+    artifact as flavor_artifact, AlignedBytes, ArtifactError, FlavorArtifactBuilder,
 };
 use culinaria::recipedb::Region;
 use culinaria::recipedb::{artifact as recipe_artifact, io as recipe_io, RecipeArtifactBuilder};
@@ -41,30 +37,6 @@ fn tiny_artifacts() -> (Vec<u8>, Vec<u8>) {
         .build()
         .expect("recipe artifact encodes");
     (flavor, recipes)
-}
-
-#[test]
-fn world_snapshot_preserves_analysis_results() {
-    let world = generate_world(&WorldConfig::tiny());
-
-    let flavor_snap = flavor_io::to_snapshot(&world.flavor).expect("encodes");
-    let recipe_snap = recipe_io::to_snapshot(&world.recipes).expect("encodes");
-
-    let flavor2 = flavor_io::from_snapshot(flavor_snap).expect("flavor snapshot decodes");
-    let recipes2 = recipe_io::from_snapshot(recipe_snap).expect("recipe snapshot decodes");
-
-    assert_eq!(world.flavor.n_ingredients(), flavor2.n_ingredients());
-    assert_eq!(world.recipes.n_recipes(), recipes2.n_recipes());
-
-    for region in [Region::Italy, Region::Japan, Region::Usa] {
-        let before = mean_cuisine_score(&world.flavor, &world.recipes.cuisine(region));
-        let after = mean_cuisine_score(&flavor2, &recipes2.cuisine(region));
-        assert_eq!(
-            before.to_bits(),
-            after.to_bits(),
-            "{region}: score changed across snapshot"
-        );
-    }
 }
 
 #[test]
@@ -292,13 +264,13 @@ fn snapshots_are_stable_across_identical_worlds() {
     let a = generate_world(&WorldConfig::tiny());
     let b = generate_world(&WorldConfig::tiny());
     assert_eq!(
-        flavor_io::to_snapshot(&a.flavor).unwrap(),
-        flavor_io::to_snapshot(&b.flavor).unwrap(),
-        "flavor snapshots differ for identical configs"
+        FlavorArtifactBuilder::new(&a.flavor).build().unwrap(),
+        FlavorArtifactBuilder::new(&b.flavor).build().unwrap(),
+        "flavor artifacts differ for identical configs"
     );
     assert_eq!(
-        recipe_io::to_snapshot(&a.recipes).unwrap(),
-        recipe_io::to_snapshot(&b.recipes).unwrap(),
-        "recipe snapshots differ for identical configs"
+        RecipeArtifactBuilder::new(&a.recipes).build().unwrap(),
+        RecipeArtifactBuilder::new(&b.recipes).build().unwrap(),
+        "recipe artifacts differ for identical configs"
     );
 }
