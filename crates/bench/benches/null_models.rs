@@ -11,6 +11,7 @@ use culinaria_core::monte_carlo::{run_null_model, MonteCarloConfig};
 use culinaria_core::null_models::{CuisineSampler, NullModel};
 use culinaria_core::pairing::OverlapCache;
 use culinaria_datagen::{generate_world, WorldConfig};
+use culinaria_obs::Metrics;
 use culinaria_recipedb::Region;
 use culinaria_stats::{LinearCdfSampler, WeightedAliasSampler};
 
@@ -64,7 +65,7 @@ fn bench_null_models(c: &mut Criterion) {
                     seed: 3,
                     n_threads: 0,
                 };
-                b.iter(|| run_null_model(&cache, &sampler, m, &cfg))
+                b.iter(|| run_null_model(&cache, &sampler, m, &cfg, &Metrics::disabled()))
             },
         );
     }

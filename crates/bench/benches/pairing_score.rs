@@ -34,11 +34,12 @@ fn bench_pairing(c: &mut Criterion) {
     }
     group.finish();
 
+    let disabled = culinaria_obs::Metrics::disabled();
     let mut group = c.benchmark_group("cache_build");
     for &n in &[50usize, 150, 300] {
         let sub: Vec<IngredientId> = pool.iter().copied().take(n).collect();
         group.bench_with_input(BenchmarkId::from_parameter(n), &sub, |b, s| {
-            b.iter(|| OverlapCache::build(black_box(&world.flavor), black_box(s)))
+            b.iter(|| OverlapCache::build(black_box(&world.flavor), black_box(s), 0, &disabled))
         });
     }
     group.finish();
@@ -84,26 +85,17 @@ fn bench_pairing(c: &mut Criterion) {
     });
     group.finish();
 
-    // Observability A/B: the `*_observed` entry points must cost nothing
-    // when the handle is disabled (one branch per instrument, no clock
-    // reads) — `plain` and `disabled` should be indistinguishable, with
-    // `enabled` showing the true price of recording.
+    // Observability A/B: the price of recording. A disabled handle costs
+    // one predicted branch per instrument and no clock reads, so the gap
+    // between the two arms is what an enabled registry adds to a build.
     let mut group = c.benchmark_group("obs_overhead");
     let sub: Vec<IngredientId> = pool.iter().copied().take(150).collect();
-    let disabled = culinaria_obs::Metrics::disabled();
     let enabled = culinaria_obs::Metrics::enabled();
-    group.bench_function("cache_build_plain", |b| {
-        b.iter(|| OverlapCache::build_with_threads(black_box(&world.flavor), black_box(&sub), 1))
-    });
     group.bench_function("cache_build_disabled", |b| {
-        b.iter(|| {
-            OverlapCache::build_observed(black_box(&world.flavor), black_box(&sub), 1, &disabled)
-        })
+        b.iter(|| OverlapCache::build(black_box(&world.flavor), black_box(&sub), 1, &disabled))
     });
     group.bench_function("cache_build_enabled", |b| {
-        b.iter(|| {
-            OverlapCache::build_observed(black_box(&world.flavor), black_box(&sub), 1, &enabled)
-        })
+        b.iter(|| OverlapCache::build(black_box(&world.flavor), black_box(&sub), 1, &enabled))
     });
     group.finish();
 }

@@ -1,4 +1,4 @@
-//! End-to-end benchmark of the Fig 4 world pipeline (`analyze_world`)
+//! End-to-end benchmark of the Fig 4 world pipeline (`analyze_world_view`)
 //! plus its two optimized building blocks: the bitset overlap-cache
 //! build (vs the seed's sorted-merge sweep) and allocation-free recipe
 //! sampling (`generate_into` vs the allocating `generate`).
@@ -11,8 +11,9 @@ use std::hint::black_box;
 use culinaria_core::monte_carlo::MonteCarloConfig;
 use culinaria_core::null_models::{CuisineSampler, NullModel, SampleScratch};
 use culinaria_core::pairing::OverlapCache;
-use culinaria_core::z_analysis::analyze_world;
+use culinaria_core::z_analysis::analyze_world_view;
 use culinaria_datagen::{generate_world, WorldConfig};
+use culinaria_obs::Metrics;
 use culinaria_recipedb::Region;
 
 fn bench_world_analysis(c: &mut Criterion) {
@@ -34,7 +35,7 @@ fn bench_world_analysis(c: &mut Criterion) {
                     n_threads: threads,
                 };
                 b.iter(|| {
-                    black_box(analyze_world(
+                    black_box(analyze_world_view(
                         &tiny.flavor,
                         &tiny.recipes,
                         &NullModel::ALL,
@@ -65,10 +66,11 @@ fn bench_world_analysis(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function(BenchmarkId::new("bitset", pool_ids.len()), |b| {
         b.iter(|| {
-            black_box(OverlapCache::build_with_threads(
+            black_box(OverlapCache::build(
                 &small.flavor,
                 &pool_ids,
                 1,
+                &Metrics::disabled(),
             ))
         })
     });

@@ -10,8 +10,8 @@
 //!   bit-identical.
 //! * **Resident bytes** — the heap an owned in-memory world needs vs
 //!   the byte length of the buffers the borrowed views live on.
-//! * **Parity** — `analyze_world` from the owned DBs vs
-//!   `analyze_world_view` from the borrowed views, fingerprinted over
+//! * **Parity** — `analyze_world_view` from the owned DBs vs the same
+//!   engine over the borrowed views, fingerprinted over
 //!   every `f64::to_bits`, asserted identical at 1/2/4/8 threads.
 //!
 //! Writes `BENCH_artifact.json`. Knobs: `CULINARIA_SCALE`,
@@ -23,8 +23,8 @@ use std::time::Instant;
 
 use culinaria_bench::world_from_env;
 use culinaria_core::{
-    analyze_world, analyze_world_view, CuisineAnalysis, CuisineView, FlavorViewRef,
-    MonteCarloConfig, NullModel, OverlapCache, RecipesViewRef,
+    analyze_world_view, CuisineAnalysis, CuisineView, FlavorViewRef, MonteCarloConfig, NullModel,
+    OverlapCache, RecipesViewRef,
 };
 use culinaria_flavordb::{artifact as flavor_artifact, AlignedBytes, FlavorArtifactBuilder};
 use culinaria_obs::Metrics;
@@ -124,8 +124,7 @@ fn first_query(flavor: FlavorViewRef<'_>, cuisine: &CuisineView<'_>) -> f64 {
         Some((sec_pool, tri)) if sec_pool == pool.as_slice() => {
             OverlapCache::from_parts(&pool, tri.to_vec()).expect("section triangle shape")
         }
-        _ => OverlapCache::try_build_view_observed(flavor, &pool, 0, &Metrics::disabled())
-            .expect("overlap build"),
+        _ => OverlapCache::build(flavor, &pool, 0, &Metrics::disabled()).expect("overlap build"),
     };
     cache
         .mean_cuisine_score_view(cuisine)
@@ -227,7 +226,7 @@ fn main() {
             seed,
             n_threads: threads,
         };
-        let owned = analyze_world(&world.flavor, &world.recipes, &models, &cfg);
+        let owned = analyze_world_view(&world.flavor, &world.recipes, &models, &cfg);
         let viewed = analyze_world_view(
             FlavorViewRef::Artifact(&fview),
             RecipesViewRef::Artifact(&rview),
@@ -238,7 +237,7 @@ fn main() {
         let fp_view = fingerprint(&viewed);
         assert_eq!(
             fp_owned, fp_view,
-            "owned vs borrowed analyze_world diverged at {threads} threads"
+            "owned vs borrowed analyze_world_view diverged at {threads} threads"
         );
         eprintln!("parity: {threads} threads, fingerprint {fp_owned:016x} (owned == borrowed)");
         prints.push(fp_owned);

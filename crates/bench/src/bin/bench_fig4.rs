@@ -1,6 +1,6 @@
 //! Performance harness for the Fig 4 world analysis.
 //!
-//! Times the optimized pipeline (`analyze_world`: bitset overlap
+//! Times the optimized pipeline (`analyze_world_view`: bitset overlap
 //! builds, shared worker pool over the flattened `(region, model,
 //! block)` queue, allocation-free sampling) against a faithful
 //! reconstruction of the pre-optimization path (serial per-region
@@ -26,9 +26,10 @@ use rand::SeedableRng;
 use culinaria_core::monte_carlo::MonteCarloConfig;
 use culinaria_core::null_models::{CuisineSampler, NullModel};
 use culinaria_core::pairing::OverlapCache;
-use culinaria_core::z_analysis::analyze_world;
+use culinaria_core::z_analysis::analyze_world_view;
 use culinaria_datagen::{generate_world, WorldConfig};
 use culinaria_flavordb::FlavorDb;
+use culinaria_obs::Metrics;
 use culinaria_recipedb::{Cuisine, RecipeStore};
 use culinaria_stats::pool;
 use culinaria_stats::rng::{derive_seed, derive_seed_labeled};
@@ -156,7 +157,9 @@ fn main() {
     let t = Instant::now();
     let mut bitset_checksum = 0u64;
     for p in &prepared {
-        let cache = OverlapCache::for_cuisine_with_threads(&world.flavor, &p.cuisine, n_threads);
+        let pool = p.cuisine.ingredient_set();
+        let cache = OverlapCache::build(&world.flavor, &pool, n_threads, &Metrics::disabled())
+            .expect("live pool");
         for i in 0..cache.len() as u32 {
             for j in (i + 1)..cache.len() as u32 {
                 bitset_checksum += u64::from(cache.overlap(i, j));
@@ -180,13 +183,13 @@ fn main() {
     let baseline = baseline_monte_carlo(&prepared, &models, &cfg);
     let baseline_mc_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    // Optimized end-to-end: analyze_world (its own builds + pooled MC).
+    // Optimized end-to-end: analyze_world_view (its own builds + pooled MC).
     eprintln!(
-        "optimized: analyze_world on {} threads",
+        "optimized: analyze_world_view on {} threads",
         pool::effective_threads(n_threads)
     );
     let t = Instant::now();
-    let analyses = analyze_world(&world.flavor, &world.recipes, &models, &cfg);
+    let analyses = analyze_world_view(&world.flavor, &world.recipes, &models, &cfg);
     let optimized_wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Parity: both paths consumed identical PRNG streams, so every null
@@ -223,7 +226,7 @@ fn main() {
             ..cfg
         };
         let t = Instant::now();
-        let sweep = analyze_world(&world.flavor, &world.recipes, &models, &sweep_cfg);
+        let sweep = analyze_world_view(&world.flavor, &world.recipes, &models, &sweep_cfg);
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(sweep.len(), analyses.len());
         for (a, b) in sweep.iter().zip(&analyses) {

@@ -26,11 +26,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use culinaria_core::monte_carlo::MonteCarloConfig;
-use culinaria_core::ntuple::{
-    self, ktuple_null_ensemble, mean_cuisine_ktuple_score_with_threads, KTupleScorer,
-};
+use culinaria_core::ntuple::{self, ktuple_null_ensemble, mean_cuisine_ktuple_score, KTupleScorer};
 use culinaria_core::null_models::{CuisineSampler, NullModel};
 use culinaria_datagen::{generate_world, WorldConfig};
+use culinaria_obs::Metrics;
 use culinaria_recipedb::Region;
 use culinaria_stats::pool;
 use culinaria_stats::rng::{derive_seed, derive_seed_labeled};
@@ -114,7 +113,7 @@ fn main() {
         .regions()
         .into_iter()
         .filter_map(|region| {
-            let sampler = CuisineSampler::build(&world.flavor, &world.recipes.cuisine(region))?;
+            let sampler = CuisineSampler::build(&world.flavor, world.recipes.cuisine(region))?;
             Some((region, sampler, derive_seed_labeled(seed, region.code())))
         })
         .collect();
@@ -142,7 +141,7 @@ fn main() {
         let optimized_obs: Vec<f64> = regions
             .iter()
             .map(|(region, _, _)| {
-                mean_cuisine_ktuple_score_with_threads(
+                mean_cuisine_ktuple_score(
                     &world.flavor,
                     &world.recipes.cuisine(*region),
                     k,
@@ -193,7 +192,14 @@ fn main() {
                     seed: *rseed,
                     n_threads,
                 };
-                ktuple_null_ensemble(&scorer, sampler, NullModel::Random, &cfg)
+                ktuple_null_ensemble(
+                    &scorer,
+                    sampler,
+                    NullModel::Random,
+                    &cfg,
+                    &Metrics::disabled(),
+                )
+                .expect("no faults")
             })
             .collect();
         let optimized_mc_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -250,7 +256,14 @@ fn main() {
                     seed: *rseed,
                     n_threads: threads,
                 };
-                let e = ktuple_null_ensemble(&scorer, sampler, NullModel::Random, &cfg);
+                let e = ktuple_null_ensemble(
+                    &scorer,
+                    sampler,
+                    NullModel::Random,
+                    &cfg,
+                    &Metrics::disabled(),
+                )
+                .expect("no faults");
                 match (refe, &e) {
                     (Some(a), Some(b)) => {
                         assert_eq!(

@@ -501,7 +501,7 @@ fn main() {
     // the section-reuse fast path, as in production.
     let mut builder = FlavorArtifactBuilder::new(&world.flavor);
     for region in world.recipes.regions() {
-        let cache = OverlapCache::for_cuisine(&world.flavor, &world.recipes.cuisine(region));
+        let cache = OverlapCache::for_cuisine(&world.flavor, world.recipes.cuisine(region));
         if cache.pool().is_empty() {
             continue;
         }

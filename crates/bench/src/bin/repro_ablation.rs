@@ -14,7 +14,7 @@
 //! without β the Frequency model reproduces pairing *exactly* (ratio →
 //! ~0); with both, the paper's pattern emerges.
 
-use culinaria_core::z_analysis::analyze_world;
+use culinaria_core::z_analysis::analyze_world_view;
 use culinaria_core::{MonteCarloConfig, NullModel};
 use culinaria_datagen::{generate_world, WorldConfig};
 
@@ -53,7 +53,7 @@ fn main() {
         cfg.popularity_similarity_bias = alpha;
         cfg.pairing_bias = beta;
         let world = generate_world(&cfg);
-        let analyses = analyze_world(
+        let analyses = analyze_world_view(
             &world.flavor,
             &world.recipes,
             &[NullModel::Random, NullModel::Frequency, NullModel::Category],

@@ -12,7 +12,7 @@
 //!   pairing); the Category model does not.
 
 use culinaria_bench::{mc_config_from_env, metrics_from_env, section, world_from_env};
-use culinaria_core::z_analysis::{analyses_to_frame, analyze_world_observed};
+use culinaria_core::z_analysis::{analyses_to_frame, try_analyze_world_view_observed};
 use culinaria_core::NullModel;
 
 fn main() {
@@ -25,13 +25,14 @@ fn main() {
     );
 
     let t = std::time::Instant::now();
-    let analyses = analyze_world_observed(
+    let analyses = try_analyze_world_view_observed(
         &world.flavor,
         &world.recipes,
         &NullModel::ALL,
         &cfg,
         &sink.metrics,
-    );
+    )
+    .unwrap_or_else(|failure| panic!("world analysis failed: {failure}"));
     eprintln!("analysis finished in {:.1?}", t.elapsed());
 
     section("Fig 4 — Food pairing z-scores per cuisine and null model");

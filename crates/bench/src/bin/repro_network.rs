@@ -17,12 +17,8 @@ fn main() {
     );
     for region in Region::ALL {
         let cuisine = world.recipes.cuisine(region);
-        let net = FlavorNetwork::build_observed(
-            &world.flavor,
-            &cuisine.ingredient_set(),
-            0,
-            &sink.metrics,
-        );
+        let net = FlavorNetwork::build(&world.flavor, &cuisine.ingredient_set(), 0, &sink.metrics)
+            .expect("live cuisine pool");
         let bb = net.backbone(5);
         println!(
             "{:4}  {:>6} {:>8} {:>9.3} {:>11.3} {:>10}",
@@ -37,7 +33,7 @@ fn main() {
 
     section("Global network (full ingredient universe)");
     let pool: Vec<_> = world.flavor.ingredient_ids().collect();
-    let net = FlavorNetwork::build_observed(&world.flavor, &pool, 0, &sink.metrics);
+    let net = FlavorNetwork::build(&world.flavor, &pool, 0, &sink.metrics).expect("live pool");
     println!(
         "nodes {}, edges {}, density {:.3}, clustering {:.3}",
         net.n_nodes(),

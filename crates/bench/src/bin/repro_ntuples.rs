@@ -6,9 +6,7 @@
 
 use culinaria_bench::{metrics_from_env, section, world_from_env};
 use culinaria_core::monte_carlo::MonteCarloConfig;
-use culinaria_core::ntuple::{
-    ktuple_null_ensemble_observed, mean_cuisine_ktuple_score, KTupleScorer,
-};
+use culinaria_core::ntuple::{ktuple_null_ensemble, mean_cuisine_ktuple_score, KTupleScorer};
 use culinaria_core::null_models::{CuisineSampler, NullModel};
 use culinaria_recipedb::Region;
 use culinaria_stats::rng::derive_seed_labeled;
@@ -37,7 +35,7 @@ fn main() {
         let mut means = [0.0f64; 3];
         let mut zs = [f64::NAN; 3];
         for (slot, k) in [2usize, 3, 4].iter().enumerate() {
-            let observed = mean_cuisine_ktuple_score(&world.flavor, &cuisine, *k);
+            let observed = mean_cuisine_ktuple_score(&world.flavor, &cuisine, *k, 0);
             means[slot] = observed;
             let scorer = KTupleScorer::for_cuisine(&world.flavor, &cuisine, *k);
             let cfg = MonteCarloConfig {
@@ -45,13 +43,10 @@ fn main() {
                 seed: derive_seed_labeled(2018, region.code()),
                 n_threads: 0,
             };
-            if let Some(null) = ktuple_null_ensemble_observed(
-                &scorer,
-                &sampler,
-                NullModel::Random,
-                &cfg,
-                &sink.metrics,
-            ) {
+            let null =
+                ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &cfg, &sink.metrics)
+                    .unwrap_or_else(|failure| panic!("k-tuple Monte-Carlo run failed: {failure}"));
+            if let Some(null) = null {
                 if let Some(z) = z_score_of_mean(observed, &null) {
                     zs[slot] = z;
                 }

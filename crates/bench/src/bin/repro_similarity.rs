@@ -11,7 +11,7 @@ use culinaria_core::fingerprint::{
 
 fn main() {
     let world = world_from_env();
-    let fingerprints = world_fingerprints(&world.flavor, &world.recipes);
+    let fingerprints = world_fingerprints(&world.flavor, &world.recipes, 0);
 
     section("Cuisine similarity matrix (cosine over ingredient-usage fingerprints)");
     println!("{}", similarity_matrix(&fingerprints).to_table_string(22));

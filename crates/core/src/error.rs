@@ -1,11 +1,12 @@
 //! Structured failure reporting for the analysis engines.
 //!
-//! Every fallible engine entry point (`try_build`, `try_run_null_model`,
-//! `try_analyze_world`, …) reports a [`StageFailure`]: which pipeline
-//! stage failed, at which task index, and whether the task returned an
-//! error or panicked. Failures inherit the worker pool's determinism
-//! contract — the lowest failing task index wins — so the same fault
-//! produces a bit-identical `StageFailure` for any thread count.
+//! Every fallible engine entry point (`OverlapCache::build`,
+//! `run_null_model`, `try_analyze_world_view_observed`, …) reports a
+//! [`StageFailure`]: which pipeline stage failed, at which task index,
+//! and whether the task returned an error or panicked. Failures inherit
+//! the worker pool's determinism contract — the lowest failing task
+//! index wins — so the same fault produces a bit-identical
+//! `StageFailure` for any thread count.
 //!
 //! Observability: engines increment an `error.<stage>` counter on the
 //! supplied [`Metrics`] handle whenever they return a failure, so

@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 
 use culinaria_flavordb::{FlavorDb, IngredientId};
+use culinaria_obs::Metrics;
 use culinaria_recipedb::{Cuisine, RecipeStore, Region};
 use culinaria_stats::pool;
 use culinaria_tabular::{Column, Frame};
@@ -37,23 +38,17 @@ pub struct CuisineFingerprint {
 }
 
 impl CuisineFingerprint {
-    /// Compute the fingerprint of a cuisine (available parallelism).
-    pub fn of(db: &FlavorDb, cuisine: &Cuisine<'_>) -> CuisineFingerprint {
-        CuisineFingerprint::of_with_threads(db, cuisine, 0)
-    }
-
-    /// [`CuisineFingerprint::of`] with an explicit worker count
+    /// Compute the fingerprint of a cuisine with `n_threads` workers
     /// (0 = available parallelism).
     ///
     /// ⟨N_s⟩ goes through the packed-bitset [`OverlapCache`] (built in
     /// parallel) rather than per-recipe sorted merges; the cache scores
     /// are bit-identical to `pairing::recipe_pairing_score`, so the
     /// fingerprint is unchanged by the route or the thread count.
-    pub fn of_with_threads(
-        db: &FlavorDb,
-        cuisine: &Cuisine<'_>,
-        n_threads: usize,
-    ) -> CuisineFingerprint {
+    ///
+    /// # Panics
+    /// Panics when the cuisine references a dead ingredient id.
+    pub fn of(db: &FlavorDb, cuisine: &Cuisine<'_>, n_threads: usize) -> CuisineFingerprint {
         let freq = cuisine.frequencies();
         let total: u64 = freq.values().sum();
         let usage = if total == 0 {
@@ -63,7 +58,9 @@ impl CuisineFingerprint {
                 .map(|(id, c)| (id, c as f64 / total as f64))
                 .collect()
         };
-        let cache = OverlapCache::for_cuisine_with_threads(db, cuisine, n_threads);
+        let pool = cuisine.ingredient_set();
+        let cache = OverlapCache::build(db, &pool, n_threads, &Metrics::disabled())
+            .unwrap_or_else(|failure| panic!("overlap cache build failed: {failure}"));
         CuisineFingerprint {
             region: cuisine.region(),
             usage,
@@ -102,18 +99,13 @@ pub fn cosine_similarity(a: &CuisineFingerprint, b: &CuisineFingerprint) -> f64 
     }
 }
 
-/// Fingerprints for every populated region of a store (available
-/// parallelism).
-pub fn world_fingerprints(db: &FlavorDb, store: &RecipeStore) -> Vec<CuisineFingerprint> {
-    world_fingerprints_with_threads(db, store, 0)
-}
-
-/// [`world_fingerprints`] with an explicit worker count.
+/// Fingerprints for every populated region of a store, with
+/// `n_threads` workers (0 = available parallelism).
 ///
 /// Regions fan out across the worker pool (one task each, inner cache
 /// builds serial) and results land in region order, so the output is
 /// identical for every thread count.
-pub fn world_fingerprints_with_threads(
+pub fn world_fingerprints(
     db: &FlavorDb,
     store: &RecipeStore,
     n_threads: usize,
@@ -123,7 +115,7 @@ pub fn world_fingerprints_with_threads(
         n_threads,
         regions.len(),
         || (),
-        |(), i| CuisineFingerprint::of_with_threads(db, &store.cuisine(regions[i]), 1),
+        |(), i| CuisineFingerprint::of(db, &store.cuisine(regions[i]), 1),
     )
 }
 
@@ -223,7 +215,7 @@ mod tests {
     #[test]
     fn fingerprint_usage_sums_to_one() {
         let w = world();
-        for fp in world_fingerprints(&w.flavor, &w.recipes) {
+        for fp in world_fingerprints(&w.flavor, &w.recipes, 0) {
             let total: f64 = fp.usage.values().sum();
             assert!((total - 1.0).abs() < 1e-9, "{}: {total}", fp.region.code());
             let cat_total: f64 = fp.category_shares.iter().sum();
@@ -235,7 +227,7 @@ mod tests {
     #[test]
     fn self_similarity_is_one() {
         let w = world();
-        let fps = world_fingerprints(&w.flavor, &w.recipes);
+        let fps = world_fingerprints(&w.flavor, &w.recipes, 0);
         for fp in &fps {
             assert!((cosine_similarity(fp, fp) - 1.0).abs() < 1e-9);
         }
@@ -249,9 +241,9 @@ mod tests {
     #[test]
     fn world_fingerprints_identical_for_any_thread_count() {
         let w = world();
-        let serial = world_fingerprints_with_threads(&w.flavor, &w.recipes, 1);
+        let serial = world_fingerprints(&w.flavor, &w.recipes, 1);
         for threads in [0, 2, 8] {
-            let parallel = world_fingerprints_with_threads(&w.flavor, &w.recipes, threads);
+            let parallel = world_fingerprints(&w.flavor, &w.recipes, threads);
             assert_eq!(serial, parallel, "{threads} threads");
         }
         // The cache-backed ⟨N_s⟩ matches the direct per-recipe fold.
@@ -270,7 +262,7 @@ mod tests {
     #[test]
     fn top_ingredients_descending() {
         let w = world();
-        let fp = CuisineFingerprint::of(&w.flavor, &w.recipes.cuisine(Region::Italy));
+        let fp = CuisineFingerprint::of(&w.flavor, &w.recipes.cuisine(Region::Italy), 0);
         let top = fp.top_ingredients(5);
         assert_eq!(top.len(), 5);
         for pair in top.windows(2) {
@@ -281,7 +273,7 @@ mod tests {
     #[test]
     fn similarity_matrix_shape() {
         let w = world();
-        let fps = world_fingerprints(&w.flavor, &w.recipes);
+        let fps = world_fingerprints(&w.flavor, &w.recipes, 0);
         let m = similarity_matrix(&fps);
         assert_eq!(m.n_rows(), 22);
         assert_eq!(m.n_cols(), 23);
@@ -299,7 +291,7 @@ mod tests {
     #[test]
     fn agglomeration_produces_n_minus_one_merges() {
         let w = world();
-        let fps = world_fingerprints(&w.flavor, &w.recipes);
+        let fps = world_fingerprints(&w.flavor, &w.recipes, 0);
         let merges = agglomerate(&fps);
         assert_eq!(merges.len(), 21);
         // Similarities are finite and in [0, 1]; the final merge joins
@@ -321,6 +313,7 @@ mod tests {
         let one = vec![CuisineFingerprint::of(
             &w.flavor,
             &w.recipes.cuisine(Region::Italy),
+            0,
         )];
         assert!(agglomerate(&one).is_empty());
     }

@@ -103,18 +103,13 @@ impl MonteCarloConfig {
 /// Run one null model for one cuisine: sample `cfg.n_recipes` recipes,
 /// score each against `cache`, and summarize.
 ///
-/// Returns `None` when the ensemble is degenerate (fewer than two
-/// recipes sampled).
-pub fn run_null_model(
-    cache: &OverlapCache,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-) -> Option<NullEnsemble> {
-    run_null_model_observed(cache, sampler, model, cfg, &Metrics::disabled())
-}
-
-/// [`run_null_model`] instrumented through `metrics`:
+/// Returns `Ok(None)` when the ensemble is degenerate (fewer than two
+/// recipes sampled). A panicking sampling block becomes a structured
+/// [`StageFailure`] at stage `mc.block`: the `error.mc.block` counter
+/// is bumped and the lowest failing block index is reported,
+/// identically for any thread count.
+///
+/// Instruments recorded through `metrics`:
 ///
 /// * span `mc.run` — one call per (cuisine, model) run;
 /// * counters `mc.recipes` and `mc.blocks` — sampled recipes and
@@ -123,37 +118,10 @@ pub fn run_null_model(
 ///   sampler imbalance between full and partial blocks);
 /// * the shared `pool.*` instruments.
 ///
-/// The ensemble is bit-identical to the unobserved run: block seeds,
-/// sampling, and the block-order merge are untouched, and the only
-/// per-block cost when enabled is one clock read pair.
-pub fn run_null_model_observed(
-    cache: &OverlapCache,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Option<NullEnsemble> {
-    try_run_null_model_observed(cache, sampler, model, cfg, metrics)
-        .unwrap_or_else(|failure| panic!("Monte-Carlo run failed: {failure}"))
-}
-
-/// Fallible [`run_null_model`]: a panicking sampling block becomes a
-/// structured [`StageFailure`] at stage `mc.block` (lowest block index
-/// wins) instead of a crash.
-pub fn try_run_null_model(
-    cache: &OverlapCache,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-) -> Result<Option<NullEnsemble>, StageFailure> {
-    try_run_null_model_observed(cache, sampler, model, cfg, &Metrics::disabled())
-}
-
-/// Fallible [`run_null_model_observed`]. On success the ensemble and
-/// recorded metrics are bit-identical to the infallible run; on failure
-/// the `error.mc.block` counter is bumped and the lowest failing block
-/// index is reported, identically for any thread count.
-pub fn try_run_null_model_observed(
+/// The ensemble does not depend on whether `metrics` is enabled: block
+/// seeds, sampling, and the block-order merge are untouched, and the
+/// only per-block cost when enabled is one clock read pair.
+pub fn run_null_model(
     cache: &OverlapCache,
     sampler: &CuisineSampler,
     model: NullModel,
@@ -243,6 +211,16 @@ mod tests {
         (db, store)
     }
 
+    /// An uninstrumented run that must not fail.
+    fn run(
+        cache: &OverlapCache,
+        sampler: &CuisineSampler,
+        model: NullModel,
+        cfg: &MonteCarloConfig,
+    ) -> Option<NullEnsemble> {
+        run_null_model(cache, sampler, model, cfg, &Metrics::disabled()).expect("no faults")
+    }
+
     #[test]
     fn ensemble_statistics_are_sane() {
         let (db, store) = fixture();
@@ -251,7 +229,7 @@ mod tests {
         let sampler = CuisineSampler::build(&db, &cuisine).unwrap();
         let cfg = MonteCarloConfig::quick(5000);
         for model in NullModel::ALL {
-            let e = run_null_model(&cache, &sampler, model, &cfg).unwrap();
+            let e = run(&cache, &sampler, model, &cfg).unwrap();
             assert_eq!(e.n, 5000);
             assert!(e.mean >= 0.0, "{model}: mean {}", e.mean);
             assert!(e.std_dev > 0.0, "{model}: zero spread");
@@ -269,13 +247,13 @@ mod tests {
             seed: 42,
             n_threads: 1,
         };
-        let a = run_null_model(&cache, &sampler, NullModel::Frequency, &base).unwrap();
+        let a = run(&cache, &sampler, NullModel::Frequency, &base).unwrap();
         for threads in [2, 3, 8] {
             let cfg = MonteCarloConfig {
                 n_threads: threads,
                 ..base
             };
-            let b = run_null_model(&cache, &sampler, NullModel::Frequency, &cfg).unwrap();
+            let b = run(&cache, &sampler, NullModel::Frequency, &cfg).unwrap();
             assert_eq!(a.mean.to_bits(), b.mean.to_bits(), "{threads} threads");
             assert_eq!(a.std_dev.to_bits(), b.std_dev.to_bits());
         }
@@ -287,7 +265,7 @@ mod tests {
         let cuisine = store.cuisine(Region::Italy);
         let cache = OverlapCache::for_cuisine(&db, &cuisine);
         let sampler = CuisineSampler::build(&db, &cuisine).unwrap();
-        let a = run_null_model(
+        let a = run(
             &cache,
             &sampler,
             NullModel::Random,
@@ -298,7 +276,7 @@ mod tests {
             },
         )
         .unwrap();
-        let b = run_null_model(
+        let b = run(
             &cache,
             &sampler,
             NullModel::Random,
@@ -323,11 +301,11 @@ mod tests {
             seed: 7,
             n_threads: 2,
         };
-        let plain = run_null_model(&cache, &sampler, NullModel::Frequency, &cfg).unwrap();
+        let plain = run(&cache, &sampler, NullModel::Frequency, &cfg).unwrap();
         let metrics = Metrics::enabled();
-        let observed =
-            run_null_model_observed(&cache, &sampler, NullModel::Frequency, &cfg, &metrics)
-                .unwrap();
+        let observed = run_null_model(&cache, &sampler, NullModel::Frequency, &cfg, &metrics)
+            .expect("no faults")
+            .unwrap();
         assert_eq!(plain.mean.to_bits(), observed.mean.to_bits());
         assert_eq!(plain.std_dev.to_bits(), observed.std_dev.to_bits());
         let snap = metrics.snapshot();
@@ -339,44 +317,22 @@ mod tests {
     }
 
     #[test]
-    fn try_run_matches_run_bit_for_bit() {
-        let (db, store) = fixture();
-        let cuisine = store.cuisine(Region::Italy);
-        let cache = OverlapCache::for_cuisine(&db, &cuisine);
-        let sampler = CuisineSampler::build(&db, &cuisine).unwrap();
-        for threads in [1, 2, 8] {
-            let cfg = MonteCarloConfig {
-                n_recipes: 5000,
-                seed: 11,
-                n_threads: threads,
-            };
-            let plain = run_null_model(&cache, &sampler, NullModel::Frequency, &cfg).unwrap();
-            let fallible = try_run_null_model(&cache, &sampler, NullModel::Frequency, &cfg)
-                .expect("no faults")
-                .expect("non-degenerate");
-            assert_eq!(plain.mean.to_bits(), fallible.mean.to_bits(), "{threads}");
-            assert_eq!(plain.std_dev.to_bits(), fallible.std_dev.to_bits());
-            assert_eq!(plain.n, fallible.n);
-        }
-        assert_eq!(
-            try_run_null_model(
-                &cache,
-                &sampler,
-                NullModel::Random,
-                &MonteCarloConfig::quick(0)
-            ),
-            Ok(None)
-        );
-    }
-
-    #[test]
     fn zero_recipes_gives_none() {
         let (db, store) = fixture();
         let cuisine = store.cuisine(Region::Italy);
         let cache = OverlapCache::for_cuisine(&db, &cuisine);
         let sampler = CuisineSampler::build(&db, &cuisine).unwrap();
         let cfg = MonteCarloConfig::quick(0);
-        assert!(run_null_model(&cache, &sampler, NullModel::Random, &cfg).is_none());
+        assert_eq!(
+            run_null_model(
+                &cache,
+                &sampler,
+                NullModel::Random,
+                &cfg,
+                &Metrics::disabled()
+            ),
+            Ok(None)
+        );
     }
 
     #[test]
@@ -386,7 +342,7 @@ mod tests {
         let cache = OverlapCache::for_cuisine(&db, &cuisine);
         let sampler = CuisineSampler::build(&db, &cuisine).unwrap();
         let cfg = MonteCarloConfig::quick(3000); // not a multiple of BLOCK
-        let e = run_null_model(&cache, &sampler, NullModel::Random, &cfg).unwrap();
+        let e = run(&cache, &sampler, NullModel::Random, &cfg).unwrap();
         assert_eq!(e.n, 3000);
     }
 }

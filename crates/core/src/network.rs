@@ -6,7 +6,6 @@
 
 use culinaria_flavordb::{FlavorDb, IngredientId};
 use culinaria_obs::Metrics;
-use culinaria_recipedb::Cuisine;
 use culinaria_stats::{fault, pool};
 use culinaria_tabular::{Column, Frame};
 
@@ -37,67 +36,29 @@ pub struct FlavorNetwork {
 }
 
 impl FlavorNetwork {
-    /// Build the network over an explicit pool (available parallelism).
-    pub fn build(db: &FlavorDb, pool: &[IngredientId]) -> FlavorNetwork {
-        FlavorNetwork::build_with_threads(db, pool, 0)
-    }
-
-    /// [`FlavorNetwork::build`] with an explicit worker count
-    /// (0 = available parallelism).
+    /// Build the network over an explicit pool with `n_threads` workers
+    /// (0 = available parallelism); pass `cuisine.ingredient_set()` to
+    /// build a cuisine's network.
     ///
     /// The upper-triangular edge sweep is fanned row-wise over the
     /// shared worker pool on top of a parallel [`OverlapCache`] build;
     /// per-row edge lists merge **in row order**, so edges come out in
     /// the same row-major order as the serial double loop and the
     /// result is identical for every thread count.
-    pub fn build_with_threads(
-        db: &FlavorDb,
-        ingredients: &[IngredientId],
-        n_threads: usize,
-    ) -> FlavorNetwork {
-        FlavorNetwork::build_observed(db, ingredients, n_threads, &Metrics::disabled())
-    }
-
-    /// [`FlavorNetwork::build_with_threads`] instrumented through
-    /// `metrics`: span `network.build` with children
-    /// `network.build.overlap` (the [`OverlapCache`] build, which also
-    /// records the `overlap.*` instruments) and `network.build.edges`
-    /// (the edge sweep + serial fold), counters `network.nodes` and
-    /// `network.edges`, plus the shared `pool.*` instruments. The
-    /// network is bit-identical to the unobserved build.
-    pub fn build_observed(
-        db: &FlavorDb,
-        ingredients: &[IngredientId],
-        n_threads: usize,
-        metrics: &Metrics,
-    ) -> FlavorNetwork {
-        FlavorNetwork::try_build_observed(db, ingredients, n_threads, metrics)
-            .unwrap_or_else(|failure| panic!("flavor network build failed: {failure}"))
-    }
-
-    /// Fallible [`FlavorNetwork::build`]: dead ingredient ids (via the
-    /// nested [`OverlapCache::try_build_observed`]) and failing edge
-    /// rows become a structured [`StageFailure`] instead of a panic.
-    pub fn try_build(db: &FlavorDb, pool: &[IngredientId]) -> Result<FlavorNetwork, StageFailure> {
-        FlavorNetwork::try_build_with_threads(db, pool, 0)
-    }
-
-    /// [`FlavorNetwork::try_build`] with an explicit worker count
-    /// (0 = available parallelism).
-    pub fn try_build_with_threads(
-        db: &FlavorDb,
-        ingredients: &[IngredientId],
-        n_threads: usize,
-    ) -> Result<FlavorNetwork, StageFailure> {
-        FlavorNetwork::try_build_observed(db, ingredients, n_threads, &Metrics::disabled())
-    }
-
-    /// Fallible [`FlavorNetwork::build_observed`]. On success the
-    /// network and recorded metrics are bit-identical to the infallible
-    /// build; on failure the `error.<stage>` counter is bumped (stages:
-    /// the nested overlap build's, or `network.row` for the edge sweep)
-    /// and the lowest failing task index is reported.
-    pub fn try_build_observed(
+    ///
+    /// Instruments recorded through `metrics`: span `network.build`
+    /// with children `network.build.overlap` (the [`OverlapCache`]
+    /// build, which also records the `overlap.*` instruments) and
+    /// `network.build.edges` (the edge sweep + serial fold), counters
+    /// `network.nodes` and `network.edges`, plus the shared `pool.*`
+    /// instruments. The network does not depend on whether `metrics`
+    /// is enabled.
+    ///
+    /// Dead ingredient ids fail in the nested overlap build (stage
+    /// `overlap.pack`) and failing edge rows at stage `network.row`;
+    /// the `error.<stage>` counter is bumped and the lowest failing
+    /// task index is reported.
+    pub fn build(
         db: &FlavorDb,
         ingredients: &[IngredientId],
         n_threads: usize,
@@ -106,7 +67,7 @@ impl FlavorNetwork {
         let build_span = metrics.span("network.build");
         let build_guard = build_span.enter();
         let overlap_guard = build_span.child("overlap").enter();
-        let cache = OverlapCache::try_build_observed(db, ingredients, n_threads, metrics)?;
+        let cache = OverlapCache::build(db, ingredients, n_threads, metrics)?;
         overlap_guard.stop();
         let n = cache.len();
         let edges_guard = build_span.child("edges").enter();
@@ -151,20 +112,6 @@ impl FlavorNetwork {
             strength,
             degree,
         })
-    }
-
-    /// Build over a cuisine's ingredient set.
-    pub fn for_cuisine(db: &FlavorDb, cuisine: &Cuisine<'_>) -> FlavorNetwork {
-        FlavorNetwork::for_cuisine_with_threads(db, cuisine, 0)
-    }
-
-    /// [`FlavorNetwork::for_cuisine`] with an explicit worker count.
-    pub fn for_cuisine_with_threads(
-        db: &FlavorDb,
-        cuisine: &Cuisine<'_>,
-        n_threads: usize,
-    ) -> FlavorNetwork {
-        FlavorNetwork::build_with_threads(db, &cuisine.ingredient_set(), n_threads)
     }
 
     /// Number of nodes.
@@ -346,10 +293,15 @@ mod tests {
         (db, vec![a, b, c, d])
     }
 
+    /// An uninstrumented build over a live pool.
+    fn build(db: &FlavorDb, pool: &[IngredientId], n_threads: usize) -> FlavorNetwork {
+        FlavorNetwork::build(db, pool, n_threads, &Metrics::disabled()).expect("live pool")
+    }
+
     #[test]
     fn builds_expected_topology() {
         let (db, pool) = fixture();
-        let net = FlavorNetwork::build(&db, &pool);
+        let net = build(&db, &pool, 0);
         assert_eq!(net.n_nodes(), 4);
         assert_eq!(net.n_edges(), 3); // a–b, a–c, b–c; d isolated
         assert_eq!(net.degree(0), 2);
@@ -361,14 +313,14 @@ mod tests {
     #[test]
     fn triangle_clustering_is_one() {
         let (db, pool) = fixture();
-        let net = FlavorNetwork::build(&db, &pool);
+        let net = build(&db, &pool, 0);
         assert!((net.clustering_coefficient() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn top_edges_and_hubs() {
         let (db, pool) = fixture();
-        let net = FlavorNetwork::build(&db, &pool);
+        let net = build(&db, &pool, 0);
         let top = net.top_edges(2);
         assert_eq!(top.len(), 2);
         assert!(top[0].weight >= top[1].weight);
@@ -381,7 +333,7 @@ mod tests {
     #[test]
     fn backbone_filters_weak_edges() {
         let (db, pool) = fixture();
-        let net = FlavorNetwork::build(&db, &pool);
+        let net = build(&db, &pool, 0);
         // All edges have weight 1, so a min-weight-2 backbone is empty.
         let bb = net.backbone(2);
         assert_eq!(bb.n_edges(), 0);
@@ -394,7 +346,7 @@ mod tests {
     #[test]
     fn degree_distribution_frame() {
         let (db, pool) = fixture();
-        let net = FlavorNetwork::build(&db, &pool);
+        let net = build(&db, &pool, 0);
         let f = net.degree_distribution();
         // Degrees: [2, 2, 2, 0] → two rows: degree 0 × 1, degree 2 × 3.
         assert_eq!(f.n_rows(), 2);
@@ -417,9 +369,9 @@ mod tests {
                     .unwrap(),
             );
         }
-        let serial = FlavorNetwork::build_with_threads(&db, &pool, 1);
+        let serial = build(&db, &pool, 1);
         for threads in [0, 2, 8] {
-            let parallel = FlavorNetwork::build_with_threads(&db, &pool, threads);
+            let parallel = build(&db, &pool, threads);
             assert_eq!(serial.edges, parallel.edges, "{threads} threads");
             assert_eq!(serial.strength, parallel.strength, "{threads} threads");
             assert_eq!(serial.degree, parallel.degree, "{threads} threads");
@@ -429,9 +381,9 @@ mod tests {
     #[test]
     fn observed_build_matches_and_records() {
         let (db, pool) = fixture();
-        let plain = FlavorNetwork::build_with_threads(&db, &pool, 2);
+        let plain = build(&db, &pool, 2);
         let metrics = Metrics::enabled();
-        let observed = FlavorNetwork::build_observed(&db, &pool, 2, &metrics);
+        let observed = FlavorNetwork::build(&db, &pool, 2, &metrics).expect("live pool");
         assert_eq!(observed.edges, plain.edges);
         assert_eq!(observed.strength, plain.strength);
         assert_eq!(observed.degree, plain.degree);
@@ -448,29 +400,24 @@ mod tests {
     }
 
     #[test]
-    fn try_build_matches_build_and_reports_dead_ids() {
+    fn build_reports_dead_ids_at_any_thread_count() {
         let (mut db, pool) = fixture();
-        let plain = FlavorNetwork::build(&db, &pool);
-        for threads in [1, 2, 8] {
-            let fallible =
-                FlavorNetwork::try_build_with_threads(&db, &pool, threads).expect("pool is live");
-            assert_eq!(fallible.edges, plain.edges, "{threads} threads");
-            assert_eq!(fallible.strength, plain.strength);
-            assert_eq!(fallible.degree, plain.degree);
-        }
         db.remove_ingredient("b").expect("b exists");
-        let failure = FlavorNetwork::try_build(&db, &pool).expect_err("dead id");
-        assert_eq!(failure.stage, "overlap.pack");
-        assert_eq!(failure.index, 1);
+        for threads in [1, 2, 8] {
+            let failure = FlavorNetwork::build(&db, &pool, threads, &Metrics::disabled())
+                .expect_err("dead id");
+            assert_eq!(failure.stage, "overlap.pack");
+            assert_eq!(failure.index, 1, "{threads} threads");
+        }
     }
 
     #[test]
     fn empty_and_single_node() {
         let (db, pool) = fixture();
-        let empty = FlavorNetwork::build(&db, &[]);
+        let empty = build(&db, &[], 0);
         assert_eq!(empty.n_nodes(), 0);
         assert_eq!(empty.density(), 0.0);
-        let single = FlavorNetwork::build(&db, &pool[..1]);
+        let single = build(&db, &pool[..1], 0);
         assert_eq!(single.n_edges(), 0);
         assert_eq!(single.density(), 0.0);
     }

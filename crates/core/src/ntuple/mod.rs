@@ -74,19 +74,15 @@ pub struct KTupleKernel {
 }
 
 impl KTupleKernel {
-    /// Pack the profiles of an explicit pool (rows in pool order).
-    pub fn build(db: &FlavorDb, pool: &[IngredientId]) -> KTupleKernel {
-        KTupleKernel::build_view(FlavorViewRef::Owned(db), pool)
-    }
-
-    /// [`KTupleKernel::build`] over a [`FlavorViewRef`] — the single
-    /// packing implementation both representations share. Profile
+    /// Pack the profiles of an explicit pool (rows in pool order) from
+    /// a flavor view (owned database or zero-copy artifact). Profile
     /// slices are identical across representations, so the packed bit
     /// matrix (and every score derived from it) is bit-identical.
     ///
     /// # Panics
-    /// Panics on a dead ingredient id, like the owned build.
-    pub fn build_view(view: FlavorViewRef<'_>, pool: &[IngredientId]) -> KTupleKernel {
+    /// Panics on a dead ingredient id.
+    pub fn build<'a>(view: impl Into<FlavorViewRef<'a>>, pool: &[IngredientId]) -> KTupleKernel {
+        let view = view.into();
         let profiles: Vec<_> = pool
             .iter()
             .map(|&id| view.profile_molecules(id).expect("live ingredient"))
@@ -113,13 +109,11 @@ impl KTupleKernel {
     /// Build over a cuisine's distinct ingredient set — the same local
     /// indexing as [`CuisineSampler::build`] and
     /// [`crate::pairing::OverlapCache::for_cuisine`] on that cuisine.
-    pub fn for_cuisine(db: &FlavorDb, cuisine: &Cuisine<'_>) -> KTupleKernel {
-        KTupleKernel::build(db, &cuisine.ingredient_set())
-    }
-
-    /// [`KTupleKernel::for_cuisine`] over views.
-    pub fn for_cuisine_view(view: FlavorViewRef<'_>, cuisine: &CuisineView<'_>) -> KTupleKernel {
-        KTupleKernel::build_view(view, &cuisine.ingredient_set())
+    pub fn for_cuisine<'a>(
+        view: impl Into<FlavorViewRef<'a>>,
+        cuisine: impl Into<CuisineView<'a>>,
+    ) -> KTupleKernel {
+        KTupleKernel::build(view, &cuisine.into().ingredient_set())
     }
 
     /// Pool size.
@@ -190,23 +184,18 @@ pub fn recipe_ktuple_score(db: &FlavorDb, ingredients: &[IngredientId], k: usize
     kernel.score_local_with(&locals, k, &mut IntersectScratch::new())
 }
 
-/// Mean N_s^(k) over a cuisine's recipes of size ≥ k, via one shared
-/// [`KTupleKernel`] (pack once, walk every recipe).
-pub fn mean_cuisine_ktuple_score(db: &FlavorDb, cuisine: &Cuisine<'_>, k: usize) -> f64 {
-    mean_cuisine_ktuple_score_with_threads(db, cuisine, k, 0)
-}
-
 /// Recipes per observed-scoring task (the parallel granularity of
-/// [`mean_cuisine_ktuple_score_with_threads`]).
+/// [`mean_cuisine_ktuple_score`]).
 const RECIPE_BLOCK: usize = 256;
 
-/// [`mean_cuisine_ktuple_score`] with an explicit worker count
-/// (0 = available parallelism).
+/// Mean N_s^(k) over a cuisine's recipes of size ≥ k, via one shared
+/// [`KTupleKernel`] (pack once, walk every recipe), with `n_threads`
+/// workers (0 = available parallelism).
 ///
 /// Recipes are scored in fixed blocks across the worker pool and the
 /// per-recipe scores are folded **in recipe order**, so the mean is
 /// bit-identical for every thread count (and to the serial fold).
-pub fn mean_cuisine_ktuple_score_with_threads(
+pub fn mean_cuisine_ktuple_score(
     db: &FlavorDb,
     cuisine: &Cuisine<'_>,
     k: usize,
@@ -344,50 +333,19 @@ fn ktuple_stream(k: usize, model: NullModel, block: usize) -> u64 {
 /// contract as the pairwise engine (DESIGN.md §6.2). Callers salt
 /// `cfg.seed` per region (`derive_seed_labeled`) as usual.
 ///
-/// Returns `None` for a degenerate ensemble (fewer than two recipes).
+/// Returns `Ok(None)` for a degenerate ensemble (fewer than two
+/// recipes). A panicking sampling block becomes a structured
+/// [`StageFailure`] at stage `mc.ktuple.block`: the
+/// `error.mc.ktuple.block` counter is bumped and the lowest failing
+/// block index is reported, identically for any thread count.
+///
+/// Instruments recorded through `metrics`: span `mc.ktuple.run`,
+/// counters `mc.ktuple.recipes` / `mc.ktuple.blocks`, per-block
+/// wall-time histogram `mc.ktuple.block_us`, and the shared `pool.*`
+/// instruments — the k-tuple mirror of
+/// [`crate::monte_carlo::run_null_model`], with the same guarantee: the
+/// ensemble does not depend on whether `metrics` is enabled.
 pub fn ktuple_null_ensemble(
-    scorer: &KTupleScorer,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-) -> Option<NullEnsemble> {
-    ktuple_null_ensemble_observed(scorer, sampler, model, cfg, &Metrics::disabled())
-}
-
-/// [`ktuple_null_ensemble`] instrumented through `metrics`: span
-/// `mc.ktuple.run`, counters `mc.ktuple.recipes` / `mc.ktuple.blocks`,
-/// per-block wall-time histogram `mc.ktuple.block_us`, and the shared
-/// `pool.*` instruments — the k-tuple mirror of
-/// [`crate::monte_carlo::run_null_model_observed`], with the same
-/// guarantee: the ensemble is bit-identical to the unobserved run.
-pub fn ktuple_null_ensemble_observed(
-    scorer: &KTupleScorer,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Option<NullEnsemble> {
-    try_ktuple_null_ensemble_observed(scorer, sampler, model, cfg, metrics)
-        .unwrap_or_else(|failure| panic!("k-tuple Monte-Carlo run failed: {failure}"))
-}
-
-/// Fallible [`ktuple_null_ensemble`]: a panicking sampling block
-/// becomes a structured [`StageFailure`] at stage `mc.ktuple.block`
-/// (lowest block index wins) instead of a crash.
-pub fn try_ktuple_null_ensemble(
-    scorer: &KTupleScorer,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-) -> Result<Option<NullEnsemble>, StageFailure> {
-    try_ktuple_null_ensemble_observed(scorer, sampler, model, cfg, &Metrics::disabled())
-}
-
-/// Fallible [`ktuple_null_ensemble_observed`]. On success the ensemble
-/// and recorded metrics are bit-identical to the infallible run; on
-/// failure the `error.mc.ktuple.block` counter is bumped and the lowest
-/// failing block index is reported, identically for any thread count.
-pub fn try_ktuple_null_ensemble_observed(
     scorer: &KTupleScorer,
     sampler: &CuisineSampler,
     model: NullModel,
@@ -474,6 +432,22 @@ mod tests {
         (db, vec![a, b, c, d])
     }
 
+    /// An uninstrumented ensemble that must not fail.
+    fn ensemble(
+        scorer: &KTupleScorer,
+        sampler: &CuisineSampler,
+        cfg: &MonteCarloConfig,
+    ) -> Option<NullEnsemble> {
+        ktuple_null_ensemble(
+            scorer,
+            sampler,
+            NullModel::Random,
+            cfg,
+            &Metrics::disabled(),
+        )
+        .expect("no faults")
+    }
+
     #[test]
     fn binomial_values() {
         assert_eq!(binomial(4, 2), 6);
@@ -539,7 +513,7 @@ mod tests {
             .add_recipe("r2", Region::Italy, Source::Synthetic, ids.clone())
             .unwrap();
         let cuisine = store.cuisine(Region::Italy);
-        let mean = mean_cuisine_ktuple_score(&db, &cuisine, 3);
+        let mean = mean_cuisine_ktuple_score(&db, &cuisine, 3, 0);
         assert!((mean - (1.0 + 0.25) / 2.0).abs() < 1e-12);
 
         let scorer = KTupleScorer::for_cuisine(&db, &cuisine, 3);
@@ -566,7 +540,7 @@ mod tests {
         }
         let cuisine = store.cuisine(Region::Italy);
         for k in [2usize, 3] {
-            let serial = mean_cuisine_ktuple_score_with_threads(&db, &cuisine, k, 1);
+            let serial = mean_cuisine_ktuple_score(&db, &cuisine, k, 1);
             let walker = {
                 // Reference fold over the same recipes.
                 let mut total = 0.0;
@@ -581,7 +555,7 @@ mod tests {
             };
             assert_eq!(serial.to_bits(), walker.to_bits(), "k = {k} vs reference");
             for threads in [0, 2, 8] {
-                let parallel = mean_cuisine_ktuple_score_with_threads(&db, &cuisine, k, threads);
+                let parallel = mean_cuisine_ktuple_score(&db, &cuisine, k, threads);
                 assert_eq!(serial.to_bits(), parallel.to_bits(), "{threads} threads");
             }
         }
@@ -605,7 +579,7 @@ mod tests {
             seed: 1,
             n_threads: 1,
         };
-        let e = ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &base).unwrap();
+        let e = ensemble(&scorer, &sampler, &base).unwrap();
         assert_eq!(e.n, 8192);
         assert!(e.mean >= 0.0);
         for threads in [2, 8] {
@@ -613,7 +587,7 @@ mod tests {
                 n_threads: threads,
                 ..base
             };
-            let p = ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &cfg).unwrap();
+            let p = ensemble(&scorer, &sampler, &cfg).unwrap();
             assert_eq!(e.mean.to_bits(), p.mean.to_bits(), "{threads} threads");
             assert_eq!(
                 e.std_dev.to_bits(),
@@ -622,10 +596,9 @@ mod tests {
             );
         }
         // Degenerate request.
-        let none = ktuple_null_ensemble(
+        let none = ensemble(
             &scorer,
             &sampler,
-            NullModel::Random,
             &MonteCarloConfig {
                 n_recipes: 0,
                 ..base
@@ -652,11 +625,11 @@ mod tests {
             seed: 3,
             n_threads: 2,
         };
-        let plain = ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &cfg).unwrap();
+        let plain = ensemble(&scorer, &sampler, &cfg).unwrap();
         let metrics = Metrics::enabled();
-        let observed =
-            ktuple_null_ensemble_observed(&scorer, &sampler, NullModel::Random, &cfg, &metrics)
-                .unwrap();
+        let observed = ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &cfg, &metrics)
+            .expect("no faults")
+            .unwrap();
         assert_eq!(plain.mean.to_bits(), observed.mean.to_bits());
         assert_eq!(plain.std_dev.to_bits(), observed.std_dev.to_bits());
         let snap = metrics.snapshot();

@@ -19,8 +19,7 @@
 
 use rand::{Rng, RngExt};
 
-use culinaria_flavordb::{Category, FlavorDb};
-use culinaria_recipedb::Cuisine;
+use culinaria_flavordb::Category;
 use culinaria_stats::WeightedAliasSampler;
 
 use crate::view::{CuisineView, FlavorViewRef};
@@ -143,29 +142,23 @@ pub struct CuisineSampler {
 }
 
 impl CuisineSampler {
-    /// Build from a cuisine. The pool and its local indexing are the
+    /// Build from a cuisine over a flavor view (owned database or
+    /// zero-copy artifact). The pool and its local indexing are the
     /// cuisine's sorted distinct ingredient set — identical to
     /// [`crate::pairing::OverlapCache::for_cuisine`] on the same
-    /// cuisine.
+    /// cuisine. Pool ordering, frequency weights and category templates
+    /// are identical across representations, so the sampler consumes
+    /// any RNG stream identically.
     ///
     /// Returns `None` for cuisines with no recipe of size ≥ 2 (no
-    /// pairing signal exists to compare against).
-    pub fn build(db: &FlavorDb, cuisine: &Cuisine<'_>) -> Option<CuisineSampler> {
-        CuisineSampler::build_view(
-            FlavorViewRef::Owned(db),
-            &CuisineView::Owned(cuisine.clone()),
-        )
-    }
-
-    /// [`CuisineSampler::build`] over a [`FlavorViewRef`] /
-    /// [`CuisineView`] pair — the single implementation both
-    /// representations share. Pool ordering, frequency weights and
-    /// category templates are identical across representations, so the
-    /// sampler consumes any RNG stream identically.
-    pub fn build_view(
-        view: FlavorViewRef<'_>,
-        cuisine: &CuisineView<'_>,
+    /// pairing signal exists to compare against), and also when a pool
+    /// id has no category, i.e. is dead in `view`; the
+    /// [`crate::z_analysis`] engines tell the two apart.
+    pub fn build<'a>(
+        view: impl Into<FlavorViewRef<'a>>,
+        cuisine: impl Into<CuisineView<'a>>,
     ) -> Option<CuisineSampler> {
+        let (view, cuisine) = (view.into(), cuisine.into());
         let pool = cuisine.ingredient_set();
         if pool.is_empty() {
             return None;
@@ -424,7 +417,7 @@ impl CuisineSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use culinaria_flavordb::IngredientId;
+    use culinaria_flavordb::{FlavorDb, IngredientId};
     use culinaria_recipedb::{RecipeStore, Region, Source};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

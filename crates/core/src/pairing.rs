@@ -20,7 +20,9 @@
 
 use std::collections::HashMap;
 
-use culinaria_flavordb::{kernel, FlavorDb, IngredientId, MoleculeId, MoleculeUniverse};
+use culinaria_flavordb::{
+    kernel, FlavorDb, FlavorDbError, IngredientId, MoleculeId, MoleculeUniverse,
+};
 use culinaria_obs::Metrics;
 use culinaria_recipedb::Cuisine;
 use culinaria_stats::{fault, pool, tile};
@@ -195,8 +197,9 @@ pub struct OverlapCache {
 }
 
 impl OverlapCache {
-    /// Build the cache for an ingredient pool, using the available
-    /// parallelism for the O(n²) intersection sweep.
+    /// Build the cache for an ingredient pool over a flavor view (owned
+    /// database or zero-copy artifact) with `n_threads` workers
+    /// (0 = available parallelism).
     ///
     /// Profiles are first packed as bitsets over the pool's own
     /// molecule universe ([`culinaria_flavordb::MoleculeUniverse`]), so
@@ -208,90 +211,33 @@ impl OverlapCache {
     /// per tile instead of once per cell. Tile geometry never depends
     /// on the requested thread count, and overlap counts are exact
     /// integers, so the result is bit-identical for every thread
-    /// count.
-    pub fn build(db: &FlavorDb, pool: &[IngredientId]) -> OverlapCache {
-        OverlapCache::build_with_threads(db, pool, 0)
-    }
-
-    /// [`OverlapCache::build`] with an explicit worker count
-    /// (0 = available parallelism).
-    pub fn build_with_threads(
-        db: &FlavorDb,
-        pool: &[IngredientId],
-        n_threads: usize,
-    ) -> OverlapCache {
-        OverlapCache::build_observed(db, pool, n_threads, &Metrics::disabled())
-    }
-
-    /// [`OverlapCache::build_with_threads`] instrumented through
-    /// `metrics`: spans `overlap.build` (whole build), `overlap.build.pack`
-    /// (bitset packing) and `overlap.build.sweep` (the parallel O(n²)
-    /// intersection sweep), gauge `overlap.pool_size`, counter
-    /// `overlap.cells` (triangle entries computed), plus the shared
-    /// `pool.*` instruments. The cache is bit-identical to the
-    /// unobserved build.
+    /// count. Profiles resolved from an owned database and from a CFDB2
+    /// artifact view are the same sorted `&[MoleculeId]` slices, so the
+    /// cache is bit-identical across representations too.
     ///
-    /// # Panics
-    /// Panics on a dead ingredient id — delegate to
-    /// [`OverlapCache::try_build_observed`] to get a structured error
-    /// instead.
-    pub fn build_observed(
-        db: &FlavorDb,
-        pool: &[IngredientId],
-        n_threads: usize,
-        metrics: &Metrics,
-    ) -> OverlapCache {
-        OverlapCache::try_build_observed(db, pool, n_threads, metrics)
-            .unwrap_or_else(|failure| panic!("overlap cache build failed: {failure}"))
-    }
-
-    /// Fallible [`OverlapCache::build`]: a pool entry whose ingredient
-    /// id is dead (removed or out of range) becomes a structured
-    /// [`StageFailure`] at stage `overlap.pack` instead of a panic.
-    pub fn try_build(db: &FlavorDb, pool: &[IngredientId]) -> Result<OverlapCache, StageFailure> {
-        OverlapCache::try_build_with_threads(db, pool, 0)
-    }
-
-    /// [`OverlapCache::try_build`] with an explicit worker count
-    /// (0 = available parallelism).
-    pub fn try_build_with_threads(
-        db: &FlavorDb,
-        pool: &[IngredientId],
-        n_threads: usize,
-    ) -> Result<OverlapCache, StageFailure> {
-        OverlapCache::try_build_observed(db, pool, n_threads, &Metrics::disabled())
-    }
-
-    /// Fallible [`OverlapCache::build_observed`]. On success the cache
-    /// and the recorded metrics are bit-identical to the infallible
-    /// build; on failure the `error.<stage>` counter is bumped and the
-    /// lowest failing task index is reported (stages: `overlap.pack`
-    /// serial, `overlap.tile` across the worker pool — the index is a
-    /// band-major tile index, see [`culinaria_stats::tile`]).
-    pub fn try_build_observed(
-        db: &FlavorDb,
+    /// Instruments recorded through `metrics`: spans `overlap.build`
+    /// (whole build), `overlap.build.pack` (bitset packing) and
+    /// `overlap.build.sweep` (the parallel O(n²) intersection sweep),
+    /// gauge `overlap.pool_size`, counter `overlap.cells` (triangle
+    /// entries computed), plus the shared `pool.*` instruments. The
+    /// cache does not depend on whether `metrics` is enabled.
+    ///
+    /// A pool entry whose ingredient id is dead (removed or out of
+    /// range) fails at stage `overlap.pack`; a failing tile fails at
+    /// `overlap.tile` (the index is a band-major tile index, see
+    /// [`culinaria_stats::tile`]). Either way the `error.<stage>`
+    /// counter is bumped and the lowest failing index is reported,
+    /// identically for any thread count.
+    pub fn build<'a>(
+        view: impl Into<FlavorViewRef<'a>>,
         pool: &[IngredientId],
         n_threads: usize,
         metrics: &Metrics,
     ) -> Result<OverlapCache, StageFailure> {
-        OverlapCache::try_build_tiled(FlavorViewRef::Owned(db), pool, n_threads, metrics, None)
+        OverlapCache::try_build_tiled(view.into(), pool, n_threads, metrics, None)
     }
 
-    /// [`OverlapCache::try_build_observed`] over a [`FlavorViewRef`] —
-    /// the single implementation both representations share. Profiles
-    /// resolved from an owned database and from a CFDB2 artifact view
-    /// are the same sorted `&[MoleculeId]` slices, so the cache (and
-    /// every recorded metric) is bit-identical across representations.
-    pub fn try_build_view_observed(
-        view: FlavorViewRef<'_>,
-        pool: &[IngredientId],
-        n_threads: usize,
-        metrics: &Metrics,
-    ) -> Result<OverlapCache, StageFailure> {
-        OverlapCache::try_build_tiled(view, pool, n_threads, metrics, None)
-    }
-
-    /// The tiled build behind every public entry point. `tile_edge`
+    /// The tiled build behind [`OverlapCache::build`]. `tile_edge`
     /// overrides the L2-derived tile size (tests sweep it to prove the
     /// merge is geometry-independent); `None` uses
     /// [`tile::tile_rows`].
@@ -319,14 +265,7 @@ impl OverlapCache {
             })?;
             match view.profile_molecules(id) {
                 Ok(p) => profiles.push(p),
-                Err(e) => {
-                    return Err(StageFailure::error(
-                        "overlap.pack",
-                        i,
-                        format!("ingredient id {} is not usable: {e}", id.index()),
-                    )
-                    .record(metrics))
-                }
+                Err(e) => return Err(dead_pool_id(i, id, e).record(metrics)),
             }
         }
         let universe = MoleculeUniverse::build_from_slices(profiles.iter().copied());
@@ -433,7 +372,8 @@ impl OverlapCache {
 
     /// Grow the cache to a larger pool, recomputing **only the rows
     /// touched by new ingredients** — the incremental-update half of
-    /// streaming ingestion.
+    /// streaming ingestion. `view` is an owned database or a zero-copy
+    /// artifact.
     ///
     /// `pool` is the grown cuisine's ingredient pool and must contain
     /// every id already in the cache (a shrunk pool is a caller bug and
@@ -445,21 +385,12 @@ impl OverlapCache {
     /// are popcounted in, so the result is **bit-identical to a cold
     /// [`OverlapCache::build`] over `pool`** while doing O(new·total)
     /// intersection work instead of O(total²).
-    pub fn extend(
+    pub fn extend<'a>(
         &self,
-        db: &FlavorDb,
+        view: impl Into<FlavorViewRef<'a>>,
         pool: &[IngredientId],
     ) -> Result<OverlapCache, StageFailure> {
-        self.extend_view(FlavorViewRef::Owned(db), pool)
-    }
-
-    /// [`OverlapCache::extend`] over a representation-agnostic flavor
-    /// view (owned database or zero-copy artifact).
-    pub fn extend_view(
-        &self,
-        view: FlavorViewRef<'_>,
-        pool: &[IngredientId],
-    ) -> Result<OverlapCache, StageFailure> {
+        let view = view.into();
         let m = pool.len();
         // Each grown-pool position is either an existing local index
         // (copy its cells) or a new ingredient (compute its cells).
@@ -534,19 +465,20 @@ impl OverlapCache {
             .ok_or_else(|| StageFailure::error("overlap.extend", 0, "triangle/pool size mismatch"))
     }
 
-    /// Build over a cuisine's distinct ingredient set.
-    pub fn for_cuisine(db: &FlavorDb, cuisine: &Cuisine<'_>) -> OverlapCache {
-        OverlapCache::build(db, &cuisine.ingredient_set())
-    }
-
-    /// [`OverlapCache::for_cuisine`] with an explicit worker count
-    /// (0 = available parallelism).
-    pub fn for_cuisine_with_threads(
-        db: &FlavorDb,
-        cuisine: &Cuisine<'_>,
-        n_threads: usize,
+    /// Build over a cuisine's distinct ingredient set with the available
+    /// parallelism and no instruments.
+    ///
+    /// # Panics
+    /// Panics on a dead ingredient id — call [`OverlapCache::build`]
+    /// over `cuisine.ingredient_set()` to get a structured
+    /// [`StageFailure`] instead.
+    pub fn for_cuisine<'a>(
+        flavor: impl Into<FlavorViewRef<'a>>,
+        cuisine: impl Into<CuisineView<'a>>,
     ) -> OverlapCache {
-        OverlapCache::build_with_threads(db, &cuisine.ingredient_set(), n_threads)
+        let pool = cuisine.into().ingredient_set();
+        OverlapCache::build(flavor, &pool, 0, &Metrics::disabled())
+            .unwrap_or_else(|failure| panic!("overlap cache build failed: {failure}"))
     }
 
     /// Pool size.
@@ -615,6 +547,7 @@ impl OverlapCache {
     /// ```
     /// use culinaria_core::pairing::{recipe_pairing_score, OverlapCache};
     /// use culinaria_flavordb::{Category, FlavorDb};
+    /// use culinaria_obs::Metrics;
     ///
     /// let mut db = FlavorDb::new();
     /// let m: Vec<_> = (0..3)
@@ -623,7 +556,7 @@ impl OverlapCache {
     /// let a = db.add_ingredient("a", Category::Herb, vec![m[0], m[1]]).unwrap();
     /// let b = db.add_ingredient("b", Category::Herb, vec![m[1], m[2]]).unwrap();
     ///
-    /// let cache = OverlapCache::build(&db, &[a, b]);
+    /// let cache = OverlapCache::build(&db, &[a, b], 1, &Metrics::disabled()).unwrap();
     /// let mut scratch = Vec::new();
     /// let cached = cache.score_ids_with(&[a, b], &mut scratch).unwrap();
     /// assert_eq!(cached, recipe_pairing_score(&db, &[a, b]));
@@ -673,6 +606,14 @@ impl OverlapCache {
         }
         Some(if n == 0 { 0.0 } else { total / n as f64 })
     }
+}
+
+/// The `overlap.pack` failure for the dead id at pool index `index`.
+/// The z_analysis engines report a dead id they find before any cache
+/// is built with this same failure, so it reads alike on every path.
+pub(crate) fn dead_pool_id(index: usize, id: IngredientId, err: FlavorDbError) -> StageFailure {
+    let message = format!("ingredient id {} is not usable: {err}", id.index());
+    StageFailure::error("overlap.pack", index, message)
 }
 
 /// Reusable scratch for k-way bitset intersections along a
@@ -804,6 +745,11 @@ mod tests {
         (db, vec![a, b, c, x])
     }
 
+    /// An uninstrumented build over a live pool.
+    fn build(db: &FlavorDb, pool: &[IngredientId], n_threads: usize) -> OverlapCache {
+        OverlapCache::build(db, pool, n_threads, &Metrics::disabled()).expect("live pool")
+    }
+
     #[test]
     fn direct_score_formula() {
         let (db, ids) = fixture();
@@ -862,7 +808,7 @@ mod tests {
     #[test]
     fn cache_matches_direct() {
         let (db, ids) = fixture();
-        let cache = OverlapCache::build(&db, &ids);
+        let cache = build(&db, &ids, 0);
         assert_eq!(cache.len(), 4);
         for i in 0..ids.len() {
             for j in 0..ids.len() {
@@ -882,7 +828,7 @@ mod tests {
     #[test]
     fn cache_symmetry_and_self_zero() {
         let (db, ids) = fixture();
-        let cache = OverlapCache::build(&db, &ids);
+        let cache = build(&db, &ids, 0);
         for i in 0..4u32 {
             assert_eq!(cache.overlap(i, i), 0);
             for j in 0..4u32 {
@@ -894,9 +840,9 @@ mod tests {
     #[test]
     fn build_identical_for_any_thread_count() {
         let (db, ids) = fixture();
-        let serial = OverlapCache::build_with_threads(&db, &ids, 1);
+        let serial = build(&db, &ids, 1);
         for threads in [0, 2, 8] {
-            let parallel = OverlapCache::build_with_threads(&db, &ids, threads);
+            let parallel = build(&db, &ids, threads);
             assert_eq!(serial.tri, parallel.tri, "{threads} threads");
             assert_eq!(serial.pool, parallel.pool);
         }
@@ -910,7 +856,7 @@ mod tests {
         let db = generate_flavor_db(&GeneratorConfig::tiny(42));
         let ids: Vec<IngredientId> = db.ingredient_ids().collect();
         assert!(ids.len() >= 32, "generator fixture too small");
-        let reference = OverlapCache::build_with_threads(&db, &ids, 1);
+        let reference = build(&db, &ids, 1);
         // The cache agrees with the sorted-merge walk cell by cell.
         for (i, &a) in ids.iter().enumerate() {
             for (j, &b) in ids.iter().enumerate().skip(i + 1) {
@@ -943,9 +889,9 @@ mod tests {
     #[test]
     fn observed_build_matches_and_records() {
         let (db, ids) = fixture();
-        let plain = OverlapCache::build_with_threads(&db, &ids, 2);
+        let plain = build(&db, &ids, 2);
         let metrics = Metrics::enabled();
-        let observed = OverlapCache::build_observed(&db, &ids, 2, &metrics);
+        let observed = OverlapCache::build(&db, &ids, 2, &metrics).expect("live pool");
         assert_eq!(observed.tri, plain.tri);
         assert_eq!(observed.pool, plain.pool);
         let snap = metrics.snapshot();
@@ -958,20 +904,13 @@ mod tests {
     }
 
     #[test]
-    fn try_build_matches_build_and_reports_dead_ids() {
+    fn build_reports_dead_ids_at_any_thread_count() {
         let (mut db, ids) = fixture();
-        let plain = OverlapCache::build(&db, &ids);
-        for threads in [1, 2, 8] {
-            let fallible =
-                OverlapCache::try_build_with_threads(&db, &ids, threads).expect("pool is live");
-            assert_eq!(fallible.tri, plain.tri, "{threads} threads");
-            assert_eq!(fallible.pool, plain.pool);
-        }
         // Kill ingredient "c" (local index 2): the pack stage reports a
         // structured failure at that index for every thread count.
         db.remove_ingredient("c").expect("c exists");
         for threads in [1, 2, 8] {
-            let failure = OverlapCache::try_build_with_threads(&db, &ids, threads)
+            let failure = OverlapCache::build(&db, &ids, threads, &Metrics::disabled())
                 .expect_err("dead id fails the pack stage");
             assert_eq!(failure.stage, "overlap.pack");
             assert_eq!(failure.index, 2, "{threads} threads");
@@ -980,10 +919,10 @@ mod tests {
                 crate::error::FailureCause::Error(_)
             ));
         }
-        // The observed variant records the error counter.
+        // An enabled registry records the error counter.
         let metrics = Metrics::enabled();
-        let failure = OverlapCache::try_build_observed(&db, &ids, 2, &metrics)
-            .expect_err("dead id fails the pack stage");
+        let failure =
+            OverlapCache::build(&db, &ids, 2, &metrics).expect_err("dead id fails the pack stage");
         assert_eq!(failure.index, 2);
         assert_eq!(metrics.snapshot().counter("error.overlap.pack"), Some(1));
     }
@@ -991,7 +930,7 @@ mod tests {
     #[test]
     fn score_ids_with_reuses_scratch() {
         let (db, ids) = fixture();
-        let cache = OverlapCache::build(&db, &ids);
+        let cache = build(&db, &ids, 0);
         let mut scratch = Vec::new();
         for subset in [&ids[0..2], &ids[0..3], &ids[0..4]] {
             let fresh = cache.score_ids(subset).unwrap();
@@ -1000,7 +939,7 @@ mod tests {
             assert_eq!(scratch.len(), subset.len());
         }
         // Unknown id: None, scratch stays usable afterwards.
-        let small = OverlapCache::build(&db, &ids[0..2]);
+        let small = build(&db, &ids[0..2], 0);
         assert!(small
             .score_ids_with(&[ids[0], ids[3]], &mut scratch)
             .is_none());
@@ -1010,7 +949,7 @@ mod tests {
     #[test]
     fn unknown_ids_give_none() {
         let (db, ids) = fixture();
-        let cache = OverlapCache::build(&db, &ids[0..2]);
+        let cache = build(&db, &ids[0..2], 0);
         assert!(cache.score_ids(&[ids[0], ids[3]]).is_none());
         assert!(cache.local_index(ids[3]).is_none());
     }

@@ -24,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use culinaria_flavordb::{FlavorDb, FlavorProfile};
+use culinaria_obs::Metrics;
 use culinaria_recipedb::{Cuisine, Region};
 use culinaria_stats::pool;
 use culinaria_stats::rng::derive_seed;
@@ -79,7 +80,14 @@ fn z_against_random(db: &FlavorDb, cuisine: &Cuisine<'_>, mc: &MonteCarloConfig)
     let sampler = CuisineSampler::build(db, cuisine)?;
     let cache = OverlapCache::for_cuisine(db, cuisine);
     let observed = cache.mean_cuisine_score(cuisine)?;
-    let null = run_null_model(&cache, &sampler, NullModel::Random, mc)?;
+    let null = run_null_model(
+        &cache,
+        &sampler,
+        NullModel::Random,
+        mc,
+        &Metrics::disabled(),
+    );
+    let null = null.unwrap_or_else(|failure| panic!("Monte-Carlo run failed: {failure}"))?;
     z_score_of_mean(observed, &null)
 }
 

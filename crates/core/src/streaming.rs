@@ -328,6 +328,7 @@ mod tests {
     use crate::composition::category_counts;
     use crate::pairing::recipe_pairing_score;
     use culinaria_datagen::{generate_world, WorldConfig};
+    use culinaria_obs::Metrics;
 
     #[test]
     fn incremental_state_matches_batch_after_every_prefix_step() {
@@ -462,10 +463,13 @@ mod tests {
         let all = w.recipes.cuisine(w.recipes.regions()[0]).ingredient_set();
         assert!(all.len() >= 6, "fixture too small: {}", all.len());
         let half = &all[..all.len() / 2];
-        let cache = OverlapCache::build(db, half);
+        let build = |pool: &[IngredientId]| {
+            OverlapCache::build(db, pool, 0, &Metrics::disabled()).expect("live pool")
+        };
+        let cache = build(half);
 
         let grown = cache.extend(db, &all).unwrap();
-        let cold = OverlapCache::build(db, &all);
+        let cold = build(&all);
         assert_eq!(grown.pool(), cold.pool());
         assert_eq!(grown.tri(), cold.tri());
 

@@ -205,6 +205,14 @@ impl<'a> From<Cuisine<'a>> for CuisineView<'a> {
     }
 }
 
+/// Lets owned call sites pass `&cuisine` to the view-taking engines;
+/// the view holds a clone of the cuisine's recipe list.
+impl<'a> From<&Cuisine<'a>> for CuisineView<'a> {
+    fn from(c: &Cuisine<'a>) -> Self {
+        CuisineView::Owned(c.clone())
+    }
+}
+
 impl<'a> From<BorrowedCuisine<'a>> for CuisineView<'a> {
     fn from(c: BorrowedCuisine<'a>) -> Self {
         CuisineView::Artifact(c)
@@ -215,6 +223,7 @@ impl<'a> From<BorrowedCuisine<'a>> for CuisineView<'a> {
 mod tests {
     use super::*;
     use culinaria_flavordb::{artifact as flavor_artifact, FlavorArtifactBuilder};
+    use culinaria_obs::Metrics;
     use culinaria_recipedb::{artifact as recipe_artifact, RecipeArtifactBuilder, Source};
 
     fn fixture() -> (FlavorDb, RecipeStore) {
@@ -290,7 +299,8 @@ mod tests {
         let (db, store) = fixture();
         let cuisine = store.cuisine(Region::Italy);
         let pool = cuisine.ingredient_set();
-        let cache = crate::pairing::OverlapCache::build(&db, &pool);
+        let cache = crate::pairing::OverlapCache::build(&db, &pool, 0, &Metrics::disabled())
+            .expect("live pool");
         let mut builder = FlavorArtifactBuilder::new(&db);
         builder.add_overlap("ITA", &pool, cache.tri()).unwrap();
         let bytes = builder.build().unwrap();

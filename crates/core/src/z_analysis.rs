@@ -8,14 +8,19 @@
 //! instead of idling at a per-region barrier.
 //!
 //! Each region's Monte-Carlo streams are salted with its region code
-//! (`derive_seed_labeled(cfg.seed, region.code())`) — in both
-//! [`analyze_cuisine`] and [`analyze_world`] — so (a) no two regions
-//! share a random stream, and (b) analyzing a cuisine alone is
-//! bit-identical to its row of the world run.
+//! (`derive_seed_labeled(cfg.seed, region.code())`) — in both the
+//! cuisine and the world engines — so (a) no two regions share a random
+//! stream, and (b) analyzing a cuisine alone is bit-identical to its
+//! row of the world run.
+//!
+//! The `try_…_observed` engines take views (owned or artifact-backed,
+//! via `impl Into<…>`), record through `metrics` and return a
+//! [`StageFailure`]; [`analyze_cuisine`] and [`analyze_world_view`] are
+//! their uninstrumented, panicking forms.
 
-use culinaria_flavordb::{FlavorDb, IngredientId};
+use culinaria_flavordb::IngredientId;
 use culinaria_obs::Metrics;
-use culinaria_recipedb::{Cuisine, RecipeStore, Region};
+use culinaria_recipedb::Region;
 use culinaria_stats::rng::derive_seed_labeled;
 use culinaria_stats::zscore::z_score_of_mean;
 use culinaria_stats::{fault, pool};
@@ -23,11 +28,9 @@ use culinaria_stats::{NullEnsemble, RunningStats};
 use culinaria_tabular::{Column, Frame};
 
 use crate::error::StageFailure;
-use crate::monte_carlo::{
-    block_stats, try_run_null_model_observed, McScratch, MonteCarloConfig, BLOCK,
-};
+use crate::monte_carlo::{block_stats, run_null_model, McScratch, MonteCarloConfig, BLOCK};
 use crate::null_models::{CuisineSampler, NullModel};
-use crate::pairing::OverlapCache;
+use crate::pairing::{dead_pool_id, OverlapCache};
 use crate::view::{CuisineView, FlavorViewRef, RecipesViewRef};
 
 /// Result of one null-model comparison for one cuisine.
@@ -106,74 +109,13 @@ impl std::fmt::Display for PairingVerdict {
 ///
 /// The Monte-Carlo streams are salted with the cuisine's region code,
 /// so the result is bit-identical to the same region's row of
-/// [`analyze_world`] under the same configuration.
-pub fn analyze_cuisine(
-    db: &FlavorDb,
-    cuisine: &Cuisine<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Option<CuisineAnalysis> {
-    analyze_cuisine_observed(db, cuisine, models, cfg, &Metrics::disabled())
-}
-
-/// [`analyze_cuisine`] instrumented through `metrics`: the nested
-/// overlap-cache build records the `overlap.*` instruments and each
-/// null-model run records the `mc.*` and `pool.*` instruments (see
-/// [`crate::monte_carlo::run_null_model_observed`]). Bit-identical to
-/// the unobserved analysis.
-pub fn analyze_cuisine_observed(
-    db: &FlavorDb,
-    cuisine: &Cuisine<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Option<CuisineAnalysis> {
-    try_analyze_cuisine_observed(db, cuisine, models, cfg, metrics)
-        .unwrap_or_else(|failure| panic!("cuisine analysis failed: {failure}"))
-}
-
-/// Fallible [`analyze_cuisine`]: stage failures (dead ingredient ids,
-/// degenerate ensembles, panicking Monte-Carlo blocks) become a
-/// structured [`StageFailure`] instead of a panic. `Ok(None)` still
-/// means "no pairing-bearing recipes" — that is an expected outcome,
-/// not a failure.
-pub fn try_analyze_cuisine(
-    db: &FlavorDb,
-    cuisine: &Cuisine<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    try_analyze_cuisine_observed(db, cuisine, models, cfg, &Metrics::disabled())
-}
-
-/// Fallible [`analyze_cuisine_observed`]. On success the analysis and
-/// recorded metrics are bit-identical to the infallible path; on
-/// failure the `error.<stage>` counter is bumped and the failure is
-/// deterministic for any thread count.
-pub fn try_analyze_cuisine_observed(
-    db: &FlavorDb,
-    cuisine: &Cuisine<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    try_analyze_cuisine_view_observed(
-        FlavorViewRef::Owned(db),
-        &CuisineView::Owned(cuisine.clone()),
-        models,
-        cfg,
-        metrics,
-    )
-}
-
-/// [`analyze_cuisine`] over representation-agnostic views: pass
-/// `FlavorViewRef::Artifact` / `CuisineView::Artifact` to analyze a
-/// zero-copy CFDB2/CRDB2 artifact pair without materializing owned
-/// databases. Bit-identical to the owned analysis. Panics on stage
-/// failures; see [`try_analyze_cuisine_view_observed`].
-pub fn analyze_cuisine_view(
-    flavor: FlavorViewRef<'_>,
-    cuisine: &CuisineView<'_>,
+/// [`analyze_world_view`] under the same configuration.
+///
+/// # Panics
+/// Panics on stage failures; see [`try_analyze_cuisine_view_observed`].
+pub fn analyze_cuisine<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    cuisine: impl Into<CuisineView<'a>>,
     models: &[NullModel],
     cfg: &MonteCarloConfig,
 ) -> Option<CuisineAnalysis> {
@@ -204,27 +146,56 @@ pub fn region_overlap_cache(
             }
         }
     }
-    OverlapCache::try_build_view_observed(flavor, pool, n_threads, metrics)
+    OverlapCache::build(flavor, pool, n_threads, metrics)
 }
 
-/// The view-based cuisine analysis every cuisine entry point funnels
-/// through. On success the analysis and recorded metrics are
-/// bit-identical whether the views are owned or artifact-backed
-/// (artifact overlap sections additionally short-circuit the cache
-/// build; the resulting numbers are unchanged).
-pub fn try_analyze_cuisine_view_observed(
+/// A cuisine's null-model sampler, or `Ok(None)` when the cuisine has
+/// no pairing-bearing recipe. The sampler also answers `None` when a
+/// pool id is dead (removed from the flavor database, or missing from
+/// a mismatched artifact); that is a failure, reported exactly as the
+/// overlap-cache build over the same pool reports it (stage
+/// `overlap.pack`, the id's pool index), so offline and served
+/// analyses of the region fail alike.
+fn region_sampler(
     flavor: FlavorViewRef<'_>,
     cuisine: &CuisineView<'_>,
+    pool: &[IngredientId],
+    metrics: &Metrics,
+) -> Result<Option<CuisineSampler>, StageFailure> {
+    if let Some(sampler) = CuisineSampler::build(flavor, cuisine.clone()) {
+        return Ok(Some(sampler));
+    }
+    for (i, &id) in pool.iter().enumerate() {
+        if let Err(e) = flavor.profile_molecules(id) {
+            return Err(dead_pool_id(i, id, e).record(metrics));
+        }
+    }
+    Ok(None)
+}
+
+/// The cuisine engine behind [`analyze_cuisine`]. Stage failures (dead
+/// ingredient ids, degenerate ensembles, panicking Monte-Carlo blocks)
+/// bump `error.<stage>` and come back as a [`StageFailure`], identical
+/// for any thread count; `Ok(None)` means "no pairing-bearing recipes".
+///
+/// The nested overlap-cache build records the `overlap.*` instruments
+/// and each null-model run the `mc.*` and `pool.*` ones. The analysis
+/// depends neither on `metrics` nor on whether the views are owned or
+/// artifact-backed (artifact overlap sections only skip the build).
+pub fn try_analyze_cuisine_view_observed<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    cuisine: impl Into<CuisineView<'a>>,
     models: &[NullModel],
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    let Some(sampler) = CuisineSampler::build_view(flavor, cuisine) else {
+    let (flavor, cuisine) = (flavor.into(), cuisine.into());
+    let pool = cuisine.ingredient_set();
+    let Some(sampler) = region_sampler(flavor, &cuisine, &pool, metrics)? else {
         return Ok(None);
     };
-    let pool = cuisine.ingredient_set();
     let cache = region_overlap_cache(flavor, cuisine.region(), &pool, cfg.n_threads, metrics)?;
-    analyze_sampled(cuisine, &sampler, &cache, models, cfg, metrics)
+    analyze_sampled(&cuisine, &sampler, &cache, models, cfg, metrics)
 }
 
 /// [`try_analyze_cuisine_view_observed`] with a caller-supplied overlap
@@ -233,18 +204,19 @@ pub fn try_analyze_cuisine_view_observed(
 /// The cache must cover the cuisine's ingredient set (what
 /// [`region_overlap_cache`] builds); the analysis is then bit-identical
 /// to the cache-building path for the same `cfg`.
-pub fn try_analyze_cuisine_with_cache_observed(
-    flavor: FlavorViewRef<'_>,
-    cuisine: &CuisineView<'_>,
+pub fn try_analyze_cuisine_with_cache_observed<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    cuisine: impl Into<CuisineView<'a>>,
     cache: &OverlapCache,
     models: &[NullModel],
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    let Some(sampler) = CuisineSampler::build_view(flavor, cuisine) else {
+    let (flavor, cuisine) = (flavor.into(), cuisine.into());
+    let Some(sampler) = region_sampler(flavor, &cuisine, cache.pool(), metrics)? else {
         return Ok(None);
     };
-    analyze_sampled(cuisine, &sampler, cache, models, cfg, metrics)
+    analyze_sampled(&cuisine, &sampler, cache, models, cfg, metrics)
 }
 
 /// Shared tail of the cuisine analysis once a sampler and overlap
@@ -275,8 +247,8 @@ fn analyze_sampled(
     };
     let mut comparisons = Vec::with_capacity(models.len());
     for (mi, &model) in models.iter().enumerate() {
-        let null = try_run_null_model_observed(cache, sampler, model, &region_cfg, metrics)?
-            .ok_or_else(|| {
+        let null =
+            run_null_model(cache, sampler, model, &region_cfg, metrics)?.ok_or_else(|| {
                 StageFailure::error(
                     "mc.run",
                     mi,
@@ -310,7 +282,23 @@ struct PreparedRegion {
     seed: u64,
 }
 
-/// Analyze every populated region of a store (the full Fig 4 run).
+/// Analyze every populated region of a recipe collection (the full
+/// Fig 4 run). Owned (`&FlavorDb`, `&RecipeStore`) and artifact-backed
+/// views are accepted alike, with bit-identical results.
+///
+/// # Panics
+/// Panics on stage failures; see [`try_analyze_world_view_observed`].
+pub fn analyze_world_view<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    recipes: impl Into<RecipesViewRef<'a>>,
+    models: &[NullModel],
+    cfg: &MonteCarloConfig,
+) -> Vec<CuisineAnalysis> {
+    try_analyze_world_view_observed(flavor, recipes, models, cfg, &Metrics::disabled())
+        .unwrap_or_else(|failure| panic!("world analysis failed: {failure}"))
+}
+
+/// The world engine behind [`analyze_world_view`].
 ///
 /// All `(region, model, block)` Monte-Carlo work units go through one
 /// shared worker pool as a single flattened queue — there is no
@@ -319,16 +307,18 @@ struct PreparedRegion {
 /// in canonical task order and are merged per `(region, model)` in
 /// block order, keeping every number bit-identical for any thread
 /// count and equal to the per-region [`analyze_cuisine`] results.
-pub fn analyze_world(
-    db: &FlavorDb,
-    store: &RecipeStore,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Vec<CuisineAnalysis> {
-    analyze_world_observed(db, store, models, cfg, &Metrics::disabled())
-}
-
-/// [`analyze_world`] instrumented through `metrics`:
+/// Artifact flavor views with precomputed overlap sections skip the
+/// per-region cache builds (see [`OverlapCache::from_parts`]); all
+/// emitted numbers are bit-identical either way.
+///
+/// Failures in region preparation (a dead ingredient id fails at
+/// `overlap.pack`, as in the cuisine engine), the flattened
+/// Monte-Carlo queue (stage `world.block`, lowest task index wins), or
+/// the canonical merge become a structured [`StageFailure`]; the
+/// `error.<stage>` counter is bumped and the reported failure is
+/// identical for any thread count.
+///
+/// Instruments recorded through `metrics`:
 ///
 /// * spans `world.prepare` (samplers + overlap caches + observed
 ///   means; the nested cache builds record the `overlap.*`
@@ -340,86 +330,25 @@ pub fn analyze_world(
 ///   world run;
 /// * the shared `pool.*` instruments.
 ///
-/// Every analysis row is bit-identical to the unobserved driver.
-pub fn analyze_world_observed(
-    db: &FlavorDb,
-    store: &RecipeStore,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Vec<CuisineAnalysis> {
-    try_analyze_world_observed(db, store, models, cfg, metrics)
-        .unwrap_or_else(|failure| panic!("world analysis failed: {failure}"))
-}
-
-/// Fallible [`analyze_world`]: failures in region preparation, the
-/// flattened Monte-Carlo queue (stage `world.block`, lowest task index
-/// wins), or the canonical merge become a structured [`StageFailure`]
-/// instead of aborting the whole run with a panic.
-pub fn try_analyze_world(
-    db: &FlavorDb,
-    store: &RecipeStore,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Result<Vec<CuisineAnalysis>, StageFailure> {
-    try_analyze_world_observed(db, store, models, cfg, &Metrics::disabled())
-}
-
-/// Fallible [`analyze_world_observed`]. On success the rows and
-/// recorded metrics are bit-identical to the infallible driver; on
-/// failure the `error.<stage>` counter is bumped and the reported
-/// failure is identical for any thread count.
-pub fn try_analyze_world_observed(
-    db: &FlavorDb,
-    store: &RecipeStore,
+/// The rows do not depend on whether `metrics` is enabled.
+pub fn try_analyze_world_view_observed<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    recipes: impl Into<RecipesViewRef<'a>>,
     models: &[NullModel],
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Vec<CuisineAnalysis>, StageFailure> {
-    try_analyze_world_view_observed(
-        FlavorViewRef::Owned(db),
-        RecipesViewRef::Owned(store),
-        models,
-        cfg,
-        metrics,
-    )
-}
-
-/// [`analyze_world`] over representation-agnostic views — run the full
-/// Fig 4 driver straight off zero-copy CFDB2/CRDB2 buffers.
-/// Bit-identical to the owned driver for every thread count. Panics on
-/// stage failures; see [`try_analyze_world_view_observed`].
-pub fn analyze_world_view(
-    flavor: FlavorViewRef<'_>,
-    recipes: RecipesViewRef<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Vec<CuisineAnalysis> {
-    try_analyze_world_view_observed(flavor, recipes, models, cfg, &Metrics::disabled())
-        .unwrap_or_else(|failure| panic!("world analysis failed: {failure}"))
-}
-
-/// The view-based world driver every world entry point funnels
-/// through. Artifact flavor views with precomputed overlap sections
-/// skip the per-region cache builds (see [`OverlapCache::from_parts`]);
-/// all emitted numbers are bit-identical either way.
-pub fn try_analyze_world_view_observed(
-    flavor: FlavorViewRef<'_>,
-    recipes: RecipesViewRef<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Result<Vec<CuisineAnalysis>, StageFailure> {
+    let (flavor, recipes) = (flavor.into(), recipes.into());
     // Setup pass: samplers, overlap caches (internally parallel), and
     // observed means per populated region.
     let prepare_guard = metrics.span("world.prepare").enter();
     let mut prepared: Vec<PreparedRegion> = Vec::new();
     for region in recipes.regions() {
         let cuisine = recipes.cuisine(region);
-        let Some(sampler) = CuisineSampler::build_view(flavor, &cuisine) else {
+        let pool = cuisine.ingredient_set();
+        let Some(sampler) = region_sampler(flavor, &cuisine, &pool, metrics)? else {
             continue;
         };
-        let pool = cuisine.ingredient_set();
         let cache = region_overlap_cache(flavor, region, &pool, cfg.n_threads, metrics)?;
         let observed_mean = cache.mean_cuisine_score_view(&cuisine).ok_or_else(|| {
             StageFailure::error(
@@ -588,14 +517,14 @@ mod tests {
 
         let ita = analyze_cuisine(
             &world.flavor,
-            &world.recipes.cuisine(Region::Italy),
+            world.recipes.cuisine(Region::Italy),
             &models,
             &cfg,
         )
         .unwrap();
         let jpn = analyze_cuisine(
             &world.flavor,
-            &world.recipes.cuisine(Region::Japan),
+            world.recipes.cuisine(Region::Japan),
             &models,
             &cfg,
         )
@@ -618,7 +547,7 @@ mod tests {
         let models = [NullModel::Random, NullModel::Frequency];
         let ita = analyze_cuisine(
             &world.flavor,
-            &world.recipes.cuisine(Region::Italy),
+            world.recipes.cuisine(Region::Italy),
             &models,
             &cfg,
         )
@@ -639,7 +568,8 @@ mod tests {
             seed: 7,
             n_threads: 2,
         };
-        let analyses = analyze_world(&world.flavor, &world.recipes, &[NullModel::Random], &cfg);
+        let analyses =
+            analyze_world_view(&world.flavor, &world.recipes, &[NullModel::Random], &cfg);
         assert_eq!(analyses.len(), 22);
         for a in &analyses {
             assert!(a.observed_mean >= 0.0);
@@ -656,13 +586,13 @@ mod tests {
             seed: 99,
             n_threads: 1,
         };
-        let reference = analyze_world(&world.flavor, &world.recipes, &models, &base);
+        let reference = analyze_world_view(&world.flavor, &world.recipes, &models, &base);
         for threads in [2, 8] {
             let cfg = MonteCarloConfig {
                 n_threads: threads,
                 ..base
             };
-            let run = analyze_world(&world.flavor, &world.recipes, &models, &cfg);
+            let run = analyze_world_view(&world.flavor, &world.recipes, &models, &cfg);
             assert_eq!(run.len(), reference.len());
             for (a, b) in reference.iter().zip(&run) {
                 assert_eq!(a.region, b.region, "{threads} threads");
@@ -696,10 +626,13 @@ mod tests {
             seed: 13,
             n_threads: 2,
         };
-        let plain = analyze_world(&world.flavor, &world.recipes, &models, &cfg);
+        let run = |metrics: &Metrics| {
+            try_analyze_world_view_observed(&world.flavor, &world.recipes, &models, &cfg, metrics)
+                .expect("no faults")
+        };
+        let plain = run(&Metrics::disabled());
         let metrics = Metrics::enabled();
-        let observed =
-            analyze_world_observed(&world.flavor, &world.recipes, &models, &cfg, &metrics);
+        let observed = run(&metrics);
         assert_eq!(plain.len(), observed.len());
         for (a, b) in plain.iter().zip(&observed) {
             assert_eq!(a.region, b.region);
@@ -735,11 +668,11 @@ mod tests {
             seed: 5,
             n_threads: 2,
         };
-        let all = analyze_world(&world.flavor, &world.recipes, &models, &cfg);
+        let all = analyze_world_view(&world.flavor, &world.recipes, &models, &cfg);
         for row in all.iter().take(4) {
             let solo = analyze_cuisine(
                 &world.flavor,
-                &world.recipes.cuisine(row.region),
+                world.recipes.cuisine(row.region),
                 &models,
                 &cfg,
             )
@@ -766,9 +699,15 @@ mod tests {
             seed: 13,
             n_threads: 2,
         };
-        let plain = analyze_world(&world.flavor, &world.recipes, &models, &cfg);
-        let fallible =
-            try_analyze_world(&world.flavor, &world.recipes, &models, &cfg).expect("no faults");
+        let plain = analyze_world_view(&world.flavor, &world.recipes, &models, &cfg);
+        let fallible = try_analyze_world_view_observed(
+            &world.flavor,
+            &world.recipes,
+            &models,
+            &cfg,
+            &Metrics::disabled(),
+        )
+        .expect("no faults");
         assert_eq!(plain.len(), fallible.len());
         for (a, b) in plain.iter().zip(&fallible) {
             assert_eq!(a.region, b.region);
@@ -780,9 +719,15 @@ mod tests {
         }
         let cuisine = world.recipes.cuisine(Region::Italy);
         let solo = analyze_cuisine(&world.flavor, &cuisine, &models, &cfg).unwrap();
-        let solo_try = try_analyze_cuisine(&world.flavor, &cuisine, &models, &cfg)
-            .expect("no faults")
-            .expect("pairing-bearing cuisine");
+        let solo_try = try_analyze_cuisine_view_observed(
+            &world.flavor,
+            &cuisine,
+            &models,
+            &cfg,
+            &Metrics::disabled(),
+        )
+        .expect("no faults")
+        .expect("pairing-bearing cuisine");
         assert_eq!(
             solo.observed_mean.to_bits(),
             solo_try.observed_mean.to_bits()
@@ -790,6 +735,74 @@ mod tests {
         for (ca, cb) in solo.comparisons.iter().zip(&solo_try.comparisons) {
             assert_eq!(ca.null.mean.to_bits(), cb.null.mean.to_bits());
             assert_eq!(ca.z.map(f64::to_bits), cb.z.map(f64::to_bits));
+        }
+    }
+
+    #[test]
+    fn dead_ingredient_fails_the_region_instead_of_dropping_it() {
+        use culinaria_flavordb::{Category, FlavorDb, MoleculeId as M};
+        use culinaria_recipedb::{RecipeStore, Source};
+
+        let mut db = FlavorDb::new();
+        db.add_anonymous_molecules(4);
+        let [a, b, c] = [("a", 0), ("b", 1), ("c", 2)].map(|(name, m)| {
+            db.add_ingredient(name, Category::Herb, vec![M(m), M(m + 1)])
+                .unwrap()
+        });
+        // KOR's one recipe has a single ingredient, so KOR carries no
+        // pairing signal: no row and `Ok(None)`, not a failure.
+        let mut store = RecipeStore::new();
+        let recipes = [
+            (Region::Italy, vec![a, b, c]),
+            (Region::Italy, vec![a, b]),
+            (Region::Japan, vec![a, b]),
+            (Region::Korea, vec![a]),
+        ];
+        for (i, (region, ings)) in recipes.into_iter().enumerate() {
+            store
+                .add_recipe(&format!("r{i}"), region, Source::Synthetic, ings)
+                .unwrap();
+        }
+        let models = [NullModel::Random];
+        let cfg = MonteCarloConfig {
+            n_recipes: 300,
+            seed: 3,
+            n_threads: 1,
+        };
+        let korea = store.cuisine(Region::Korea);
+        let rows = analyze_world_view(&db, &store, &models, &cfg);
+        assert_eq!(
+            rows.iter().map(|r| r.region).collect::<Vec<_>>(),
+            [Region::Italy, Region::Japan]
+        );
+        assert!(analyze_cuisine(&db, &korea, &models, &cfg).is_none());
+
+        // Kill "c": ITA's pool is [a, b, c], so its overlap build fails
+        // at pool index 2. Both engines must report that, not drop ITA.
+        db.remove_ingredient("c").expect("c exists");
+        let italy = store.cuisine(Region::Italy);
+        let expected = OverlapCache::build(&db, &italy.ingredient_set(), 1, &Metrics::disabled())
+            .expect_err("dead id fails the pack stage");
+        assert_eq!((expected.stage, expected.index), ("overlap.pack", 2));
+        assert!(expected
+            .to_string()
+            .contains(&format!("ingredient id {} is not usable", c.index())));
+        for threads in [1, 2, 8] {
+            let cfg = MonteCarloConfig {
+                n_threads: threads,
+                ..cfg
+            };
+            let metrics = Metrics::enabled();
+            let solo = try_analyze_cuisine_view_observed(&db, &italy, &models, &cfg, &metrics)
+                .expect_err("dead id fails the cuisine");
+            assert_eq!(solo, expected, "{threads} threads");
+            let world = try_analyze_world_view_observed(&db, &store, &models, &cfg, &metrics)
+                .expect_err("dead id fails the world run");
+            assert_eq!(world, expected, "{threads} threads");
+            assert_eq!(metrics.snapshot().counter("error.overlap.pack"), Some(2));
+            // The live regions are unaffected.
+            assert!(analyze_cuisine(&db, store.cuisine(Region::Japan), &models, &cfg).is_some());
+            assert!(analyze_cuisine(&db, &korea, &models, &cfg).is_none());
         }
     }
 
@@ -803,7 +816,7 @@ mod tests {
             seed: 11,
             n_threads: 2,
         };
-        let all = analyze_world(&world.flavor, &world.recipes, &[NullModel::Random], &cfg);
+        let all = analyze_world_view(&world.flavor, &world.recipes, &[NullModel::Random], &cfg);
         let mut means: Vec<u64> = all
             .iter()
             .map(|a| a.comparisons[0].null.mean.to_bits())
@@ -825,7 +838,7 @@ mod tests {
             seed: 7,
             n_threads: 1,
         };
-        let analyses = analyze_world(
+        let analyses = analyze_world_view(
             &world.flavor,
             &world.recipes,
             &[NullModel::Random, NullModel::Frequency],

@@ -9,6 +9,7 @@ use culinaria_core::network::FlavorNetwork;
 use culinaria_core::taste::recipe_taste;
 use culinaria_flavordb::generator::{generate_flavor_db, GeneratorConfig};
 use culinaria_flavordb::IngredientId;
+use culinaria_obs::Metrics;
 use culinaria_recipedb::{RecipeStore, Region, Source};
 
 fn db(seed: u64) -> culinaria_flavordb::FlavorDb {
@@ -69,7 +70,7 @@ proptest! {
     fn network_handshake_invariants(seed in 0u64..200) {
         let d = db(seed);
         let pool: Vec<IngredientId> = d.ingredient_ids().collect();
-        let net = FlavorNetwork::build(&d, &pool);
+        let net = FlavorNetwork::build(&d, &pool, 0, &Metrics::disabled()).expect("live pool");
         // Handshake lemma: Σ degree = 2·|E|.
         let degree_sum: u64 = (0..net.n_nodes()).map(|i| u64::from(net.degree(i))).sum();
         prop_assert_eq!(degree_sum, 2 * net.n_edges() as u64);
@@ -92,7 +93,7 @@ proptest! {
         let fps: Vec<CuisineFingerprint> = store
             .regions()
             .into_iter()
-            .map(|r| CuisineFingerprint::of(&d, &store.cuisine(r)))
+            .map(|r| CuisineFingerprint::of(&d, &store.cuisine(r), 0))
             .collect();
         for a in &fps {
             prop_assert!((cosine_similarity(a, a) - 1.0).abs() < 1e-9);

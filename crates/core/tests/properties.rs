@@ -126,7 +126,7 @@ proptest! {
         let store = build_store(&recipes);
         let cuisine = store.cuisine(Region::Italy);
         let pairing = mean_cuisine_score(&db, &cuisine);
-        let ktuple = culinaria_core::ntuple::mean_cuisine_ktuple_score(&db, &cuisine, 2);
+        let ktuple = culinaria_core::ntuple::mean_cuisine_ktuple_score(&db, &cuisine, 2, 0);
         prop_assert_eq!(pairing.to_bits(), ktuple.to_bits());
     }
 

@@ -642,7 +642,7 @@ impl<'a> Server<'a> {
         };
         match try_analyze_cuisine_with_cache_observed(
             ep.flavor,
-            &cuisine,
+            cuisine,
             &shard.overlap,
             &NullModel::ALL,
             &cfg,

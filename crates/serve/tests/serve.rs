@@ -291,7 +291,7 @@ fn zprof_matches_offline_analyze_cuisine_bitwise() {
     let served = server.handle(9, &Request::ZProf { region });
     let offline = analyze_cuisine(
         &world.flavor,
-        &world.recipes.cuisine(region),
+        world.recipes.cuisine(region),
         &NullModel::ALL,
         &MonteCarloConfig {
             n_recipes: 400,
@@ -313,7 +313,7 @@ fn topk_matches_offline_novelty_enumeration() {
     // The offline reference: examples/novel_pairings.rs's enumeration.
     let cuisine = CuisineView::Owned(world.recipes.cuisine(region));
     let pool = cuisine.ingredient_set();
-    let cache = OverlapCache::for_cuisine(&world.flavor, &world.recipes.cuisine(region));
+    let cache = OverlapCache::for_cuisine(&world.flavor, world.recipes.cuisine(region));
     let tri_index = |n: usize, i: usize, j: usize| i * n - i * (i + 1) / 2 + (j - i - 1);
     let pos: std::collections::HashMap<IngredientId, usize> =
         pool.iter().enumerate().map(|(i, &id)| (id, i)).collect();
@@ -381,7 +381,7 @@ fn score_matches_offline_import_and_score() {
     let (ids, resolved) = culinaria_serve::resolve_score_lines(&importer, &world.flavor, &lines);
     assert!(ids.len() >= 2, "names must resolve against their own db");
     let score = recipe_pairing_score(&world.flavor, &ids);
-    let mean = OverlapCache::for_cuisine(&world.flavor, &world.recipes.cuisine(region))
+    let mean = OverlapCache::for_cuisine(&world.flavor, world.recipes.cuisine(region))
         .mean_cuisine_score_view(&cuisine)
         .expect("cuisine scores");
     let expected = format!(
@@ -487,7 +487,7 @@ fn artifact_backed_server_is_bit_identical_to_owned() {
     // Flavor artifact carrying the probe region's overlap section, so
     // the shard build takes the section-reuse fast path.
     let mut builder = FlavorArtifactBuilder::new(&world.flavor);
-    let cache = OverlapCache::for_cuisine(&world.flavor, &world.recipes.cuisine(region));
+    let cache = OverlapCache::for_cuisine(&world.flavor, world.recipes.cuisine(region));
     builder
         .add_overlap(region.code(), cache.pool(), cache.tri())
         .expect("section encodes");

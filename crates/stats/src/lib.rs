@@ -29,7 +29,7 @@
 //! * [`rng`] — deterministic seed derivation for parallel PRNG streams
 //! * [`pool`] — shared worker pool with a deterministic, statically
 //!   indexed task queue (results always in task order) and a fallible
-//!   [`pool::try_run`] entry point with panic isolation
+//!   [`pool::try_run_observed`] entry point with panic isolation
 //! * [`fault`] — deterministic fault-injection plans (probes are live
 //!   only under the `fault-injection` cargo feature)
 //! * [`tile`] — cache-blocking geometry for triangular pair sweeps

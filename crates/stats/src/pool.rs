@@ -21,7 +21,7 @@
 //!
 //! # Failure model
 //!
-//! [`try_run`] is the fallible entry point: tasks return
+//! [`try_run_observed`] is the fallible entry point: tasks return
 //! `Result<T, E>`, task bodies are wrapped in `catch_unwind`, and the
 //! first failure — error *or* panic — poisons the claim cursor so no
 //! new work starts. Tasks already in flight run to completion, every
@@ -29,16 +29,15 @@
 //! index** wins, so the reported [`TaskFailure`] is identical for any
 //! thread count (the same determinism contract the success path has).
 //! Result slots written before the failure are dropped correctly; no
-//! task result leaks. [`run`] delegates to [`try_run`] with infallible
-//! tasks, signatures untouched.
+//! task result leaks. [`run`] delegates to it with infallible tasks and
+//! a disabled [`PoolObs`].
 //!
 //! # Observability
 //!
-//! [`run_observed`] is [`run`] plus pool telemetry through a
-//! [`PoolObs`] handle (queue depth, per-worker claimed-task counts and
-//! busy time). Instrumentation never influences scheduling or results,
-//! and a disabled handle reduces every probe to one branch — [`run`]
-//! itself delegates to [`run_observed`] with a disabled handle.
+//! [`try_run_observed`] records pool telemetry through a [`PoolObs`]
+//! handle (queue depth, per-worker claimed-task counts and busy time).
+//! Instrumentation never influences scheduling or results, and a
+//! disabled handle reduces every probe to one branch.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -72,7 +71,7 @@ pub enum FailureKind<E> {
     Panicked(String),
 }
 
-/// The structured outcome of a failed [`try_run`]: which task index
+/// The structured outcome of a failed [`try_run_observed`]: which task index
 /// failed first (lowest index among all failures), and how.
 ///
 /// Determinism: the claim cursor is monotonic, so when the task at
@@ -239,42 +238,18 @@ impl PoolObs {
 /// always capped by `n_tasks`. With one effective thread the queue runs
 /// inline with no thread machinery at all.
 ///
-/// Delegates to [`try_run`] with infallible tasks: a panicking task
-/// still panics the caller (with the original message), after cleanly
-/// dropping every already-computed result.
+/// Delegates to [`try_run_observed`] with infallible tasks and a
+/// disabled [`PoolObs`]: a panicking task still panics the caller (with
+/// the original message), after cleanly dropping every already-computed
+/// result.
 pub fn run<S, T, Init, Task>(n_threads: usize, n_tasks: usize, init: Init, task: Task) -> Vec<T>
 where
     T: Send,
     Init: Fn() -> S + Sync,
     Task: Fn(&mut S, usize) -> T + Sync,
 {
-    run_observed(n_threads, n_tasks, &PoolObs::disabled(), init, task)
-}
-
-/// [`run`] with pool telemetry: queue depth and worker count are set at
-/// entry, and each worker records its claimed-task count and busy time
-/// when its claim loop drains. The task results are identical to
-/// [`run`]'s — telemetry observes the schedule, it never alters it.
-///
-/// Note the per-worker numbers describe *this run's actual schedule*,
-/// which legitimately varies with thread count and OS timing; only the
-/// task results carry the bit-identity contract.
-pub fn run_observed<S, T, Init, Task>(
-    n_threads: usize,
-    n_tasks: usize,
-    obs: &PoolObs,
-    init: Init,
-    task: Task,
-) -> Vec<T>
-where
-    T: Send,
-    Init: Fn() -> S + Sync,
-    Task: Fn(&mut S, usize) -> T + Sync,
-{
-    let result = try_run_observed(n_threads, n_tasks, obs, init, |state, i| {
-        Ok::<T, Infallible>(task(state, i))
-    });
-    match result {
+    let tasks = |state: &mut S, i| Ok::<T, Infallible>(task(state, i));
+    match try_run_observed(n_threads, n_tasks, &PoolObs::disabled(), init, tasks) {
         Ok(out) => out,
         Err(failure) => match failure.kind {
             FailureKind::Failed(e) => match e {},
@@ -285,30 +260,21 @@ where
     }
 }
 
-/// Fallible [`run`]: tasks return `Result<T, E>`, and the pool returns
-/// either every result in task order or the **lowest-index**
-/// [`TaskFailure`] (error or panic), identical for any thread count.
+/// Fallible [`run`] with pool telemetry: tasks return `Result<T, E>`,
+/// and the pool returns either every result in task order or the
+/// **lowest-index** [`TaskFailure`] (error or panic), identical for any
+/// thread count.
 ///
 /// On failure no new tasks are claimed (the cursor is poisoned),
 /// in-flight tasks finish, and every already-written result slot is
-/// dropped — nothing leaks, nothing aborts.
-pub fn try_run<S, T, E, Init, Task>(
-    n_threads: usize,
-    n_tasks: usize,
-    init: Init,
-    task: Task,
-) -> Result<Vec<T>, TaskFailure<E>>
-where
-    T: Send,
-    E: Send,
-    Init: Fn() -> S + Sync,
-    Task: Fn(&mut S, usize) -> Result<T, E> + Sync,
-{
-    try_run_observed(n_threads, n_tasks, &PoolObs::disabled(), init, task)
-}
-
-/// [`try_run`] with pool telemetry (see [`run_observed`]); a run that
-/// returns a failure additionally bumps the `pool.failures` counter.
+/// dropped — nothing leaks, nothing aborts; the run also bumps the
+/// `pool.failures` counter.
+///
+/// Queue depth and worker count are set at entry, and each worker
+/// records its claimed-task count and busy time when its claim loop
+/// drains. The per-worker numbers describe *this run's actual
+/// schedule*, which legitimately varies with thread count and OS
+/// timing; only the task results carry the bit-identity contract.
 pub fn try_run_observed<S, T, E, Init, Task>(
     n_threads: usize,
     n_tasks: usize,
@@ -525,7 +491,14 @@ mod tests {
         let metrics = Metrics::enabled();
         let obs = PoolObs::new(&metrics);
         for threads in [1, 2, 8] {
-            let observed = run_observed(threads, 50, &obs, || (), |_, i| i * 3);
+            let observed = try_run_observed(
+                threads,
+                50,
+                &obs,
+                || (),
+                |_, i| Ok::<usize, Infallible>(i * 3),
+            )
+            .expect("infallible tasks");
             let plain = run(threads, 50, || (), |_, i| i * 3);
             assert_eq!(observed, plain, "threads = {threads}");
         }
@@ -536,8 +509,16 @@ mod tests {
         let metrics = Metrics::enabled();
         let obs = PoolObs::new(&metrics);
         assert!(obs.is_enabled());
-        run_observed(4, 32, &obs, || (), |_, i| i);
-        run_observed(1, 5, &obs, || (), |_, i| i);
+        for (threads, n_tasks) in [(4, 32), (1, 5)] {
+            try_run_observed(
+                threads,
+                n_tasks,
+                &obs,
+                || (),
+                |_, i| Ok::<usize, Infallible>(i),
+            )
+            .expect("infallible tasks");
+        }
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("pool.runs"), Some(2));
         assert_eq!(snap.counter("pool.tasks"), Some(37));
@@ -557,15 +538,22 @@ mod tests {
     fn disabled_obs_records_nothing() {
         let obs = PoolObs::disabled();
         assert!(!obs.is_enabled());
-        let out = run_observed(3, 20, &obs, || (), |_, i| i + 1);
+        let out = try_run_observed(3, 20, &obs, || (), |_, i| Ok::<usize, Infallible>(i + 1))
+            .expect("infallible tasks");
         assert_eq!(out.len(), 20);
     }
 
     #[test]
     fn try_run_success_matches_run_across_thread_counts() {
         for threads in [1, 2, 8] {
-            let fallible = try_run(threads, 80, || (), |_, i| Ok::<usize, String>(i * 7))
-                .expect("no task fails");
+            let fallible = try_run_observed(
+                threads,
+                80,
+                &PoolObs::disabled(),
+                || (),
+                |_, i| Ok::<usize, String>(i * 7),
+            )
+            .expect("no task fails");
             let plain = run(threads, 80, || (), |_, i| i * 7);
             assert_eq!(fallible, plain, "threads = {threads}");
         }
@@ -574,9 +562,10 @@ mod tests {
     #[test]
     fn error_at_fixed_index_is_identical_across_thread_counts() {
         for threads in [1, 2, 8] {
-            let err = try_run(
+            let err = try_run_observed(
                 threads,
                 60,
+                &PoolObs::disabled(),
                 || (),
                 |_, i| {
                     if i == 23 {
@@ -602,9 +591,10 @@ mod tests {
     fn panic_at_fixed_index_is_identical_across_thread_counts() {
         quiet_panics();
         for threads in [1, 2, 8] {
-            let err = try_run(
+            let err = try_run_observed(
                 threads,
                 60,
+                &PoolObs::disabled(),
                 || (),
                 |_, i| {
                     if i == 17 {
@@ -631,9 +621,10 @@ mod tests {
         // Tasks 11, 29, and 43 all fail (29 by panic); the reported
         // failure must always be index 11 regardless of schedule.
         for threads in [1, 2, 8] {
-            let err = try_run(
+            let err = try_run_observed(
                 threads,
                 50,
+                &PoolObs::disabled(),
                 || (),
                 |_, i| match i {
                     11 | 43 => Err(format!("err {i}")),
@@ -668,9 +659,10 @@ mod tests {
         for threads in [1, 2, 8] {
             for fail_at in [0, 1, 37, 63] {
                 let alive = Arc::clone(&alive);
-                let result = try_run(
+                let result = try_run_observed(
                     threads,
                     64,
+                    &PoolObs::disabled(),
                     || (),
                     |_, i| {
                         if i == fail_at {
@@ -702,9 +694,10 @@ mod tests {
         quiet_panics();
         // Serial path: a failure at index 5 means no task after 5 runs.
         let touched = AtomicUsize::new(0);
-        let err = try_run(
+        let err = try_run_observed(
             1,
             100,
+            &PoolObs::disabled(),
             || (),
             |_, i| {
                 touched.fetch_add(1, Ordering::SeqCst);
@@ -722,9 +715,10 @@ mod tests {
         // tasks run after an index-0 failure (in-flight tasks may
         // finish, bounded by the worker count).
         let touched = AtomicUsize::new(0);
-        let err = try_run(
+        let err = try_run_observed(
             4,
             10_000,
+            &PoolObs::disabled(),
             || (),
             |_, i| {
                 touched.fetch_add(1, Ordering::SeqCst);

@@ -164,7 +164,7 @@ mod pool_failures {
 
     use proptest::prelude::*;
 
-    use culinaria_stats::pool::{try_run, FailureKind, TaskFailure};
+    use culinaria_stats::pool::{try_run_observed, FailureKind, PoolObs, TaskFailure};
 
     /// Silence the intentional "injected" panics raised inside worker
     /// threads; everything else still reaches the default hook.
@@ -208,9 +208,10 @@ mod pool_failures {
                         self.0.fetch_sub(1, Ordering::SeqCst);
                     }
                 }
-                let result = try_run(
+                let result = try_run_observed(
                     threads,
                     n_tasks,
+                    &PoolObs::disabled(),
                     || (),
                     |_, i| {
                         if fail.contains(&i) {

@@ -63,8 +63,7 @@ fn overlap_cache(flavor: FlavorViewRef<'_>, region: Region, pool: &[IngredientId
             println!("(reusing the artifact's {} overlap section)", region.code());
             OverlapCache::from_parts(pool, tri.to_vec()).expect("section triangle shape")
         }
-        _ => OverlapCache::try_build_view_observed(flavor, pool, 0, &Metrics::disabled())
-            .expect("usable pool"),
+        _ => OverlapCache::build(flavor, pool, 0, &Metrics::disabled()).expect("usable pool"),
     }
 }
 

@@ -14,15 +14,15 @@
 
 use std::path::Path;
 
-use culinaria::analysis::z_analysis::analyze_cuisine_view;
+use culinaria::analysis::z_analysis::analyze_cuisine;
 use culinaria::analysis::{CuisineView, FlavorViewRef, MonteCarloConfig, NullModel};
 use culinaria::datagen::{generate_world, WorldConfig};
 use culinaria::flavordb::{artifact as flavor_artifact, AlignedBytes};
 use culinaria::recipedb::{artifact as recipe_artifact, Region};
 
-fn report(flavor: FlavorViewRef<'_>, cuisine: &CuisineView<'_>, mc: &MonteCarloConfig) {
+fn report(flavor: FlavorViewRef<'_>, cuisine: CuisineView<'_>, mc: &MonteCarloConfig) {
     let region = cuisine.region();
-    let analysis = analyze_cuisine_view(
+    let analysis = analyze_cuisine(
         flavor,
         cuisine,
         &[NullModel::Random, NullModel::Frequency],
@@ -75,8 +75,11 @@ fn main() {
                     flavor.n_ingredients()
                 );
                 for region in regions {
-                    let cuisine = CuisineView::from(recipes.cuisine(region));
-                    report(FlavorViewRef::Artifact(&flavor), &cuisine, &mc);
+                    report(
+                        FlavorViewRef::Artifact(&flavor),
+                        recipes.cuisine(region).into(),
+                        &mc,
+                    );
                 }
                 return;
             }
@@ -98,7 +101,10 @@ fn main() {
         world.flavor.n_ingredients()
     );
     for region in regions {
-        let cuisine = CuisineView::from(world.recipes.cuisine(region));
-        report(FlavorViewRef::Owned(&world.flavor), &cuisine, &mc);
+        report(
+            FlavorViewRef::Owned(&world.flavor),
+            world.recipes.cuisine(region).into(),
+            &mc,
+        );
     }
 }

@@ -25,8 +25,9 @@
 //! `ingest` and `replay` work on one durable log, the segmented WAL
 //! directory named by `--wal`.
 //!
-//! A flag value that does not parse is a usage error: the command
-//! exits 2 and names the flag before it touches any data.
+//! A flag the subcommand does not accept, or a flag value that does not
+//! parse, is a usage error: the command exits 2 and names the flag
+//! before it touches any data.
 //! `--metrics` renders the observability registry (spans, counters,
 //! histograms — see `culinaria-obs`) to stderr when the command
 //! finishes; `--metrics=json` renders it as one JSON object instead.
@@ -38,7 +39,7 @@ use culinaria::analysis::contribution::top_contributors;
 use culinaria::analysis::generation::{Objective, RecipeGenerator};
 use culinaria::analysis::pairing::OverlapCache;
 use culinaria::analysis::z_analysis::{
-    analyses_to_frame, try_analyze_cuisine_observed, try_analyze_world_observed,
+    analyses_to_frame, try_analyze_cuisine_view_observed, try_analyze_world_view_observed,
 };
 use culinaria::analysis::{FlavorViewRef, RecipesViewRef};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
@@ -259,6 +260,51 @@ fn wal_dir(args: &Args) -> Result<&str, String> {
     }
 }
 
+/// The flags each subcommand accepts, including the ones its shared
+/// helpers read (`build_world`: `scale`, `seed`; `mc_config`: `mc`,
+/// `seed`; `Args::metrics`: `metrics`). [`run`] rejects any other flag
+/// before dispatch, so a typo such as `--tpo` fails instead of being
+/// silently ignored.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("regions", ""),
+    ("generate", "out scale seed"),
+    ("analyze", "mc seed metrics scale"),
+    ("import", "threads metrics"),
+    ("ingest", "wal fsync segment-bytes threads"),
+    ("replay", "wal threads prefix mc seed metrics analyze"),
+    ("report", "mc seed metrics scale"),
+    ("suggest", "size contrast uniform scale seed"),
+    ("pairings", "top scale seed"),
+    (
+        "serve",
+        "stdio socket data threads batch cache-entries max-queue mc seed once metrics \
+         read-timeout write-timeout idle-timeout max-conns force-bind",
+    ),
+];
+
+/// Reject a flag `command` does not accept (unknown commands pass;
+/// [`run`] answers them with the usage text).
+fn check_flags(command: &str, args: &Args) -> Result<(), String> {
+    let Some(&(_, accepted)) = COMMAND_FLAGS.iter().find(|(c, _)| *c == command) else {
+        return Ok(());
+    };
+    let accepted: Vec<&str> = accepted.split_whitespace().collect();
+    // The smallest name, so the flag named is deterministic when
+    // several are off.
+    let unknown = args
+        .flags
+        .keys()
+        .filter(|f| !accepted.contains(&f.as_str()));
+    match unknown.min() {
+        None => Ok(()),
+        Some(flag) if accepted.is_empty() => Err(format!("--{flag}: takes no flags")),
+        Some(flag) => Err(format!(
+            "--{flag}: unknown flag (accepted: --{})",
+            accepted.join(", --")
+        )),
+    }
+}
+
 /// Report a runtime failure and exit 1; usage errors are `Err` (exit 2).
 fn fail(msg: impl std::fmt::Display) -> Result<ExitCode, String> {
     eprintln!("{msg}");
@@ -302,6 +348,7 @@ fn main() -> ExitCode {
 /// Run one subcommand. `Err` is a usage error (exit 2); a runtime
 /// failure is reported where it happens and returns exit code 1.
 fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
+    check_flags(command, args)?;
     match command {
         "regions" => {
             println!(
@@ -336,8 +383,7 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             // the region's pool again.
             let mut flavor = FlavorArtifactBuilder::new(&world.flavor);
             for region in world.recipes.regions() {
-                let cache =
-                    OverlapCache::for_cuisine(&world.flavor, &world.recipes.cuisine(region));
+                let cache = OverlapCache::for_cuisine(&world.flavor, world.recipes.cuisine(region));
                 if let Err(e) = flavor.add_overlap(region.code(), cache.pool(), cache.tri()) {
                     return fail(format!("cannot attach {region} overlap section: {e}"));
                 }
@@ -371,7 +417,7 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let mc = mc_config(args, 20_000)?;
             let sink = args.metrics()?;
             let world = build_world(args)?;
-            let analyses = match try_analyze_world_observed(
+            let analyses = match try_analyze_world_view_observed(
                 &world.flavor,
                 &world.recipes,
                 &NullModel::ALL,
@@ -518,6 +564,11 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
                 .transpose()?;
             let mc = mc_config(args, 2000)?;
             let sink = args.metrics()?;
+            // Opening a log creates a missing directory; replay must
+            // not, so a mistyped path fails instead of replaying 0/0.
+            if !std::path::Path::new(dir).is_dir() {
+                return fail(format!("{dir}: no wal directory to replay"));
+            }
             let db = culinaria::flavordb::curated::curated_db();
             let importer = Importer::from_flavor_db(&db);
             // Fsync off: replay only reads (recovery may still
@@ -541,7 +592,7 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
                 stats.lines_unresolved
             );
             if args.flags.contains_key("analyze") {
-                let analyses = match try_analyze_world_observed(
+                let analyses = match try_analyze_world_view_observed(
                     &db,
                     &store,
                     &NullModel::ALL,
@@ -572,7 +623,7 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let sink = args.metrics()?;
             let world = build_world(args)?;
             let cuisine = world.recipes.cuisine(region);
-            let analysis = match try_analyze_cuisine_observed(
+            let analysis = match try_analyze_cuisine_view_observed(
                 &world.flavor,
                 &cuisine,
                 &NullModel::ALL,
@@ -1103,6 +1154,31 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_are_rejected_per_command() {
+        let check = |command: &str, raw: &[&str]| check_flags(command, &parse(raw));
+        assert_eq!(
+            check("pairings", &["ITA", "--top", "3", "--scale", "0.1"]),
+            Ok(())
+        );
+        let err = check("pairings", &["ITA", "--tpo", "3"]).unwrap_err();
+        assert!(
+            err.starts_with("--tpo: unknown flag") && err.contains("--top"),
+            "{err}"
+        );
+        let err = check("regions", &["--bogus", "1"]).unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+        // The first unknown flag in name order is the one reported.
+        let err = check("analyze", &["--zeta", "--alpha"]).unwrap_err();
+        assert!(err.starts_with("--alpha"), "{err}");
+        // Unknown commands are left to the usage text.
+        assert_eq!(check("frobnicate", &["--anything"]), Ok(()));
+        // Every flag serve reads is on its list.
+        let hardening = "--stdio --read-timeout 1 --write-timeout 1 --idle-timeout 1 --max-conns 1";
+        let raw: Vec<&str> = hardening.split(' ').chain(["--force-bind"]).collect();
+        assert_eq!(check("serve", &raw), Ok(()));
+    }
+
+    #[test]
     fn serve_options_accept_a_full_flag_set() {
         let args = parse(&[
             "--socket",
@@ -1124,6 +1200,7 @@ mod tests {
             "--once",
             "--metrics=json",
         ]);
+        assert_eq!(check_flags("serve", &args), Ok(()));
         let opts = ServeOptions::from_args(&args).expect("valid flags");
         assert_eq!(opts.data_dir, "d");
         assert!(

@@ -114,6 +114,12 @@ fn every_command_rejects_malformed_flags_before_touching_data() {
             &["replay", "--wal", untouched, "--prefix", "1O"][..],
             "--prefix",
         ),
+        // Unknown flags are rejected too, not silently ignored.
+        (
+            &["replay", "--wal", untouched, "--prefx", "1"][..],
+            "--prefx",
+        ),
+        (&["pairings", "ITA", "--tpo", "3"][..], "--tpo"),
         (&["analyze", "--mc", "2OO"][..], "--mc"),
         (
             &["generate", "--scale", "x", "--out", untouched][..],
@@ -161,6 +167,8 @@ fn serve_rejects_malformed_flags_before_touching_data() {
             &["serve", "--stdio", "--socket", "/tmp/x.sock"][..],
             "mutually exclusive",
         ),
+        // Serve holds no log: `--wal` is an unknown flag here.
+        (&["serve", "--stdio", "--wal", "w"][..], "--wal"),
     ] {
         let (ok, _, stderr) = run(args);
         assert!(!ok, "args {args:?} should be rejected");
@@ -169,6 +177,19 @@ fn serve_rejects_malformed_flags_before_touching_data() {
             "args {args:?}: stderr {stderr:?} does not name {needle:?}"
         );
     }
+}
+
+#[test]
+fn replay_refuses_a_missing_wal_directory() {
+    let dir = std::env::temp_dir().join(format!("culinaria-nowal-{}", std::process::id()));
+    let missing = dir.to_str().expect("utf-8 temp path");
+    let (ok, stdout, stderr) = run(&["replay", "--wal", missing]);
+    assert!(!ok, "replay of a missing log succeeded: {stdout}");
+    assert!(
+        stderr.contains(missing),
+        "stderr {stderr:?} does not name {missing}"
+    );
+    assert!(!dir.exists(), "replay created {missing}");
 }
 
 #[test]

@@ -8,8 +8,9 @@
 //!
 //! 1. **Determinism**: an injected fault yields the same structured
 //!    error (lowest failing index wins) for 1, 2 and 8 worker threads.
-//! 2. **Transparency**: with an empty fault plan every `try_*` path is
-//!    bit-identical to its infallible sibling.
+//! 2. **Transparency**: with an empty fault plan every stage matches an
+//!    independent reference (sorted-merge overlaps, non-zero cells as
+//!    network edges, single-cuisine runs for the flattened world queue).
 //!
 //! `fault::with_plan` serializes plan installation behind a global
 //! lock, so these tests are safe under the default parallel test
@@ -17,13 +18,13 @@
 
 #![cfg(feature = "fault-injection")]
 
-use culinaria::analysis::monte_carlo::{
-    run_null_model, try_run_null_model, try_run_null_model_observed,
-};
+use culinaria::analysis::monte_carlo::run_null_model;
 use culinaria::analysis::network::FlavorNetwork;
-use culinaria::analysis::ntuple::{ktuple_null_ensemble, try_ktuple_null_ensemble, KTupleScorer};
+use culinaria::analysis::ntuple::{ktuple_null_ensemble, KTupleScorer};
 use culinaria::analysis::null_models::CuisineSampler;
-use culinaria::analysis::z_analysis::{analyze_world, try_analyze_cuisine, try_analyze_world};
+use culinaria::analysis::z_analysis::{
+    analyze_cuisine, try_analyze_cuisine_view_observed, try_analyze_world_view_observed,
+};
 use culinaria::analysis::{FailureCause, MonteCarloConfig, NullModel, OverlapCache, StageFailure};
 use culinaria::datagen::{generate_world, World, WorldConfig};
 use culinaria::obs::Metrics;
@@ -64,31 +65,44 @@ fn empty_plan_leaves_every_stage_bit_identical() {
     let world = tiny_world();
     let pool: Vec<_> = world.flavor.ingredient_ids().collect();
     let models = [NullModel::Random, NullModel::Frequency];
+    let off = Metrics::disabled();
 
     fault::with_plan(FaultPlan::new(), || {
         // An empty plan keeps the probe fast path inactive.
         assert!(!fault::active());
-        let plain_cache = OverlapCache::build(&world.flavor, &pool);
-        let try_cache = OverlapCache::try_build(&world.flavor, &pool).unwrap();
-        assert_eq!(plain_cache.len(), try_cache.len());
-        for i in 0..plain_cache.len() as u32 {
-            for j in 0..plain_cache.len() as u32 {
-                assert_eq!(plain_cache.overlap(i, j), try_cache.overlap(i, j));
+        // Overlap cells against the sorted-merge intersection.
+        let cache = OverlapCache::build(&world.flavor, &pool, 2, &off).unwrap();
+        let profile = |id| &world.flavor.ingredient(id).unwrap().profile;
+        let mut nonzero = 0;
+        for (i, &a) in pool.iter().enumerate() {
+            for (j, &b) in pool.iter().enumerate().skip(i + 1) {
+                let cell = cache.overlap(i as u32, j as u32);
+                assert_eq!(cell as usize, profile(a).shared_count(profile(b)));
+                nonzero += usize::from(cell > 0);
             }
         }
 
-        let plain_net = FlavorNetwork::build(&world.flavor, &pool);
-        let try_net = FlavorNetwork::try_build(&world.flavor, &pool).unwrap();
-        assert_eq!(plain_net.n_edges(), try_net.n_edges());
+        // Network edges are exactly the non-zero cells.
+        let net = FlavorNetwork::build(&world.flavor, &pool, 2, &off).unwrap();
+        assert_eq!(net.n_edges(), nonzero);
 
-        let plain = analyze_world(&world.flavor, &world.recipes, &models, &mc_cfg(2));
-        let tried = try_analyze_world(&world.flavor, &world.recipes, &models, &mc_cfg(2)).unwrap();
-        assert_eq!(plain.len(), tried.len());
-        for (a, b) in plain.iter().zip(&tried) {
-            assert_eq!(a.region, b.region);
-            assert_eq!(a.observed_mean.to_bits(), b.observed_mean.to_bits());
-            for (x, y) in a.comparisons.iter().zip(&b.comparisons) {
-                assert_eq!(x.null, y.null, "{} ensembles diverged", a.region.code());
+        // World rows against single-cuisine runs, which bypass the
+        // flattened queue.
+        let rows = try_analyze_world_view_observed(
+            &world.flavor,
+            &world.recipes,
+            &models,
+            &mc_cfg(2),
+            &off,
+        )
+        .unwrap();
+        assert_eq!(rows.len(), world.recipes.regions().len());
+        for row in &rows {
+            let cuisine = world.recipes.cuisine(row.region);
+            let solo = analyze_cuisine(&world.flavor, &cuisine, &models, &mc_cfg(2)).unwrap();
+            assert_eq!(row.observed_mean.to_bits(), solo.observed_mean.to_bits());
+            for (x, y) in row.comparisons.iter().zip(&solo.comparisons) {
+                assert_eq!(x.null, y.null, "{} ensembles diverged", row.region.code());
             }
         }
     });
@@ -102,7 +116,7 @@ fn overlap_pack_error_is_deterministic() {
     assert!(pool.len() > 2);
     for threads in THREAD_COUNTS {
         let failure = fault::with_plan(plan("overlap.pack", 1, FaultKind::Error), || {
-            OverlapCache::try_build_with_threads(&world.flavor, &pool, threads).unwrap_err()
+            OverlapCache::build(&world.flavor, &pool, threads, &Metrics::disabled()).unwrap_err()
         });
         assert_eq!(
             failure,
@@ -121,7 +135,8 @@ fn overlap_tile_faults_are_deterministic_across_threads() {
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
             let failure = fault::with_plan(plan("overlap.tile", 3, kind), || {
-                OverlapCache::try_build_with_threads(&world.flavor, &pool, threads).unwrap_err()
+                OverlapCache::build(&world.flavor, &pool, threads, &Metrics::disabled())
+                    .unwrap_err()
             });
             assert_eq!(failure.stage, "overlap.tile");
             assert_eq!(failure.index, 3);
@@ -145,7 +160,7 @@ fn lowest_failing_index_wins_in_the_pool_stage() {
         .fail("overlap.tile", 9, FaultKind::Error);
     for threads in THREAD_COUNTS {
         let failure = fault::with_plan(mixed.clone(), || {
-            OverlapCache::try_build_with_threads(&world.flavor, &pool, threads).unwrap_err()
+            OverlapCache::build(&world.flavor, &pool, threads, &Metrics::disabled()).unwrap_err()
         });
         assert_eq!(
             failure,
@@ -161,11 +176,12 @@ fn mc_block_faults_are_deterministic_across_threads() {
     let world = tiny_world();
     let cuisine = world.recipes.cuisine(Region::Italy);
     let sampler = CuisineSampler::build(&world.flavor, &cuisine).unwrap();
-    let cache = OverlapCache::build(&world.flavor, &cuisine.ingredient_set());
+    let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
+    let off = Metrics::disabled();
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
             let failure = fault::with_plan(plan("mc.block", 2, kind), || {
-                try_run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(threads))
+                run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(threads), &off)
                     .unwrap_err()
             });
             assert_eq!(failure.stage, "mc.block");
@@ -178,7 +194,8 @@ fn mc_block_faults_are_deterministic_across_threads() {
         }
     }
     // Sanity: the same configuration without a plan still runs.
-    assert!(run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(2)).is_some());
+    let clean = run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(2), &off);
+    assert!(clean.unwrap().is_some());
 }
 
 #[test]
@@ -188,11 +205,19 @@ fn ktuple_block_faults_are_deterministic_across_threads() {
     let cuisine = world.recipes.cuisine(Region::Italy);
     let sampler = CuisineSampler::build(&world.flavor, &cuisine).unwrap();
     let scorer = KTupleScorer::for_cuisine(&world.flavor, &cuisine, 3);
+    let run = |threads| {
+        ktuple_null_ensemble(
+            &scorer,
+            &sampler,
+            NullModel::Random,
+            &mc_cfg(threads),
+            &Metrics::disabled(),
+        )
+    };
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
             let failure = fault::with_plan(plan("mc.ktuple.block", 1, kind), || {
-                try_ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &mc_cfg(threads))
-                    .unwrap_err()
+                run(threads).unwrap_err()
             });
             assert_eq!(failure.stage, "mc.ktuple.block");
             assert_eq!(failure.index, 1);
@@ -200,13 +225,8 @@ fn ktuple_block_faults_are_deterministic_across_threads() {
         }
     }
     // Transparent when no fault matches the stage.
-    let clean = fault::with_plan(plan("unrelated.stage", 0, FaultKind::Error), || {
-        try_ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &mc_cfg(2)).unwrap()
-    });
-    assert_eq!(
-        clean,
-        ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &mc_cfg(2))
-    );
+    let clean = fault::with_plan(plan("unrelated.stage", 0, FaultKind::Error), || run(2));
+    assert_eq!(clean, run(2));
 }
 
 #[test]
@@ -217,7 +237,8 @@ fn network_row_faults_are_deterministic_across_threads() {
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
             let failure = fault::with_plan(plan("network.row", 2, kind), || {
-                FlavorNetwork::try_build_with_threads(&world.flavor, &pool, threads).unwrap_err()
+                FlavorNetwork::build(&world.flavor, &pool, threads, &Metrics::disabled())
+                    .unwrap_err()
             });
             assert_eq!(failure.stage, "network.row");
             assert_eq!(failure.index, 2);
@@ -234,8 +255,14 @@ fn world_block_faults_are_deterministic_across_threads() {
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
             let failure = fault::with_plan(plan("world.block", 0, kind), || {
-                try_analyze_world(&world.flavor, &world.recipes, &models, &mc_cfg(threads))
-                    .unwrap_err()
+                try_analyze_world_view_observed(
+                    &world.flavor,
+                    &world.recipes,
+                    &models,
+                    &mc_cfg(threads),
+                    &Metrics::disabled(),
+                )
+                .unwrap_err()
             });
             assert_eq!(failure.stage, "world.block");
             assert_eq!(failure.index, 0);
@@ -249,7 +276,14 @@ fn cuisine_analysis_propagates_nested_stage_failures() {
     let world = tiny_world();
     let cuisine = world.recipes.cuisine(Region::Italy);
     let failure = fault::with_plan(plan("overlap.tile", 1, FaultKind::Error), || {
-        try_analyze_cuisine(&world.flavor, &cuisine, &[NullModel::Random], &mc_cfg(2)).unwrap_err()
+        try_analyze_cuisine_view_observed(
+            &world.flavor,
+            &cuisine,
+            &[NullModel::Random],
+            &mc_cfg(2),
+            &Metrics::disabled(),
+        )
+        .unwrap_err()
     });
     assert_eq!(failure.stage, "overlap.tile");
     assert_eq!(failure.index, 1);
@@ -260,12 +294,11 @@ fn engine_failures_bump_error_counters() {
     let world = tiny_world();
     let cuisine = world.recipes.cuisine(Region::Italy);
     let sampler = CuisineSampler::build(&world.flavor, &cuisine).unwrap();
-    let cache = OverlapCache::build(&world.flavor, &cuisine.ingredient_set());
+    let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
     let metrics = Metrics::enabled();
     fault::with_plan(plan("mc.block", 0, FaultKind::Error), || {
         let failure =
-            try_run_null_model_observed(&cache, &sampler, NullModel::Random, &mc_cfg(2), &metrics)
-                .unwrap_err();
+            run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(2), &metrics).unwrap_err();
         assert_eq!(failure.stage, "mc.block");
     });
     let snap = metrics.snapshot();
@@ -408,7 +441,7 @@ fn seeded_plans_are_reproducible() {
     let pool: Vec<_> = world.flavor.ingredient_ids().collect();
     let run = || {
         fault::with_plan(FaultPlan::seeded(42, &["overlap.tile"], 4, 2), || {
-            OverlapCache::try_build_with_threads(&world.flavor, &pool, 4).map(|cache| cache.len())
+            OverlapCache::build(&world.flavor, &pool, 4, &Metrics::disabled()).map(|c| c.len())
         })
     };
     assert_eq!(run(), run());

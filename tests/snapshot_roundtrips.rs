@@ -8,9 +8,7 @@
 use proptest::prelude::*;
 
 use culinaria::analysis::z_analysis::analyze_world_view;
-use culinaria::analysis::{
-    analyze_world, FlavorViewRef, MonteCarloConfig, NullModel, RecipesViewRef,
-};
+use culinaria::analysis::{FlavorViewRef, MonteCarloConfig, NullModel, RecipesViewRef};
 use culinaria::datagen::{generate_world, World, WorldConfig};
 use culinaria::flavordb::{
     artifact as flavor_artifact, AlignedBytes, ArtifactError, FlavorArtifactBuilder,
@@ -166,7 +164,7 @@ fn borrowed_world_analysis_is_bit_identical_across_thread_counts() {
             seed: 7,
             n_threads: threads,
         };
-        let owned = analyze_world(&world.flavor, &world.recipes, &NullModel::ALL, &cfg);
+        let owned = analyze_world_view(&world.flavor, &world.recipes, &NullModel::ALL, &cfg);
         let borrowed = analyze_world_view(
             FlavorViewRef::Artifact(&fview),
             RecipesViewRef::Artifact(&rview),

@@ -11,7 +11,7 @@
 
 use std::sync::OnceLock;
 
-use culinaria::analysis::z_analysis::{analyses_to_frame, analyze_world};
+use culinaria::analysis::z_analysis::{analyses_to_frame, analyze_world_view};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
 use culinaria::flavordb::curated::curated_db;
 use culinaria::flavordb::FlavorDb;
@@ -147,13 +147,13 @@ fn z_scores_after_replay_match_cold_batch_at_every_thread_count() {
         importer
             .import_batch(db, &mut cold, &raws[..n], 1)
             .expect("cold import");
-        let reference = analyze_world(db, &cold, &NullModel::ALL, &mc(1));
+        let reference = analyze_world_view(db, &cold, &NullModel::ALL, &mc(1));
         let reference_table = analyses_to_frame(&reference).to_table_string(22);
         for threads in THREAD_COUNTS {
             let (store, _) = log
                 .replay_prefix(db, importer, n, threads)
                 .expect("prefix replays");
-            let analyses = analyze_world(db, &store, &NullModel::ALL, &mc(threads));
+            let analyses = analyze_world_view(db, &store, &NullModel::ALL, &mc(threads));
             assert_eq!(analyses.len(), reference.len(), "prefix {n}");
             for (a, b) in analyses.iter().zip(&reference) {
                 assert_eq!(a.region, b.region);

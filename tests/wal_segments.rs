@@ -14,7 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-use culinaria::analysis::z_analysis::{analyses_to_frame, analyze_world};
+use culinaria::analysis::z_analysis::{analyses_to_frame, analyze_world_view};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
 use culinaria::flavordb::curated::curated_db;
 use culinaria::flavordb::FlavorDb;
@@ -309,11 +309,11 @@ fn fig4_z_profile_is_bit_identical_after_crash_recovery() {
     importer
         .import_batch(db, &mut cold, &raws[..n], 1)
         .expect("cold import");
-    let reference = analyze_world(db, &cold, &NullModel::ALL, &mc(1));
+    let reference = analyze_world_view(db, &cold, &NullModel::ALL, &mc(1));
     let reference_table = analyses_to_frame(&reference).to_table_string(22);
     for threads in THREAD_COUNTS {
         let (store, _) = log.replay(db, importer, threads).expect("replay");
-        let analyses = analyze_world(db, &store, &NullModel::ALL, &mc(threads));
+        let analyses = analyze_world_view(db, &store, &NullModel::ALL, &mc(threads));
         for (a, b) in analyses.iter().zip(&reference) {
             assert_eq!(a.region, b.region);
             assert_eq!(

@@ -5,7 +5,7 @@
 use culinaria::analysis::composition::category_shares;
 use culinaria::analysis::popularity::world_popularity_profiles;
 use culinaria::analysis::size_dist::world_size_histogram;
-use culinaria::analysis::z_analysis::analyze_world;
+use culinaria::analysis::z_analysis::analyze_world_view;
 use culinaria::analysis::{MonteCarloConfig, NullModel};
 use culinaria::datagen::{generate_world, WorldConfig};
 use culinaria::flavordb::Category;
@@ -21,7 +21,7 @@ fn test_world() -> culinaria::datagen::World {
 #[test]
 fn fig4_shape_holds_at_test_scale() {
     let world = test_world();
-    let analyses = analyze_world(
+    let analyses = analyze_world_view(
         &world.flavor,
         &world.recipes,
         &[NullModel::Random, NullModel::Frequency, NullModel::Category],
