@@ -1,7 +1,9 @@
 //! End-to-end benchmark of the Fig 4 world pipeline (`analyze_world_view`)
 //! plus its two optimized building blocks: the bitset overlap-cache
 //! build (vs the seed's sorted-merge sweep) and allocation-free recipe
-//! sampling (`generate_into` vs the allocating `generate`).
+//! sampling (`generate_into` vs the allocating `generate`). It also
+//! times `generate_world` itself, the set-up cost every run pays first,
+//! so a generator change gets a quick local A/B.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -17,6 +19,16 @@ use culinaria_obs::Metrics;
 use culinaria_recipedb::Region;
 
 fn bench_world_analysis(c: &mut Criterion) {
+    let mut group = c.benchmark_group("generate_world");
+    group.sample_size(10);
+    for (name, cfg) in [
+        ("tiny", WorldConfig::tiny()),
+        ("small", WorldConfig::small()),
+    ] {
+        group.bench_function(name, |b| b.iter(|| black_box(generate_world(&cfg))));
+    }
+    group.finish();
+
     let tiny = generate_world(&WorldConfig::tiny());
 
     // The whole Fig 4 pipeline: 22 regions x 4 models, flattened onto

@@ -23,6 +23,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use culinaria_bench::env_or;
 use culinaria_flavordb::curated::curated_db;
 use culinaria_flavordb::FlavorDb;
 use culinaria_recipedb::import::{Importer, RawRecipe};
@@ -30,13 +31,6 @@ use culinaria_recipedb::{RecipeStore, Region, Source};
 use culinaria_stats::pool;
 use culinaria_text::alias::{AliasResolver, ResolveScratch};
 use culinaria_text::legacy::LegacyAliasResolver;
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Naive pluralizer for corpus synthesis (the resolver's singularizer
 /// must undo these, which is part of what's being exercised).

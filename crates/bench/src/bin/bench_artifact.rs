@@ -21,7 +21,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use culinaria_bench::world_from_env;
+use culinaria_bench::{env_or, world_from_env};
 use culinaria_core::{
     analyze_world_view, CuisineAnalysis, CuisineView, FlavorViewRef, MonteCarloConfig, NullModel,
     OverlapCache, RecipesViewRef,
@@ -29,13 +29,6 @@ use culinaria_core::{
 use culinaria_flavordb::{artifact as flavor_artifact, AlignedBytes, FlavorArtifactBuilder};
 use culinaria_obs::Metrics;
 use culinaria_recipedb::{artifact as recipe_artifact, RecipeArtifactBuilder};
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Timed repeats per path; the min is reported.
 const TIME_REPS: usize = 5;

@@ -23,6 +23,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use culinaria_bench::env_or;
 use culinaria_core::monte_carlo::MonteCarloConfig;
 use culinaria_core::null_models::{CuisineSampler, NullModel};
 use culinaria_core::pairing::OverlapCache;
@@ -34,13 +35,6 @@ use culinaria_recipedb::{Cuisine, RecipeStore};
 use culinaria_stats::pool;
 use culinaria_stats::rng::{derive_seed, derive_seed_labeled};
 use culinaria_stats::{NullEnsemble, RunningStats};
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Per-region state shared by both timed paths, prepared up front so
 /// neither path is charged for the other's scaffolding.

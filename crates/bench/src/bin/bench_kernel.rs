@@ -30,14 +30,8 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use culinaria_bench::env_or;
 use culinaria_flavordb::kernel;
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Universe sizes in bits: every word count through the crossover
 /// region, then eight words (two full lane groups, no tail) and

@@ -25,6 +25,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use culinaria_bench::env_or;
 use culinaria_core::monte_carlo::MonteCarloConfig;
 use culinaria_core::ntuple::{self, ktuple_null_ensemble, mean_cuisine_ktuple_score, KTupleScorer};
 use culinaria_core::null_models::{CuisineSampler, NullModel};
@@ -34,13 +35,6 @@ use culinaria_recipedb::Region;
 use culinaria_stats::pool;
 use culinaria_stats::rng::{derive_seed, derive_seed_labeled};
 use culinaria_stats::{NullEnsemble, RunningStats};
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// The pre-kernel Monte-Carlo loop: serial blocks, allocating
 /// `generate` per sample, frozen walker per score — on the **same**

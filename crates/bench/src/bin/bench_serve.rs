@@ -41,7 +41,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use culinaria_bench::world_from_env;
+use culinaria_bench::{env_list, env_or, world_from_env};
 use culinaria_core::{
     analyze_cuisine, recipe_pairing_score, CuisineView, FlavorViewRef, MonteCarloConfig, NullModel,
     OverlapCache, RecipesViewRef,
@@ -60,21 +60,6 @@ use rand::{RngExt, SeedableRng};
 
 /// Salt so the query-mix RNG never collides with the datagen streams.
 const MIX_SALT: u64 = 0x6b21_7c5e_11d3_90af;
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_list(name: &str, default: &str) -> Vec<usize> {
-    let raw = std::env::var(name).unwrap_or_else(|_| default.to_owned());
-    raw.split(',')
-        .filter(|t| !t.trim().is_empty())
-        .map(|t| t.trim().parse().expect("comma-separated usize list"))
-        .collect()
-}
 
 /// The seeded deterministic query mix: request payloads (sans id) plus
 /// everything the parity probes need.

@@ -42,7 +42,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use culinaria_bench::world_from_env;
+use culinaria_bench::{env_list, env_or, world_from_env};
 use culinaria_core::composition::category_counts;
 use culinaria_core::{
     recipe_pairing_score, FlavorViewRef, OverlapCache, RecipesViewRef, StreamState,
@@ -53,21 +53,6 @@ use culinaria_recipedb::{RecipeStore, Region, Source};
 use culinaria_serve::protocol::{self, Client};
 use culinaria_serve::{ConnStats, ServeConfig, Server};
 use culinaria_stats::running::RunningStats;
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_list(name: &str, default: &str) -> Vec<usize> {
-    let raw = std::env::var(name).unwrap_or_else(|_| default.to_owned());
-    raw.split(',')
-        .filter(|t| !t.trim().is_empty())
-        .map(|t| t.trim().parse().expect("comma-separated usize list"))
-        .collect()
-}
 
 /// One stored recipe, owned so stores can be regrown generation by
 /// generation without borrowing the world.

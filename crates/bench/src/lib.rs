@@ -35,17 +35,63 @@
 //!   registry (see `culinaria-obs`) on stderr when the harness exits.
 //!   The instrumented harnesses also accept `--metrics[=json]` on the
 //!   command line, which takes precedence over the variable.
+//!
+//! Every harness reads its numeric knobs, these and the `bench_*`
+//! binaries' own, through [`env_or`] and [`env_list`]. An unset knob
+//! takes its default. A set knob that does not parse is an error, as a
+//! malformed CLI flag is: `CULINARIA_SCALE=0.0l` prints
+//! `error: CULINARIA_SCALE: cannot parse "0.0l"` and exits with code 2
+//! instead of running at the default.
 
 use culinaria_core::MonteCarloConfig;
 use culinaria_datagen::{generate_world, World, WorldConfig};
 use culinaria_obs::Metrics;
 
-/// Read an environment variable, falling back to a default.
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Read a knob from the environment. An unset variable gives
+/// `default`; a malformed one is a usage error, as a malformed CLI flag
+/// is: it prints `error: NAME: cannot parse "…"` and exits with code 2
+/// rather than run with a default nobody asked for.
+pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    or_exit(parse_knob(name, std::env::var(name).ok(), default))
+}
+
+/// A comma-separated `usize` list knob such as `"1,2"` (blank entries
+/// are skipped). Unset gives `default`; a malformed entry exits 2, as
+/// in [`env_or`].
+pub fn env_list(name: &str, default: &str) -> Vec<usize> {
+    or_exit(parse_list(name, std::env::var(name).ok(), default))
+}
+
+/// Parse a knob's raw value: `None` (unset) gives `default`.
+fn parse_knob<T: std::str::FromStr>(
+    name: &str,
+    raw: Option<String>,
+    default: T,
+) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("{name}: cannot parse {v:?}")),
+    }
+}
+
+/// Parse a list knob's raw value: `None` (unset) parses `default`.
+fn parse_list(name: &str, raw: Option<String>, default: &str) -> Result<Vec<usize>, String> {
+    let raw = raw.unwrap_or_else(|| default.to_owned());
+    raw.split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .map(|t| {
+            t.parse()
+                .map_err(|_| format!("{name}: cannot parse {raw:?}"))
+        })
+        .collect()
+}
+
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
 }
 
 /// The world configuration selected by the environment (see the crate
@@ -143,6 +189,37 @@ pub fn metrics_from_env() -> MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn knobs_parse_strictly() {
+        let knob = |raw: Option<&str>| parse_knob("CULINARIA_SCALE", raw.map(str::to_owned), 1.0);
+        assert_eq!(knob(None), Ok(1.0));
+        assert_eq!(knob(Some("0.05")), Ok(0.05));
+        assert_eq!(
+            knob(Some("0.0l")),
+            Err(r#"CULINARIA_SCALE: cannot parse "0.0l""#.to_owned())
+        );
+        // Set but empty is malformed too, not "unset".
+        assert!(knob(Some("")).is_err());
+        assert_eq!(
+            parse_knob("CULINARIA_BENCH_OUT", None, "BENCH.json".to_owned()),
+            Ok("BENCH.json".to_owned())
+        );
+    }
+
+    #[test]
+    fn list_knobs_parse_strictly() {
+        let list = |raw: Option<&str>| {
+            parse_list("CULINARIA_SERVE_THREADS", raw.map(str::to_owned), "1,2")
+        };
+        assert_eq!(list(None), Ok(vec![1, 2]));
+        assert_eq!(list(Some(" 4, 8 ,")), Ok(vec![4, 8]));
+        assert_eq!(list(Some("")), Ok(vec![]));
+        assert_eq!(
+            list(Some("1,two")),
+            Err(r#"CULINARIA_SERVE_THREADS: cannot parse "1,two""#.to_owned())
+        );
+    }
 
     #[test]
     fn env_defaults() {

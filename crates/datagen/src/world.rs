@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use culinaria_flavordb::generator::generate_flavor_db;
-use culinaria_flavordb::{FlavorDb, FlavorProfile, IngredientId};
+use culinaria_flavordb::{BitProfile, FlavorDb, IngredientId, MoleculeUniverse};
 use culinaria_recipedb::{RecipeStore, Region, Source};
 use culinaria_stats::rng::derive_seed_labeled;
 use culinaria_stats::WeightedAliasSampler;
@@ -83,19 +83,28 @@ fn sample_source<R: Rng + ?Sized>(region: Region, rng: &mut R) -> Source {
 /// ranking (and dominate usage under the Zipf popularity law).
 const TOP_INFLUENCE: usize = 12;
 
-/// Greedy similarity-aware ranking: returns a permutation of
+/// Similarity-aware popularity ranking: returns a permutation of
 /// `0..weights.len()` from most to least popular.
 ///
-/// Each step picks the unranked candidate maximizing
-/// `weight · exp(±bias · overlap / scale)` where `overlap` is the mean
-/// shared-compound count with the top-ranked ingredients so far (up to
-/// [`TOP_INFLUENCE`]); the sign is `+` for uniform-pairing regions and
-/// `−` for contrasting ones.
+/// The heaviest candidate ranks first. Each following pick is the
+/// unranked candidate maximizing `weight · exp(±bias · overlap / scale)`,
+/// where `overlap` is the mean shared-compound count with the
+/// top-ranked ingredients so far (up to [`TOP_INFLUENCE`]); the sign is
+/// `+` for uniform-pairing regions and `−` for contrasting ones. Equal
+/// scores go to the highest index, because [`Iterator::max_by`] keeps
+/// the last of equal maxima. `scale` is the mean overlap over a stride
+/// sample of about 48²/2 pairs, not all m²/2 of them.
+///
+/// Scores stop changing once the influence set holds [`TOP_INFLUENCE`]
+/// ingredients. From then on the remaining candidates are scored once
+/// and sorted by (score descending, index descending), the order that
+/// repeated picks would produce. The ranking so costs
+/// O(TOP_INFLUENCE · m) intersections and one sort, not O(m²) scans.
 fn similarity_aware_ranking(
     cfg: &WorldConfig,
     positive: bool,
     weights: &[f64],
-    profiles: &[&FlavorProfile],
+    profiles: &[BitProfile],
 ) -> Vec<usize> {
     let m = weights.len();
     if m == 0 {
@@ -103,14 +112,12 @@ fn similarity_aware_ranking(
     }
     let alpha = cfg.popularity_similarity_bias * if positive { 1.0 } else { -1.0 };
 
-    // Overlap scale: the mean pairwise overlap over a deterministic
-    // stride-sampled set of pairs (avoids O(m²) full enumeration).
     let mut total = 0usize;
     let mut pairs = 0usize;
     let step = (m / 48).max(1);
     for i in (0..m).step_by(step) {
         for j in ((i + 1)..m).step_by(step) {
-            total += profiles[i].shared_count(profiles[j]);
+            total += profiles[i].shared_count(&profiles[j]);
             pairs += 1;
         }
     }
@@ -124,6 +131,10 @@ fn similarity_aware_ranking(
     let mut used = vec![false; m];
     // Overlap sum of each candidate with the ranked top ingredients.
     let mut acc = vec![0.0f64; m];
+    let score = |acc: &[f64], c: usize, influence: usize| {
+        let sim = acc[c] / influence as f64 / scale;
+        weights[c] * (alpha * sim).clamp(-3.0, 3.0).exp()
+    };
 
     // Seed with the heaviest candidate.
     let first = (0..m)
@@ -132,46 +143,46 @@ fn similarity_aware_ranking(
     ranked.push(first);
     used[first] = true;
 
-    while ranked.len() < m {
-        let influence = ranked.len().min(TOP_INFLUENCE);
-        // Update accumulators only while the influence set is growing.
-        if ranked.len() <= TOP_INFLUENCE {
-            let newest = *ranked.last().expect("non-empty ranked");
-            for (c, slot) in acc.iter_mut().enumerate() {
-                if !used[c] {
-                    *slot += profiles[newest].shared_count(profiles[c]) as f64;
-                }
+    // Greedy picks while the influence set is still growing.
+    while ranked.len() < m && ranked.len() <= TOP_INFLUENCE {
+        let influence = ranked.len();
+        let newest = &profiles[*ranked.last().expect("non-empty ranked")];
+        for (c, slot) in acc.iter_mut().enumerate() {
+            if !used[c] {
+                *slot += newest.shared_count(&profiles[c]) as f64;
             }
         }
         let best = (0..m)
             .filter(|&c| !used[c])
-            .max_by(|&a, &b| {
-                let score = |c: usize| {
-                    let sim = acc[c] / influence as f64 / scale;
-                    weights[c] * (alpha * sim).clamp(-3.0, 3.0).exp()
-                };
-                score(a).total_cmp(&score(b))
-            })
+            .max_by(|&a, &b| score(&acc, a, influence).total_cmp(&score(&acc, b, influence)))
             .expect("unranked candidates remain");
         ranked.push(best);
         used[best] = true;
     }
+
+    // The influence set is full: `acc` is frozen, so sort the rest once.
+    let mut rest: Vec<(f64, usize)> = (0..m)
+        .filter(|&c| !used[c])
+        .map(|c| (score(&acc, c, TOP_INFLUENCE), c))
+        .collect();
+    rest.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(b.1.cmp(&a.1)));
+    ranked.extend(rest.into_iter().map(|(_, c)| c));
     ranked
 }
 
 /// State for generating one region's cuisine.
-struct RegionGen<'a> {
+struct RegionGen {
     region: Region,
     /// The region's ingredient pool, in popularity-rank order.
     pool: Vec<IngredientId>,
-    /// Borrowed profiles parallel to `pool`.
-    profiles: Vec<&'a FlavorProfile>,
+    /// Profiles parallel to `pool`, packed over the pool's molecules.
+    bits: Vec<BitProfile>,
     /// Popularity (Zipf) sampler over pool positions.
     popularity: WeightedAliasSampler,
 }
 
-impl<'a> RegionGen<'a> {
-    fn build(cfg: &WorldConfig, flavor: &'a FlavorDb, region: Region, rng: &mut StdRng) -> Self {
+impl RegionGen {
+    fn build(cfg: &WorldConfig, flavor: &FlavorDb, region: Region, rng: &mut StdRng) -> Self {
         let all_ids: Vec<IngredientId> = flavor.ingredient_ids().collect();
         let prefs = category_preferences(region);
 
@@ -194,10 +205,13 @@ impl<'a> RegionGen<'a> {
         let chosen = weighted_sample_without_replacement(&weights, pool_target, rng);
         let chosen_ids: Vec<IngredientId> = chosen.iter().map(|&i| all_ids[i]).collect();
         let chosen_weights: Vec<f64> = chosen.iter().map(|&i| weights[i]).collect();
-        let chosen_profiles: Vec<&FlavorProfile> = chosen_ids
+        let chosen_profiles: Vec<_> = chosen_ids
             .iter()
             .map(|&id| &flavor.ingredient(id).expect("live id").profile)
             .collect();
+        let universe = MoleculeUniverse::build(chosen_profiles.iter().copied());
+        let chosen_bits: Vec<BitProfile> =
+            chosen_profiles.iter().map(|p| universe.pack(p)).collect();
 
         // Similarity-aware popularity ranking. Base order follows the
         // category-preference weight (Fig 2 meets Fig 3b), but the
@@ -210,10 +224,10 @@ impl<'a> RegionGen<'a> {
             cfg,
             region.paper_positive_pairing(),
             &chosen_weights,
-            &chosen_profiles,
+            &chosen_bits,
         );
         let pool: Vec<IngredientId> = order.iter().map(|&i| chosen_ids[i]).collect();
-        let profiles: Vec<&FlavorProfile> = order.iter().map(|&i| chosen_profiles[i]).collect();
+        let bits: Vec<BitProfile> = order.iter().map(|&i| chosen_bits[i].clone()).collect();
 
         let zipf: Vec<f64> = (0..pool.len())
             .map(|r| 1.0 / ((r + 1) as f64).powf(cfg.popularity_exponent))
@@ -223,7 +237,7 @@ impl<'a> RegionGen<'a> {
         RegionGen {
             region,
             pool,
-            profiles,
+            bits,
             popularity,
         }
     }
@@ -234,9 +248,10 @@ impl<'a> RegionGen<'a> {
         if chosen.is_empty() {
             return 0.0;
         }
+        let cand = &self.bits[cand];
         let total: usize = chosen
             .iter()
-            .map(|&c| self.profiles[cand].shared_count(self.profiles[c]))
+            .map(|&c| cand.shared_count(&self.bits[c]))
             .sum();
         total as f64 / chosen.len() as f64
     }
@@ -305,7 +320,14 @@ impl<'a> RegionGen<'a> {
 /// Generate a complete world from a configuration. Deterministic in
 /// `cfg.seed`; per-region streams are independent, so changing one
 /// region's count does not perturb another's recipes.
+///
+/// # Panics
+/// If `cfg.recipe_scale` is negative or not finite.
 pub fn generate_world(cfg: &WorldConfig) -> World {
+    assert!(
+        cfg.recipe_scale.is_finite() && cfg.recipe_scale >= 0.0,
+        "recipe_scale must be finite and non-negative"
+    );
     let flavor = generate_flavor_db(&cfg.flavor);
     let mut recipes = RecipeStore::new();
 
@@ -331,9 +353,85 @@ pub fn generate_world(cfg: &WorldConfig) -> World {
     World { flavor, recipes }
 }
 
+/// The parity oracle for [`similarity_aware_ranking`]: the same ranking
+/// as a plain greedy over sorted-merge overlaps, rescanning every
+/// unranked candidate on every pick (O(m²) scans). Frozen; do not
+/// optimize.
+#[cfg(test)]
+mod reference {
+    use super::TOP_INFLUENCE;
+    use crate::config::WorldConfig;
+    use culinaria_flavordb::FlavorProfile;
+
+    pub(super) fn similarity_aware_ranking(
+        cfg: &WorldConfig,
+        positive: bool,
+        weights: &[f64],
+        profiles: &[&FlavorProfile],
+    ) -> Vec<usize> {
+        let m = weights.len();
+        if m == 0 {
+            return Vec::new();
+        }
+        let alpha = cfg.popularity_similarity_bias * if positive { 1.0 } else { -1.0 };
+
+        let mut total = 0usize;
+        let mut pairs = 0usize;
+        let step = (m / 48).max(1);
+        for i in (0..m).step_by(step) {
+            for j in ((i + 1)..m).step_by(step) {
+                total += profiles[i].shared_count(profiles[j]);
+                pairs += 1;
+            }
+        }
+        let scale = if pairs == 0 {
+            1.0
+        } else {
+            (total as f64 / pairs as f64).max(0.5)
+        };
+
+        let mut ranked: Vec<usize> = Vec::with_capacity(m);
+        let mut used = vec![false; m];
+        let mut acc = vec![0.0f64; m];
+
+        let first = (0..m)
+            .max_by(|&a, &b| weights[a].total_cmp(&weights[b]))
+            .expect("non-empty");
+        ranked.push(first);
+        used[first] = true;
+
+        while ranked.len() < m {
+            let influence = ranked.len().min(TOP_INFLUENCE);
+            if ranked.len() <= TOP_INFLUENCE {
+                let newest = *ranked.last().expect("non-empty ranked");
+                for (c, slot) in acc.iter_mut().enumerate() {
+                    if !used[c] {
+                        *slot += profiles[newest].shared_count(profiles[c]) as f64;
+                    }
+                }
+            }
+            let best = (0..m)
+                .filter(|&c| !used[c])
+                .max_by(|&a, &b| {
+                    let score = |c: usize| {
+                        let sim = acc[c] / influence as f64 / scale;
+                        weights[c] * (alpha * sim).clamp(-3.0, 3.0).exp()
+                    };
+                    score(a).total_cmp(&score(b))
+                })
+                .expect("unranked candidates remain");
+            ranked.push(best);
+            used[best] = true;
+        }
+        ranked
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use culinaria_flavordb::FlavorProfile;
+    use proptest::prelude::*;
 
     fn tiny_world() -> World {
         generate_world(&WorldConfig::tiny())
@@ -526,5 +624,81 @@ mod tests {
         // k larger than positive support.
         let s = weighted_sample_without_replacement(&weights, 10, &mut rng);
         assert_eq!(s.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "recipe_scale")]
+    fn invalid_recipe_scale_panics() {
+        let cfg = WorldConfig {
+            recipe_scale: f64::INFINITY,
+            ..WorldConfig::tiny()
+        };
+        generate_world(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "recipe_scale")]
+    fn negative_recipe_scale_panics() {
+        let cfg = WorldConfig {
+            recipe_scale: -1.0,
+            ..WorldConfig::tiny()
+        };
+        generate_world(&cfg);
+    }
+
+    /// Fixed profiles shared by several candidates, so identical
+    /// profiles (and with repeated weights, exactly equal scores) occur.
+    fn palette(shape: usize) -> FlavorProfile {
+        match shape {
+            0 => (0u32..40).step_by(3).collect(),
+            _ => (64u32..140).step_by(5).collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn ranking_matches_frozen_greedy(
+            entries in prop::collection::vec(
+                (
+                    0usize..6,
+                    0.05f64..4.0,
+                    0usize..4,
+                    prop::collection::btree_set(0u32..150, 0..60),
+                ),
+                0..=40,
+            ),
+            positive in any::<bool>(),
+            alpha in prop::sample::select(vec![0.0, 1.4, 2.8]),
+        ) {
+            // Classes 0–2 repeat one of three weights; 3–5 draw freely.
+            let weights: Vec<f64> = entries
+                .iter()
+                .map(|&(class, w, _, _)| [0.5, 1.0, 2.5].get(class).copied().unwrap_or(w))
+                .collect();
+            // Shapes 0–1 reuse a palette profile; 2–3 are random sets.
+            let profiles: Vec<FlavorProfile> = entries
+                .iter()
+                .map(|(_, _, shape, ids)| {
+                    if *shape < 2 {
+                        palette(*shape)
+                    } else {
+                        ids.iter().copied().collect()
+                    }
+                })
+                .collect();
+            let cfg = WorldConfig {
+                popularity_similarity_bias: alpha,
+                ..WorldConfig::tiny()
+            };
+            let universe = MoleculeUniverse::build(&profiles);
+            let bits: Vec<BitProfile> = profiles.iter().map(|p| universe.pack(p)).collect();
+            let refs: Vec<&FlavorProfile> = profiles.iter().collect();
+            prop_assert_eq!(
+                similarity_aware_ranking(&cfg, positive, &weights, &bits),
+                reference::similarity_aware_ranking(&cfg, positive, &weights, &refs)
+            );
+        }
     }
 }

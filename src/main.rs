@@ -148,6 +148,12 @@ impl MetricsSink {
 fn build_world(args: &Args) -> Result<World, String> {
     let mut cfg = WorldConfig::paper();
     cfg.recipe_scale = args.flag_checked("scale", 0.1)?;
+    if !(cfg.recipe_scale.is_finite() && cfg.recipe_scale >= 0.0) {
+        return Err(format!(
+            "--scale: expected a finite, non-negative number, got {}",
+            cfg.recipe_scale
+        ));
+    }
     cfg.seed = args.flag_checked("seed", 2018u64)?;
     eprintln!(
         "generating world (scale {}, seed {})…",

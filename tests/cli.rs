@@ -125,6 +125,15 @@ fn every_command_rejects_malformed_flags_before_touching_data() {
             &["generate", "--scale", "x", "--out", untouched][..],
             "--scale",
         ),
+        // Parseable but out-of-range scales: `inf` would never finish
+        // generating, and a negative or NaN scale would silently shrink
+        // every region to its floor.
+        (&["analyze", "--scale", "inf"][..], "--scale"),
+        (
+            &["generate", "--scale", "-1", "--out", untouched][..],
+            "--scale",
+        ),
+        (&["report", "ITA", "--scale", "NaN"][..], "--scale"),
         (
             &[
                 "ingest",
