@@ -12,7 +12,7 @@
 //!   cuisines, exposing the geo-cultural structure of the corpus (the
 //!   "regional cuisines are like languages/dialects" analogy of §II.A).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use culinaria_flavordb::{FlavorDb, IngredientId};
 use culinaria_obs::Metrics;
@@ -29,8 +29,9 @@ pub struct CuisineFingerprint {
     /// The region.
     pub region: Region,
     /// Ingredient usage shares: ingredient → fraction of the cuisine's
-    /// total ingredient usages (sums to 1 for non-empty cuisines).
-    pub usage: HashMap<IngredientId, f64>,
+    /// total ingredient usages (sums to 1 for non-empty cuisines). Ordered
+    /// by id, so every sum over it runs in the same order on every run.
+    pub usage: BTreeMap<IngredientId, f64>,
     /// Category usage shares.
     pub category_shares: [f64; 21],
     /// Mean flavor sharing ⟨N_s⟩.
@@ -52,7 +53,7 @@ impl CuisineFingerprint {
         let freq = cuisine.frequencies();
         let total: u64 = freq.values().sum();
         let usage = if total == 0 {
-            HashMap::new()
+            BTreeMap::new()
         } else {
             freq.into_iter()
                 .map(|(id, c)| (id, c as f64 / total as f64))
@@ -83,6 +84,9 @@ impl CuisineFingerprint {
 
 /// Cosine similarity of two fingerprints' ingredient-usage vectors.
 /// 0 when either cuisine is empty; 1 for identical usage patterns.
+///
+/// The dot product and both norms sum in ingredient-id order, so the
+/// result is bit-identical across runs and symmetric in its arguments.
 pub fn cosine_similarity(a: &CuisineFingerprint, b: &CuisineFingerprint) -> f64 {
     let mut dot = 0.0;
     for (id, &sa) in &a.usage {
@@ -231,10 +235,10 @@ mod tests {
         for fp in &fps {
             assert!((cosine_similarity(fp, fp) - 1.0).abs() < 1e-9);
         }
-        // Symmetry.
-        assert!(
-            (cosine_similarity(&fps[0], &fps[1]) - cosine_similarity(&fps[1], &fps[0])).abs()
-                < 1e-12
+        // Symmetry, bit for bit.
+        assert_eq!(
+            cosine_similarity(&fps[0], &fps[1]).to_bits(),
+            cosine_similarity(&fps[1], &fps[0]).to_bits()
         );
     }
 
@@ -245,6 +249,20 @@ mod tests {
         for threads in [0, 2, 8] {
             let parallel = world_fingerprints(&w.flavor, &w.recipes, threads);
             assert_eq!(serial, parallel, "{threads} threads");
+            // Every similarity cell carries the same bits whichever run
+            // built the fingerprints, and in either argument order.
+            for (i, a) in serial.iter().enumerate() {
+                for (j, b) in serial.iter().enumerate() {
+                    let bits = cosine_similarity(a, b).to_bits();
+                    let cell = format!("{threads} threads, ({i}, {j})");
+                    assert_eq!(
+                        bits,
+                        cosine_similarity(&parallel[i], &parallel[j]).to_bits(),
+                        "{cell}"
+                    );
+                    assert_eq!(bits, cosine_similarity(b, a).to_bits(), "{cell}");
+                }
+            }
         }
         // The cache-backed ⟨N_s⟩ matches the direct per-recipe fold.
         for fp in &serial {

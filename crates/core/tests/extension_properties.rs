@@ -100,7 +100,7 @@ proptest! {
             for b in &fps {
                 let s = cosine_similarity(a, b);
                 prop_assert!((0.0..=1.0 + 1e-12).contains(&s));
-                prop_assert!((s - cosine_similarity(b, a)).abs() < 1e-12);
+                prop_assert_eq!(s.to_bits(), cosine_similarity(b, a).to_bits());
             }
         }
     }

@@ -13,6 +13,7 @@
 //!   abstraction the food-pairing analysis consumes);
 //! * [`store`] — the indexed store: per-region partitions and an
 //!   inverted ingredient → recipes index;
+//! * [`query`] — multi-ingredient containment and pair co-occurrence;
 //! * [`cuisine`] — a borrowed per-region view with ingredient sets,
 //!   frequency tables and size distributions;
 //! * [`import`] — the raw-text import pipeline: ingredient phrases →

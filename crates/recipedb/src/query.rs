@@ -1,12 +1,9 @@
-//! Query helpers over the store: co-occurrence, containment, and
-//! per-region ingredient usage.
-
-use std::collections::HashMap;
+//! Query helpers over the store: multi-ingredient containment and pair
+//! co-occurrence (the `pairings` command's co-occurrence counts).
 
 use culinaria_flavordb::IngredientId;
 
 use crate::recipe::RecipeId;
-use crate::region::Region;
 use crate::store::RecipeStore;
 
 impl RecipeStore {
@@ -38,49 +35,13 @@ impl RecipeStore {
     pub fn cooccurrence(&self, a: IngredientId, b: IngredientId) -> usize {
         self.recipes_with_all(&[a, b]).len()
     }
-
-    /// Per-region usage count of one ingredient.
-    pub fn regional_usage(&self, ingredient: IngredientId) -> [u64; 22] {
-        let mut out = [0u64; 22];
-        for &rid in self.recipes_with_ingredient(ingredient) {
-            let recipe = self.recipe(rid).expect("index only holds live ids");
-            out[recipe.region.index()] += 1;
-        }
-        out
-    }
-
-    /// The most frequent co-occurring partners of `ingredient`, as
-    /// `(partner, count)`, most frequent first (ties by id).
-    pub fn top_partners(&self, ingredient: IngredientId, k: usize) -> Vec<(IngredientId, usize)> {
-        let mut counts: HashMap<IngredientId, usize> = HashMap::new();
-        for &rid in self.recipes_with_ingredient(ingredient) {
-            let recipe = self.recipe(rid).expect("live id");
-            for &other in recipe.ingredients() {
-                if other != ingredient {
-                    *counts.entry(other).or_insert(0) += 1;
-                }
-            }
-        }
-        let mut pairs: Vec<(IngredientId, usize)> = counts.into_iter().collect();
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        pairs.truncate(k);
-        pairs
-    }
-
-    /// Recipes of `region` containing `ingredient`.
-    pub fn region_recipes_with(&self, region: Region, ingredient: IngredientId) -> Vec<RecipeId> {
-        self.recipes_with_ingredient(ingredient)
-            .iter()
-            .copied()
-            .filter(|&rid| self.recipe(rid).expect("live id").region == region)
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recipe::Source;
+    use crate::region::Region;
 
     fn ing(id: u32) -> IngredientId {
         IngredientId(id)
@@ -122,36 +83,5 @@ mod tests {
         let s = store();
         assert_eq!(s.cooccurrence(ing(1), ing(2)), 2);
         assert_eq!(s.cooccurrence(ing(0), ing(3)), 0);
-    }
-
-    #[test]
-    fn regional_usage_counts() {
-        let s = store();
-        let usage = s.regional_usage(ing(2));
-        assert_eq!(usage[Region::Italy.index()], 2);
-        assert_eq!(usage[Region::Japan.index()], 1);
-        assert_eq!(usage[Region::Usa.index()], 0);
-    }
-
-    #[test]
-    fn top_partners_ranked() {
-        let s = store();
-        let partners = s.top_partners(ing(2), 10);
-        assert_eq!(partners[0], (ing(1), 2));
-        assert!(partners.contains(&(ing(0), 1)));
-        assert!(partners.contains(&(ing(3), 1)));
-    }
-
-    #[test]
-    fn region_scoped_containment() {
-        let s = store();
-        assert_eq!(
-            s.region_recipes_with(Region::Italy, ing(2)),
-            vec![RecipeId(0), RecipeId(1)]
-        );
-        assert_eq!(
-            s.region_recipes_with(Region::Japan, ing(2)),
-            vec![RecipeId(2)]
-        );
     }
 }

@@ -6,11 +6,11 @@
 //! analyses need a small but complete statistical toolkit — descriptive
 //! statistics, streaming accumulators, z-scores against Monte-Carlo null
 //! models, weighted sampling for the frequency-preserving models,
-//! histograms for recipe-size distributions, discrete power-law fits for
-//! ingredient-popularity scaling, bootstrap confidence intervals, and
-//! rank correlations — none of which we take from external crates
-//! (the Rust statistical ecosystem is thin; everything here is
-//! implemented from scratch and unit-tested against known values).
+//! histograms for recipe-size distributions, and discrete power-law fits
+//! for ingredient-popularity scaling — none of which we take from
+//! external crates (the Rust statistical ecosystem is thin; everything
+//! here is implemented from scratch and unit-tested against known
+//! values).
 //!
 //! ## Module map
 //!
@@ -22,10 +22,9 @@
 //! * [`sampling`] — Walker alias method, linear-CDF sampling (ablation
 //!   baseline), uniform choice, and partial Fisher–Yates draws
 //! * [`powerlaw`] — discrete power-law MLE and rank-frequency utilities
-//! * [`bootstrap`] — percentile bootstrap confidence intervals
-//! * [`correlation`] — Pearson and Spearman coefficients
 //! * [`regression`] — ordinary least squares on (x, y) pairs
-//! * [`ks`] — two-sample Kolmogorov–Smirnov test
+//! * [`chi2`] — Pearson's chi-squared goodness-of-fit test (Fig 2's
+//!   composition deviations)
 //! * [`rng`] — deterministic seed derivation for parallel PRNG streams
 //! * [`pool`] — shared worker pool with a deterministic, statically
 //!   indexed task queue (results always in task order) and a fallible
@@ -35,13 +34,10 @@
 //! * [`tile`] — cache-blocking geometry for triangular pair sweeps
 //!   (thread-count-independent, so tiled merges stay deterministic)
 
-pub mod bootstrap;
 pub mod chi2;
-pub mod correlation;
 pub mod descriptive;
 pub mod fault;
 pub mod histogram;
-pub mod ks;
 pub mod pool;
 pub mod powerlaw;
 pub mod regression;

@@ -11,7 +11,7 @@ use culinaria_stats::rng::derive_seed;
 use culinaria_stats::sampling::{
     sample_without_replacement, LinearCdfSampler, WeightedAliasSampler,
 };
-use culinaria_stats::{correlation, RunningStats};
+use culinaria_stats::RunningStats;
 
 fn arb_sample() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-1e6f64..1e6, 1..200)
@@ -132,20 +132,6 @@ proptest! {
         sorted.dedup();
         prop_assert_eq!(sorted.len(), draw.len());
         prop_assert!(draw.iter().all(|&i| i < n));
-    }
-
-    #[test]
-    fn pearson_bounded_and_symmetric(pairs in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 2..100)) {
-        let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-        if let Some(r) = correlation::pearson(&xs, &ys) {
-            prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "r = {r}");
-            let r2 = correlation::pearson(&ys, &xs).expect("symmetric domain");
-            prop_assert!((r - r2).abs() < 1e-9);
-        }
-        if let Some(s) = correlation::spearman(&xs, &ys) {
-            prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&s), "rho = {s}");
-        }
     }
 
     #[test]

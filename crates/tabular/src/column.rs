@@ -66,16 +66,6 @@ impl Column {
         Column::Str(vals.iter().map(|s| Some((*s).to_owned())).collect())
     }
 
-    /// Build a non-null string column from owned strings.
-    pub fn from_strings(vals: Vec<String>) -> Self {
-        Column::Str(vals.into_iter().map(Some).collect())
-    }
-
-    /// Build a non-null boolean column.
-    pub fn from_bools(vals: &[bool]) -> Self {
-        Column::Bool(vals.iter().copied().map(Some).collect())
-    }
-
     /// An empty column of the given type.
     pub fn empty(ty: ColumnType) -> Self {
         match ty {
@@ -108,16 +98,6 @@ impl Column {
             Column::Float(_) => ColumnType::Float,
             Column::Str(_) => ColumnType::Str,
             Column::Bool(_) => ColumnType::Bool,
-        }
-    }
-
-    /// Number of null cells.
-    pub fn null_count(&self) -> usize {
-        match self {
-            Column::Int(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Float(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Str(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Bool(v) => v.iter().filter(|c| c.is_none()).count(),
         }
     }
 
@@ -169,20 +149,6 @@ impl Column {
         Ok(())
     }
 
-    /// A new column containing the cells at `indices`, in order.
-    ///
-    /// # Panics
-    /// Panics if any index is out of bounds (indices are produced
-    /// internally by filter/sort/join, which guarantee validity).
-    pub fn take(&self, indices: &[usize]) -> Column {
-        match self {
-            Column::Int(v) => Column::Int(indices.iter().map(|&i| v[i]).collect()),
-            Column::Float(v) => Column::Float(indices.iter().map(|&i| v[i]).collect()),
-            Column::Str(v) => Column::Str(indices.iter().map(|&i| v[i].clone()).collect()),
-            Column::Bool(v) => Column::Bool(indices.iter().map(|&i| v[i]).collect()),
-        }
-    }
-
     /// Borrow as `&[Option<f64>]`, if this is a float column.
     pub fn as_float_slice(&self) -> Option<&[Option<f64>]> {
         match self {
@@ -228,14 +194,13 @@ mod tests {
         assert_eq!(Column::from_i64s(&[1, 2, 3]).len(), 3);
         assert_eq!(Column::from_f64s(&[1.0]).len(), 1);
         assert_eq!(Column::from_strs(&["a", "b"]).len(), 2);
-        assert_eq!(Column::from_bools(&[true]).len(), 1);
         assert!(Column::empty(ColumnType::Int).is_empty());
     }
 
     #[test]
     fn nan_normalized_to_null() {
         let c = Column::from_f64s(&[1.0, f64::NAN, 2.0]);
-        assert_eq!(c.null_count(), 1);
+        assert_eq!(c, Column::Float(vec![Some(1.0), None, Some(2.0)]));
         assert_eq!(c.get(1), Some(Value::Null));
     }
 
@@ -260,17 +225,8 @@ mod tests {
     #[test]
     fn push_type_mismatch() {
         let mut c = Column::empty(ColumnType::Int);
-        let err = c.push(Value::str("nope")).unwrap_err();
+        let err = c.push(Value::Str("nope".into())).unwrap_err();
         assert!(matches!(err, TabularError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn take_reorders_and_repeats() {
-        let c = Column::from_strs(&["a", "b", "c"]);
-        let t = c.take(&[2, 0, 0]);
-        assert_eq!(t.get(0), Some(Value::str("c")));
-        assert_eq!(t.get(1), Some(Value::str("a")));
-        assert_eq!(t.get(2), Some(Value::str("a")));
     }
 
     #[test]

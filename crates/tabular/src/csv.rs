@@ -9,7 +9,7 @@
 // data is forbidden here — return errors instead.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 use crate::column::Column;
 use crate::error::{Result, TabularError};
@@ -17,16 +17,8 @@ use crate::frame::Frame;
 #[cfg(test)]
 use crate::value::Value;
 
-/// Parse CSV from a reader into a [`Frame`]. The first record is the
+/// Parse CSV from a string into a [`Frame`]. The first record is the
 /// header. Quoted fields may contain commas, newlines, and doubled quotes.
-pub fn read_csv<R: BufRead>(reader: R) -> Result<Frame> {
-    let mut content = String::new();
-    let mut r = reader;
-    r.read_to_string(&mut content)?;
-    read_csv_str(&content)
-}
-
-/// Parse CSV from a string. See [`read_csv`].
 pub fn read_csv_str(content: &str) -> Result<Frame> {
     let records = parse_records(content)?;
     let mut records = records.into_iter();
@@ -68,18 +60,6 @@ pub fn write_csv<W: Write>(frame: &Frame, writer: &mut W) -> Result<()> {
         writeln!(writer, "{}", fields.join(","))?;
     }
     Ok(())
-}
-
-/// Serialize a frame as a CSV string.
-pub fn to_csv_string(frame: &Frame) -> String {
-    let mut buf = Vec::new();
-    // Writing to a Vec cannot fail for I/O reasons and every (row,
-    // column) pair visited exists by construction; if that invariant
-    // ever breaks, render the error in place instead of panicking.
-    if let Err(e) = write_csv(frame, &mut buf) {
-        return format!("<csv serialization failed: {e}>");
-    }
-    String::from_utf8_lossy(&buf).into_owned()
 }
 
 fn escape_field(s: &str) -> String {
@@ -200,9 +180,16 @@ impl Frame {
         read_csv_str(content)
     }
 
-    /// Serialize to a CSV string (convenience for [`to_csv_string`]).
+    /// Serialize to a CSV string (see [`write_csv`]).
     pub fn to_csv(&self) -> String {
-        to_csv_string(self)
+        let mut buf = Vec::new();
+        // Writing to a Vec cannot fail for I/O reasons and every (row,
+        // column) pair visited exists by construction; if that invariant
+        // ever breaks, render the error in place instead of panicking.
+        if let Err(e) = write_csv(self, &mut buf) {
+            return format!("<csv serialization failed: {e}>");
+        }
+        String::from_utf8_lossy(&buf).into_owned()
     }
 }
 
@@ -215,7 +202,7 @@ mod tests {
         let csv = "region,recipes,z\nITA,7504,30.5\nJPN,580,-4.25\n";
         let f = read_csv_str(csv).unwrap();
         assert_eq!(f.n_rows(), 2);
-        assert_eq!(f.get(0, "region").unwrap(), Value::str("ITA"));
+        assert_eq!(f.get(0, "region").unwrap(), Value::Str("ITA".into()));
         assert_eq!(f.get(1, "recipes").unwrap(), Value::Int(580));
         assert_eq!(f.get(1, "z").unwrap(), Value::Float(-4.25));
         assert_eq!(f.to_csv(), csv);
@@ -227,28 +214,34 @@ mod tests {
         assert!(f.column("a").unwrap().as_int_slice().is_some());
         assert!(f.column("b").unwrap().as_float_slice().is_some());
         assert_eq!(f.get(0, "c").unwrap(), Value::Bool(true));
-        assert_eq!(f.get(1, "d").unwrap(), Value::str("world"));
+        assert_eq!(f.get(1, "d").unwrap(), Value::Str("world".into()));
     }
 
     #[test]
     fn empty_cells_become_null() {
         let f = read_csv_str("a,b\n1,\n,2\n").unwrap();
-        assert!(f.get(0, "b").unwrap().is_null());
-        assert!(f.get(1, "a").unwrap().is_null());
+        assert_eq!(f.get(0, "b").unwrap(), Value::Null);
+        assert_eq!(f.get(1, "a").unwrap(), Value::Null);
     }
 
     #[test]
     fn quoted_fields() {
         let f = read_csv_str("name,note\n\"garlic, minced\",\"he said \"\"hi\"\"\"\n").unwrap();
-        assert_eq!(f.get(0, "name").unwrap(), Value::str("garlic, minced"));
-        assert_eq!(f.get(0, "note").unwrap(), Value::str("he said \"hi\""));
+        assert_eq!(
+            f.get(0, "name").unwrap(),
+            Value::Str("garlic, minced".into())
+        );
+        assert_eq!(
+            f.get(0, "note").unwrap(),
+            Value::Str("he said \"hi\"".into())
+        );
     }
 
     #[test]
     fn quoted_newline_in_field() {
         let f = read_csv_str("a,b\n\"line1\nline2\",x\n").unwrap();
         assert_eq!(f.n_rows(), 1);
-        assert_eq!(f.get(0, "a").unwrap(), Value::str("line1\nline2"));
+        assert_eq!(f.get(0, "a").unwrap(), Value::Str("line1\nline2".into()));
     }
 
     #[test]
@@ -292,8 +285,8 @@ mod tests {
         assert!(csv.contains("plain"));
         // And the roundtrip preserves content.
         let g = read_csv_str(&csv).unwrap();
-        assert_eq!(g.get(0, "x").unwrap(), Value::str("a,b"));
-        assert_eq!(g.get(1, "x").unwrap(), Value::str("q\"q"));
+        assert_eq!(g.get(0, "x").unwrap(), Value::Str("a,b".into()));
+        assert_eq!(g.get(1, "x").unwrap(), Value::Str("q\"q".into()));
     }
 
     #[test]
@@ -304,8 +297,8 @@ mod tests {
         ])
         .unwrap();
         let g = read_csv_str(&f.to_csv()).unwrap();
-        assert!(g.get(1, "a").unwrap().is_null());
-        assert!(g.get(0, "b").unwrap().is_null());
-        assert_eq!(g.get(1, "b").unwrap(), Value::str("x"));
+        assert_eq!(g.get(1, "a").unwrap(), Value::Null);
+        assert_eq!(g.get(0, "b").unwrap(), Value::Null);
+        assert_eq!(g.get(1, "b").unwrap(), Value::Str("x".into()));
     }
 }

@@ -1,11 +1,11 @@
-//! Error type shared by all tabular operations.
+//! Error type shared by frame construction, cell access and CSV I/O.
 
 use std::fmt;
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, TabularError>;
 
-/// Errors produced by frame construction, transformation and I/O.
+/// Errors produced by frame construction, cell access and CSV I/O.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TabularError {
     /// A column with this name already exists in the frame.
@@ -21,7 +21,7 @@ pub enum TabularError {
         /// Length the column actually has.
         actual: usize,
     },
-    /// An operation required a different column type.
+    /// A value's type does not fit the column it is pushed into.
     TypeMismatch {
         /// Name of the offending column.
         column: String,
@@ -46,8 +46,6 @@ pub enum TabularError {
     },
     /// Underlying I/O failure (message-only so the error stays `Clone + Eq`).
     Io(String),
-    /// An aggregation was requested on an empty group or frame.
-    Empty(&'static str),
 }
 
 impl fmt::Display for TabularError {
@@ -75,7 +73,6 @@ impl fmt::Display for TabularError {
             }
             TabularError::Csv { line, message } => write!(f, "csv error at line {line}: {message}"),
             TabularError::Io(msg) => write!(f, "io error: {msg}"),
-            TabularError::Empty(op) => write!(f, "operation '{op}' on empty input"),
         }
     }
 }
@@ -122,7 +119,6 @@ mod tests {
                 "line 4",
             ),
             (TabularError::Io("boom".into()), "boom"),
-            (TabularError::Empty("mean"), "mean"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

@@ -6,55 +6,41 @@
 //! `culinaria` workspace as the tabular-output substrate for analyses
 //! (category compositions, z-score tables, rank-frequency series, …).
 //!
-//! The design follows a classic column store:
-//!
 //! * a [`Frame`] is an ordered collection of named, equal-length
 //!   [`Column`]s;
 //! * each column is a typed vector (`i64`, `f64`, `String`, `bool`) with
 //!   per-cell nullability;
-//! * row-level access goes through [`Value`], a small dynamically-typed
-//!   cell;
-//! * transformations ([`Frame::filter`], [`Frame::sort_by`],
-//!   [`Frame::group_by`], [`Frame::inner_join`]) produce new frames and
-//!   never mutate their input;
-//! * frames round-trip through RFC-4180-style CSV ([`csv::read_csv`],
+//! * cell access goes through [`Value`], a small dynamically-typed cell;
+//! * frames print as aligned text tables ([`Frame::to_table_string`])
+//!   and round-trip through RFC-4180-style CSV ([`csv::read_csv_str`],
 //!   [`csv::write_csv`]).
 //!
-//! The crate is intentionally small: it implements exactly the operations
-//! the paper's analyses need, with predictable O(n log n) or O(n) cost and
-//! no query planner.
+//! The crate is intentionally small: analyses build frames, harnesses
+//! print them, and the CSV reader checks exported data.
 //!
 //! ## Example
 //!
 //! ```
-//! use culinaria_tabular::{Frame, Column, Value};
+//! use culinaria_tabular::{Column, Frame, Value};
 //!
 //! let mut f = Frame::new();
 //! f.add_column("region", Column::from_strs(&["ITA", "JPN", "ITA"])).unwrap();
 //! f.add_column("z", Column::from_f64s(&[31.0, -5.2, 14.9])).unwrap();
+//! assert_eq!(f.get(1, "region").unwrap(), Value::Str("JPN".into()));
+//! assert!(f.to_table_string(10).contains("-5.2000"));
 //!
-//! let ita = f.filter(|row| row.get("region") == Some(Value::str("ITA"))).unwrap();
-//! assert_eq!(ita.n_rows(), 2);
-//!
-//! let by_region = f.group_by(&["region"]).unwrap().mean("z").unwrap();
-//! assert_eq!(by_region.n_rows(), 2);
+//! let back = Frame::from_csv_str(&f.to_csv()).unwrap();
+//! assert_eq!(back.get(2, "z").unwrap(), Value::Float(14.9));
 //! ```
 
 pub mod column;
 pub mod csv;
 pub mod display;
 pub mod error;
-pub mod expr;
 pub mod frame;
-pub mod groupby;
-pub mod join;
-pub mod sort;
 pub mod value;
 
 pub use column::{Column, ColumnType};
 pub use error::{Result, TabularError};
-pub use expr::Expr;
-pub use frame::{Frame, RowView};
-pub use groupby::{Aggregation, GroupBy};
-pub use sort::SortOrder;
+pub use frame::Frame;
 pub use value::Value;

@@ -1,10 +1,10 @@
 //! Dynamically-typed cell values.
 //!
-//! [`Value`] is the row-level escape hatch of the column store: columns are
-//! stored as typed vectors, but predicates, joins and group-by keys need a
-//! uniform cell representation. `Value` is cheap to clone for everything
-//! except strings and implements a total ordering so it can serve as a sort
-//! and grouping key.
+//! [`Value`] is the cell-level view of the column store: columns are
+//! stored as typed vectors, but cell reads ([`crate::Frame::get`]), CSV
+//! writing and table printing need a uniform cell representation. `Value`
+//! is cheap to clone for everything except strings and has a total
+//! ordering ([`Value::total_cmp`]).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -25,24 +25,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Shorthand for building a string value from a `&str`.
-    pub fn str(s: &str) -> Self {
-        Value::Str(s.to_owned())
-    }
-
-    /// True if the value is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
-    /// Extract an integer, if this is an `Int`.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Extract a float; integers are widened, other types yield `None`.
     pub fn as_float(&self) -> Option<f64> {
         match self {
@@ -56,14 +38,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Extract a boolean, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -99,34 +73,6 @@ impl Value {
             }
         }
     }
-
-    /// A hashable grouping key. Floats are keyed by their bit pattern, so
-    /// `-0.0` and `0.0` are distinct keys; analyses that group by floats
-    /// should round first.
-    pub fn group_key(&self) -> GroupKey {
-        match self {
-            Value::Null => GroupKey::Null,
-            Value::Bool(b) => GroupKey::Bool(*b),
-            Value::Int(v) => GroupKey::Int(*v),
-            Value::Float(v) => GroupKey::FloatBits(v.to_bits()),
-            Value::Str(s) => GroupKey::Str(s.clone()),
-        }
-    }
-}
-
-/// Hashable projection of a [`Value`], used as a group-by / join key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum GroupKey {
-    /// Key for a missing value.
-    Null,
-    /// Key for a boolean.
-    Bool(bool),
-    /// Key for an integer.
-    Int(i64),
-    /// Key for a float, by IEEE-754 bit pattern.
-    FloatBits(u64),
-    /// Key for a string.
-    Str(String),
 }
 
 impl fmt::Display for Value {
@@ -182,37 +128,34 @@ mod tests {
 
     #[test]
     fn accessors_roundtrip() {
-        assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Int(7).as_float(), Some(7.0));
         assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
-        assert_eq!(Value::str("a").as_str(), Some("a"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
-        assert!(Value::Null.is_null());
-        assert_eq!(Value::str("a").as_int(), None);
+        assert_eq!(Value::Str("a".into()).as_str(), Some("a"));
+        assert_eq!(Value::Int(7).as_str(), None);
         assert_eq!(Value::Bool(true).as_float(), None);
     }
 
     #[test]
     fn nan_becomes_null() {
-        assert!(Value::from(f64::NAN).is_null());
+        assert_eq!(Value::from(f64::NAN), Value::Null);
         assert_eq!(Value::from(2.5), Value::Float(2.5));
     }
 
     #[test]
     fn ordering_across_types_is_stable() {
         let mut vals = [
-            Value::str("b"),
+            Value::Str("b".into()),
             Value::Int(3),
             Value::Null,
             Value::Float(2.5),
             Value::Bool(false),
         ];
         vals.sort_by(|a, b| a.total_cmp(b));
-        assert!(vals[0].is_null());
+        assert_eq!(vals[0], Value::Null);
         assert_eq!(vals[1], Value::Bool(false));
         assert_eq!(vals[2], Value::Float(2.5));
         assert_eq!(vals[3], Value::Int(3));
-        assert_eq!(vals[4], Value::str("b"));
+        assert_eq!(vals[4], Value::Str("b".into()));
     }
 
     #[test]
@@ -226,28 +169,19 @@ mod tests {
     }
 
     #[test]
-    fn group_keys_distinguish_values() {
-        assert_eq!(Value::Int(1).group_key(), Value::Int(1).group_key());
-        assert_ne!(Value::Int(1).group_key(), Value::Int(2).group_key());
-        assert_ne!(Value::Int(1).group_key(), Value::Float(1.0).group_key());
-        assert_eq!(Value::str("x").group_key(), Value::str("x").group_key());
-        assert_eq!(Value::Null.group_key(), Value::Null.group_key());
-    }
-
-    #[test]
     fn display_is_csv_friendly() {
         assert_eq!(Value::Null.to_string(), "");
         assert_eq!(Value::Int(-4).to_string(), "-4");
         assert_eq!(Value::Float(0.5).to_string(), "0.5");
-        assert_eq!(Value::str("hi").to_string(), "hi");
+        assert_eq!(Value::Str("hi".into()).to_string(), "hi");
         assert_eq!(Value::Bool(true).to_string(), "true");
     }
 
     #[test]
     fn from_impls() {
         assert_eq!(Value::from(1i64), Value::Int(1));
-        assert_eq!(Value::from("s"), Value::str("s"));
-        assert_eq!(Value::from(String::from("t")), Value::str("t"));
+        assert_eq!(Value::from("s"), Value::Str("s".into()));
+        assert_eq!(Value::from(String::from("t")), Value::Str("t".into()));
         assert_eq!(Value::from(false), Value::Bool(false));
     }
 }

@@ -1,8 +1,8 @@
-//! Property-based tests of the tabular invariants.
+//! Property-based tests of the CSV reader and writer.
 
 use proptest::prelude::*;
 
-use culinaria_tabular::{csv, Column, Frame, SortOrder, Value};
+use culinaria_tabular::{csv, Column, Frame};
 
 /// Strategy: a frame with a string key column and a float value column,
 /// 0..60 rows.
@@ -32,63 +32,6 @@ fn arb_text() -> impl Strategy<Value = String> {
 
 proptest! {
     #[test]
-    fn filter_never_grows(frame in arb_frame(), threshold in -1e6f64..1e6) {
-        let out = frame
-            .filter(|r| r.get("val").and_then(|v| v.as_float()).unwrap_or(f64::MIN) > threshold)
-            .expect("filter works");
-        prop_assert!(out.n_rows() <= frame.n_rows());
-        prop_assert_eq!(out.n_cols(), frame.n_cols());
-    }
-
-    #[test]
-    fn sort_is_a_permutation_and_ordered(frame in arb_frame()) {
-        let sorted = frame.sort_by(&["val"]).expect("column exists");
-        prop_assert_eq!(sorted.n_rows(), frame.n_rows());
-        // Ordered by total_cmp (nulls first).
-        let vals: Vec<Value> = sorted.column("val").expect("exists").iter_values().collect();
-        for w in vals.windows(2) {
-            prop_assert!(w[0].total_cmp(&w[1]) != std::cmp::Ordering::Greater);
-        }
-        // Multiset of counts preserved.
-        let mut before: Vec<i64> = frame
-            .column("count").expect("exists")
-            .iter_values().map(|v| v.as_int().expect("non-null ints")).collect();
-        let mut after: Vec<i64> = sorted
-            .column("count").expect("exists")
-            .iter_values().map(|v| v.as_int().expect("non-null ints")).collect();
-        before.sort_unstable();
-        after.sort_unstable();
-        prop_assert_eq!(before, after);
-    }
-
-    #[test]
-    fn group_counts_sum_to_rows(frame in arb_frame()) {
-        let gb = frame.group_by(&["key"]).expect("column exists");
-        let counted = gb.count();
-        let total: i64 = counted
-            .column("count").expect("count column")
-            .iter_values().map(|v| v.as_int().expect("counts are ints")).sum();
-        prop_assert_eq!(total as usize, frame.n_rows());
-        prop_assert!(counted.n_rows() <= 5); // at most 5 distinct keys
-    }
-
-    #[test]
-    fn group_mean_within_min_max(frame in arb_frame()) {
-        let gb = frame.group_by(&["key"]).expect("column exists");
-        let mean = gb.mean("val").expect("numeric");
-        let min = gb.min("val").expect("numeric");
-        let max = gb.max("val").expect("numeric");
-        for row in 0..mean.n_rows() {
-            let m = mean.get(row, "val_mean").expect("cell");
-            if let Some(m) = m.as_float() {
-                let lo = min.get(row, "val_min").expect("cell").as_float().expect("min exists when mean does");
-                let hi = max.get(row, "val_max").expect("cell").as_float().expect("max exists when mean does");
-                prop_assert!(lo <= m + 1e-9 && m <= hi + 1e-9, "{lo} <= {m} <= {hi}");
-            }
-        }
-    }
-
-    #[test]
     fn csv_roundtrip_preserves_frame(frame in arb_frame()) {
         let text = frame.to_csv();
         let back = csv::read_csv_str(&text).expect("own CSV parses");
@@ -111,7 +54,7 @@ proptest! {
 
     #[test]
     fn csv_escaping_roundtrips_arbitrary_text(cells in proptest::collection::vec(arb_text(), 1..12)) {
-        let column = Column::from_strings(cells.clone());
+        let column = Column::Str(cells.iter().cloned().map(Some).collect());
         let frame = Frame::from_columns(vec![("text", column)]).expect("fresh frame");
         let back = csv::read_csv_str(&frame.to_csv()).expect("own CSV parses");
         prop_assert_eq!(back.n_rows(), cells.len());
@@ -124,44 +67,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn join_output_bounded_by_key_product(frame in arb_frame()) {
-        let right = Frame::from_columns(vec![
-            ("key", Column::from_strs(&["a", "b", "x"])),
-            ("z", Column::from_f64s(&[1.0, 2.0, 3.0])),
-        ])
-        .expect("fresh frame");
-        let joined = frame.inner_join(&right, &["key"], &["key"]).expect("join");
-        // Each left row matches at most one right row here (right keys unique).
-        prop_assert!(joined.n_rows() <= frame.n_rows());
-        prop_assert!(joined.has_column("z"));
-    }
-
-    #[test]
-    fn take_repeats_and_reorders(frame in arb_frame(), seed in 0usize..1000) {
-        prop_assume!(frame.n_rows() > 0);
-        let idx: Vec<usize> = (0..frame.n_rows()).map(|i| (i * 7 + seed) % frame.n_rows()).collect();
-        let taken = frame.take(&idx);
-        prop_assert_eq!(taken.n_rows(), idx.len());
-        for (out_row, &src) in idx.iter().enumerate() {
-            prop_assert_eq!(
-                taken.get(out_row, "count").expect("cell"),
-                frame.get(src, "count").expect("cell")
-            );
-        }
-    }
-
-    #[test]
-    fn sort_desc_is_reverse_of_asc_for_unique_keys(n in 1usize..40) {
-        let vals: Vec<i64> = (0..n as i64).collect();
-        let frame = Frame::from_columns(vec![("v", Column::from_i64s(&vals))]).expect("fresh frame");
-        let asc = frame.sort_by_with(&[("v", SortOrder::Ascending)]).expect("sort");
-        let desc = frame.sort_by_with(&[("v", SortOrder::Descending)]).expect("sort");
-        for i in 0..n {
-            prop_assert_eq!(
-                asc.get(i, "v").expect("cell"),
-                desc.get(n - 1 - i, "v").expect("cell")
-            );
-        }
-    }
 }
