@@ -9,7 +9,7 @@
 //!
 //! * **frequency tables** — global and per-region ingredient → recipe
 //!   counts, exact integers equal to
-//!   [`RecipeStore::global_frequencies`] /
+//!   [`RecipeStore::global_frequencies`](culinaria_recipedb::RecipeStore::global_frequencies) /
 //!   [`Cuisine::frequencies`](culinaria_recipedb::Cuisine::frequencies);
 //! * **category compositions** — per-region usage counts per category,
 //!   equal to [`crate::composition::category_counts`];
@@ -32,7 +32,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use culinaria_flavordb::{FlavorDb, IngredientId};
-use culinaria_recipedb::{RecipeStore, Region};
+use culinaria_recipedb::Region;
 use culinaria_stats::running::RunningStats;
 
 use crate::error::StageFailure;
@@ -99,7 +99,6 @@ impl RegionStream {
 pub struct StreamState {
     global_freq: HashMap<IngredientId, u64>,
     regions: Vec<RegionStream>,
-    fed: usize,
 }
 
 impl Default for StreamState {
@@ -116,97 +115,28 @@ impl StreamState {
             regions: (0..Region::ALL.len())
                 .map(|_| RegionStream::new())
                 .collect(),
-            fed: 0,
         }
     }
 
-    /// Ingest one stored recipe (already resolved and deduplicated by
-    /// the importer/store). Returns the recipe's N_s under the updated
-    /// overlap cache — bit-identical to
-    /// [`crate::pairing::recipe_pairing_score`] on the same ids.
+    /// Ingest a micro-batch of resolved recipes (already deduplicated
+    /// by the importer/store) in order, extending each touched
+    /// region's overlap pool **once** for the whole batch instead of
+    /// once per recipe — the dominant cost of an ingest is the
+    /// O(pool²) triangle copy in [`OverlapCache::extend`]. perfbench's
+    /// `ingest-serve` workload times it as
+    /// `core.streaming.ingest_batch_ms`.
+    ///
+    /// Any split of a stream into batches gives bit-identical state:
+    /// overlap cells are exact intersection counts (the grow path
+    /// cannot change them), and per-recipe scores are pushed into the
+    /// running stats in stream order. Returns the number of recipes
+    /// ingested.
     ///
     /// # Errors
     /// [`StageFailure`] when an ingredient id is dead in `db` (stage
-    /// `stream.category`) or the overlap extension fails
-    /// (stage `overlap.extend`).
-    pub fn ingest_recipe(
-        &mut self,
-        db: &FlavorDb,
-        region: Region,
-        ingredients: &[IngredientId],
-    ) -> Result<f64, StageFailure> {
-        let slot = region.index();
-        // Categories first: validates every id before any state mutates,
-        // so a dead id leaves the state untouched.
-        let mut cat_delta = [0u64; 21];
-        for (k, &id) in ingredients.iter().enumerate() {
-            let ing = db.ingredient(id).map_err(|e| {
-                StageFailure::error(
-                    "stream.category",
-                    k,
-                    format!("ingredient id {} is not usable: {e}", id.index()),
-                )
-            })?;
-            cat_delta[ing.category.index()] += 1;
-        }
-
-        // Overlap pool growth: splice unseen ids into the sorted pool so
-        // it stays equal to the cuisine's `ingredient_set()` ordering.
-        let rs = &mut self.regions[slot];
-        let mut fresh: Vec<IngredientId> = ingredients
-            .iter()
-            .copied()
-            .filter(|&id| rs.overlap.local_index(id).is_none())
-            .collect();
-        if !fresh.is_empty() {
-            fresh.sort_unstable();
-            fresh.dedup();
-            let mut pool = rs.overlap.pool().to_vec();
-            pool.extend_from_slice(&fresh);
-            pool.sort_unstable();
-            rs.overlap = rs.overlap.extend(db, &pool)?;
-        }
-
-        for (c, d) in rs.categories.iter_mut().zip(&cat_delta) {
-            *c += d;
-        }
-        for &id in ingredients {
-            *rs.freq.entry(id).or_insert(0) += 1;
-            *self.global_freq.entry(id).or_insert(0) += 1;
-        }
-        rs.n_recipes += 1;
-
-        let score = rs.overlap.score_ids(ingredients).ok_or_else(|| {
-            StageFailure::error(
-                "stream.score",
-                0,
-                "extended pool missing a recipe ingredient",
-            )
-        })?;
-        if ingredients.len() >= 2 {
-            rs.scores.push(score);
-        }
-        Ok(score)
-    }
-
-    /// Ingest a micro-batch of resolved recipes in order, extending
-    /// each touched region's overlap pool **once** for the whole batch
-    /// instead of once per recipe — the dominant cost of
-    /// [`StreamState::ingest_recipe`] is the O(pool²) triangle copy in
-    /// [`OverlapCache::extend`], so batching it is what makes
-    /// micro-batched ingestion cheaper than per-batch cold rebuilds
-    /// (measured by `bench_stream`).
-    ///
-    /// Bit-identical to calling [`StreamState::ingest_recipe`] per
-    /// recipe in the same order: overlap cells are exact intersection
-    /// counts (the grow path cannot change them), and per-recipe
-    /// scores are pushed into the running stats in batch order either
-    /// way. Returns the number of recipes ingested.
-    ///
-    /// # Errors
-    /// Like [`StreamState::ingest_recipe`]: every ingredient id is
-    /// validated against `db` before any state mutates, so a dead id
-    /// leaves the whole state untouched (stage `stream.category`).
+    /// `stream.category`) or the overlap extension fails (stage
+    /// `overlap.extend`). Every id is validated before any state
+    /// mutates, so a dead id leaves the whole state untouched.
     pub fn ingest_batch(
         &mut self,
         db: &FlavorDb,
@@ -282,36 +212,8 @@ impl StreamState {
         Ok(recipes.len())
     }
 
-    /// Catch up with a store: ingest recipes `from..` in store order
-    /// (the arrival order the determinism contract is defined over).
-    /// Returns the number of recipes ingested.
-    ///
-    /// # Errors
-    /// First [`StageFailure`] from [`StreamState::ingest_recipe`];
-    /// recipes before the failing one remain ingested.
-    pub fn ingest_stored(
-        &mut self,
-        db: &FlavorDb,
-        store: &RecipeStore,
-        from: usize,
-    ) -> Result<usize, StageFailure> {
-        let mut n = 0;
-        for r in store.recipes().skip(from) {
-            self.ingest_recipe(db, r.region, r.ingredients())?;
-            n += 1;
-        }
-        self.fed = from + n;
-        Ok(n)
-    }
-
-    /// Recipes fed via [`StreamState::ingest_stored`] so far (the
-    /// `from` to pass next time).
-    pub fn fed(&self) -> usize {
-        self.fed
-    }
-
     /// Global ingredient → recipe-count table
-    /// (= [`RecipeStore::global_frequencies`]).
+    /// (= [`RecipeStore::global_frequencies`](culinaria_recipedb::RecipeStore::global_frequencies)).
     pub fn global_frequencies(&self) -> &HashMap<IngredientId, u64> {
         &self.global_freq
     }
@@ -329,44 +231,58 @@ mod tests {
     use crate::pairing::recipe_pairing_score;
     use culinaria_datagen::{generate_world, WorldConfig};
     use culinaria_obs::Metrics;
+    use culinaria_recipedb::RecipeStore;
 
     #[test]
     fn incremental_state_matches_batch_after_every_prefix_step() {
         let w = generate_world(&WorldConfig::tiny());
         let (db, store) = (&w.flavor, &w.recipes);
-        let n = store.n_recipes().min(40);
-        let mut state = StreamState::new();
-        let mut partial = RecipeStore::new();
-        for (i, r) in store.recipes().take(n).enumerate() {
-            state.ingest_recipe(db, r.region, r.ingredients()).unwrap();
-            partial
-                .add_recipe(&r.name, r.region, r.source, r.ingredients().to_vec())
-                .unwrap();
-            if i % 7 != 6 && i != n - 1 {
-                continue; // full cross-check every 7th step and at the end
-            }
-            assert_eq!(state.global_frequencies(), &partial.global_frequencies());
-            for region in partial.regions() {
-                let cuisine = partial.cuisine(region);
-                let rs = state.region(region);
-                assert_eq!(rs.frequencies(), &cuisine.frequencies(), "step {i}");
-                assert_eq!(
-                    rs.category_counts(),
-                    &category_counts(db, &cuisine),
-                    "step {i}"
-                );
-                let cold = OverlapCache::for_cuisine(db, &cuisine);
-                assert_eq!(rs.overlap().pool(), cold.pool(), "step {i}");
-                assert_eq!(rs.overlap().tri(), cold.tri(), "step {i}");
-                // Batch reference for the running stats: the same
-                // accumulator fed in the same (store) order.
-                let mut batch = RunningStats::new();
-                for r in cuisine.recipes() {
-                    if r.size() >= 2 {
-                        batch.push(recipe_pairing_score(db, r.ingredients()));
-                    }
+        let recipes: Vec<_> = store.recipes().take(240).collect();
+        assert_eq!(recipes.len(), 240, "fixture too small");
+        for batch in [1usize, 8, 64] {
+            let mut state = StreamState::new();
+            let mut partial = RecipeStore::new();
+            for chunk in recipes.chunks(batch) {
+                let refs: Vec<(Region, &[_])> =
+                    chunk.iter().map(|r| (r.region, r.ingredients())).collect();
+                state.ingest_batch(db, &refs).unwrap();
+                for r in chunk {
+                    partial
+                        .add_recipe(&r.name, r.region, r.source, r.ingredients().to_vec())
+                        .unwrap();
                 }
-                assert_eq!(rs.pairing_stats(), &batch, "step {i}");
+                let fed = partial.n_recipes();
+                if !fed.is_multiple_of(8) && fed != recipes.len() {
+                    continue; // full cross-check every 8 recipes and at the end
+                }
+                let step = format!("batch {batch}, {fed} recipes");
+                assert_eq!(
+                    state.global_frequencies(),
+                    &partial.global_frequencies(),
+                    "{step}"
+                );
+                for region in partial.regions() {
+                    let cuisine = partial.cuisine(region);
+                    let rs = state.region(region);
+                    assert_eq!(rs.frequencies(), &cuisine.frequencies(), "{step}");
+                    assert_eq!(
+                        rs.category_counts(),
+                        &category_counts(db, &cuisine),
+                        "{step}"
+                    );
+                    let cold = OverlapCache::for_cuisine(db, &cuisine);
+                    assert_eq!(rs.overlap().pool(), cold.pool(), "{step}");
+                    assert_eq!(rs.overlap().tri(), cold.tri(), "{step}");
+                    // Batch reference for the running stats: the same
+                    // accumulator fed in the same (store) order.
+                    let mut cold_stats = RunningStats::new();
+                    for r in cuisine.recipes() {
+                        if r.size() >= 2 {
+                            cold_stats.push(recipe_pairing_score(db, r.ingredients()));
+                        }
+                    }
+                    assert_eq!(rs.pairing_stats(), &cold_stats, "{step}");
+                }
             }
         }
     }
@@ -375,24 +291,24 @@ mod tests {
     fn micro_batch_and_per_recipe_feeds_are_bit_identical() {
         let w = generate_world(&WorldConfig::tiny());
         let (db, store) = (&w.flavor, &w.recipes);
-        let n = store.n_recipes().min(30);
+        let recipes: Vec<_> = store.recipes().take(30).collect();
 
         let mut one_by_one = StreamState::new();
-        for r in store.recipes().take(n) {
+        for r in &recipes {
             one_by_one
-                .ingest_recipe(db, r.region, r.ingredients())
+                .ingest_batch(db, &[(r.region, r.ingredients())])
                 .unwrap();
         }
 
+        // Uneven micro-batches: 5, 7 and 18 recipes.
         let mut chunked = StreamState::new();
         let mut at = 0;
-        for chunk in [5usize, 12, 30] {
-            let upto = chunk.min(n);
-            for r in store.recipes().take(upto).skip(at) {
-                chunked
-                    .ingest_recipe(db, r.region, r.ingredients())
-                    .unwrap();
-            }
+        for upto in [5usize, 12, 30] {
+            let refs: Vec<(Region, &[_])> = recipes[at..upto]
+                .iter()
+                .map(|r| (r.region, r.ingredients()))
+                .collect();
+            chunked.ingest_batch(db, &refs).unwrap();
             at = upto;
         }
 
@@ -417,7 +333,7 @@ mod tests {
         let mut per_recipe = StreamState::new();
         for r in &recipes {
             per_recipe
-                .ingest_recipe(db, r.region, r.ingredients())
+                .ingest_batch(db, &[(r.region, r.ingredients())])
                 .unwrap();
         }
 
@@ -487,12 +403,14 @@ mod tests {
         let db = &w.flavor;
         let r = w.recipes.recipes().next().unwrap();
         let mut state = StreamState::new();
-        state.ingest_recipe(db, r.region, r.ingredients()).unwrap();
+        state
+            .ingest_batch(db, &[(r.region, r.ingredients())])
+            .unwrap();
         let before = state.region(r.region).clone();
 
         let dead = IngredientId(u32::MAX - 1);
         assert!(state
-            .ingest_recipe(db, r.region, &[dead, r.ingredients()[0]])
+            .ingest_batch(db, &[(r.region, &[dead, r.ingredients()[0]])])
             .is_err());
         let after = state.region(r.region);
         assert_eq!(after.frequencies(), before.frequencies());

@@ -587,7 +587,7 @@ mod tests {
             n_threads: 1,
         };
         let reference = analyze_world_view(&world.flavor, &world.recipes, &models, &base);
-        for threads in [2, 8] {
+        for threads in [2, 4, 8] {
             let cfg = MonteCarloConfig {
                 n_threads: threads,
                 ..base
@@ -615,6 +615,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn world_ensembles_match_a_serial_per_draw_reference() {
+        // The plainest reading of the Monte-Carlo stream scheme: per
+        // region, model and 2048-recipe block, one allocating
+        // `generate` draw per null recipe on stream
+        // `derive_seed(derive_seed_labeled(seed, code), model << 32 | block)`,
+        // blocks merged in order. The pooled, allocation-free world
+        // engine must reproduce it bit for bit.
+        use culinaria_stats::rng::derive_seed;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        const BLOCK: usize = 2048;
+
+        let world = generate_world(&WorldConfig::tiny());
+        let models = NullModel::ALL;
+        let cfg = MonteCarloConfig {
+            n_recipes: 3000, // the second block is partial
+            seed: 2018,
+            n_threads: 2,
+        };
+        let pooled = analyze_world_view(&world.flavor, &world.recipes, &models, &cfg);
+        let mut rows = pooled.iter();
+        for region in world.recipes.regions() {
+            let cuisine = world.recipes.cuisine(region);
+            let Some(sampler) = CuisineSampler::build(&world.flavor, &cuisine) else {
+                continue;
+            };
+            let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
+            let region_seed = derive_seed_labeled(cfg.seed, region.code());
+            let row = rows.next().expect("a row per sampled region");
+            assert_eq!(row.region, region);
+            for (c, model) in row.comparisons.iter().zip(models) {
+                let mut total = RunningStats::new();
+                for block in 0..cfg.n_recipes.div_ceil(BLOCK) {
+                    let stream = (model.index() as u64) << 32 | block as u64;
+                    let mut rng = StdRng::seed_from_u64(derive_seed(region_seed, stream));
+                    let mut stats = RunningStats::new();
+                    for _ in block * BLOCK..((block + 1) * BLOCK).min(cfg.n_recipes) {
+                        stats.push(cache.score_local(&sampler.generate(model, &mut rng)));
+                    }
+                    total.merge(&stats);
+                }
+                let serial = NullEnsemble::from_running(&total).expect("non-degenerate");
+                assert_eq!(
+                    c.null.mean.to_bits(),
+                    serial.mean.to_bits(),
+                    "{} {model}",
+                    region.code()
+                );
+                assert_eq!(c.null.std_dev.to_bits(), serial.std_dev.to_bits());
+                assert_eq!(c.null.n, serial.n);
+            }
+        }
+        assert!(rows.next().is_none(), "no row without a sampled region");
     }
 
     #[test]

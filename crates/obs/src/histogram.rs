@@ -11,7 +11,7 @@
 //! rank — conservative, at most 2× relative error) and
 //! `quantile_interp_us` (linear interpolation inside that bucket under
 //! a uniform-within-bucket assumption — what the renderers and
-//! `bench_serve` report).
+//! perfbench report).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -15,9 +15,10 @@
 //! - `TOPK` — top-k novel pairings (high overlap, low co-occurrence),
 //! - `SCORE` — free-text recipe import-and-score.
 //!
-//! The perf core is three mechanisms, each measured by `bench_serve`:
-//! deterministic request batching over `culinaria_stats::pool`
-//! ([`server`] docs give the bit-identity argument), a bounded LRU
+//! The perf core is three mechanisms, each measured by perfbench's
+//! `serve-hot` and `serve-cold` workloads: deterministic request
+//! batching over `culinaria_stats::pool` ([`server`] docs give the
+//! bit-identity argument), a bounded LRU
 //! response cache over interned ingredient-id sets ([`cache`]), and
 //! load-shedding bounded-queue backpressure ([`queue`]). Live metrics
 //! flow through `culinaria-obs` and out the `METRICS` endpoint.
@@ -30,9 +31,9 @@
 //! rebuild on first use, and cached responses from older generations
 //! are invalidated lazily on lookup
 //! ([`cache::ResponseCache::set_generation`], counted by
-//! `serve.cache.invalidations`). `bench_stream` measures this
-//! ingest-while-serving regime; the wire protocol itself is documented
-//! end-to-end in `docs/PROTOCOL.md`.
+//! `serve.cache.invalidations`). perfbench's `ingest-serve` workload
+//! measures this ingest-while-serving regime; the wire protocol itself
+//! is documented end-to-end in `docs/PROTOCOL.md`.
 //!
 //! # Operational hardening
 //!

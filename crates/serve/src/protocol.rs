@@ -135,7 +135,8 @@ pub enum Request {
     Health,
     /// Pairing score for an ingredient-id set. `region` selects the
     /// shard fast path (precomputed overlap triangle); `None` walks
-    /// the flavor profiles directly. Both produce the same bits.
+    /// the flavor profiles directly. Both produce the same bits for
+    /// the sorted, distinct `ids` that [`parse_request`] produces.
     Pair {
         region: Option<Region>,
         ids: Vec<IngredientId>,
@@ -216,13 +217,18 @@ pub fn parse_request(payload: &[u8]) -> Result<(u64, Request), (u64, ProtoError)
                     .map_err(|_| fail("bad-ids", format!("not an ingredient id: {part:?}")))?;
                 ids.push(IngredientId(raw));
             }
-            if ids.len() < 2 {
-                return Err(fail("bad-ids", "a pairing needs at least two ids".into()));
-            }
             if ids.len() > MAX_SET {
                 return Err(fail(
                     "bad-ids",
                     format!("{} ids exceeds the {MAX_SET}-id cap", ids.len()),
+                ));
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            if ids.len() < 2 {
+                return Err(fail(
+                    "bad-ids",
+                    "a pairing needs at least two distinct ids".into(),
                 ));
             }
             Request::Pair { region, ids }
@@ -256,6 +262,9 @@ pub fn parse_request(payload: &[u8]) -> Result<(u64, Request), (u64, ProtoError)
         }
         other => return Err(fail("bad-verb", format!("unknown verb {other:?}"))),
     };
+    if let Some(extra) = tokens.next() {
+        return Err(fail("bad-args", format!("unexpected argument {extra:?}")));
+    }
     if !matches!(req, Request::Score { .. }) && lines.next().is_some() {
         return Err(fail("bad-args", "unexpected extra payload lines".into()));
     }
@@ -374,8 +383,8 @@ pub fn score_body(resolved_lines: usize, total_lines: usize, n_ids: usize, score
     )
 }
 
-/// A minimal blocking client for one frame stream — what the CLI
-/// examples, tests, and the `bench_serve` load generator drive.
+/// A minimal blocking client for one frame stream — what the tests
+/// and perfbench's load generator drive.
 #[derive(Debug)]
 pub struct Client<S> {
     stream: S,
@@ -495,6 +504,18 @@ mod tests {
                 ids: vec![IngredientId(0), IngredientId(1)],
             }
         );
+        // PAIR id sets come out sorted and deduplicated.
+        assert_eq!(
+            parse_request(b"4 PAIR ITA 9,1,2,1,9").unwrap(),
+            parse_request(b"4 PAIR ITA 1,2,9").unwrap()
+        );
+        assert_eq!(
+            parse_request(b"5 PAIR - 1,0,0").unwrap().1,
+            Request::Pair {
+                region: None,
+                ids: vec![IngredientId(0), IngredientId(1)],
+            }
+        );
         assert_eq!(
             parse_request(b"6 TOPK JPN 10").unwrap().1,
             Request::TopK {
@@ -531,6 +552,26 @@ mod tests {
         assert_eq!(e.code, "bad-args");
         let (_, e) = parse_request(b"9 HEALTH\nextra").unwrap_err();
         assert_eq!(e.code, "bad-args");
+        // A pairing needs two distinct ids; the cap counts the raw list.
+        let (id, e) = parse_request(b"9 PAIR ITA 5,5").unwrap_err();
+        assert_eq!((id, e.code), (9, "bad-ids"));
+        let flood = vec!["5"; MAX_SET + 1].join(",");
+        let (_, e) = parse_request(format!("9 PAIR ITA 5,7,{flood}").as_bytes()).unwrap_err();
+        assert_eq!(e.code, "bad-ids");
+        assert!(e.message.contains("cap"), "{}", e.message);
+        // Tokens after a verb's arguments are rejected, not ignored.
+        for extra in [
+            "9 PING extra",
+            "9 HEALTH extra",
+            "9 PAIR ITA 5,7 junk",
+            "9 PAIR - 5,7 junk",
+            "9 ZPROF ITA extra",
+            "9 TOPK ITA 5 extra",
+            "9 SCORE ITA extra\ngarlic",
+        ] {
+            let (id, e) = parse_request(extra.as_bytes()).unwrap_err();
+            assert_eq!((id, e.code), (9, "bad-args"), "{extra:?}");
+        }
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! (lazily initialized through `OnceLock`, so exactly one build wins
 //! and every worker sees the same tables), which makes a batch's
 //! responses — and the cache's evolution — bit-identical to serial
-//! execution at any worker count. `bench_serve` and the serve tests
-//! assert exactly that.
+//! execution at any worker count. The serve tests assert exactly that.
 //!
 //! # Generations and ingest
 //!
@@ -25,12 +24,15 @@
 //! an immutable **epoch** behind an `RwLock<Arc<…>>`. A batch snapshots
 //! the current epoch once and answers entirely against it, so a
 //! concurrent [`Server::ingest_swap`] — which installs a new epoch with
-//! fresh (empty) shard slots and bumps the **generation counter** —
+//! fresh (empty) shard slots and the next **generation** number —
 //! never tears a batch. The response cache is stamped with the
 //! generation at store time; the swap moves the cache's generation
 //! forward, and stale entries are evicted lazily on their next lookup
-//! (`serve.cache.invalidations`). Shards are rebuilt lazily in the new
-//! epoch exactly as they were at startup.
+//! (`serve.cache.invalidations`). A batch whose epoch a swap has
+//! superseded neither reads nor fills the cache: its answers hold for
+//! the old data only, and caching one would stamp it with the new
+//! generation. Shards are rebuilt lazily in the new epoch exactly as
+//! they were at startup.
 
 use std::io::{self, BufWriter, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -272,6 +274,8 @@ type ShardSlot = Result<Option<Arc<RegionShard>>, String>;
 /// [`Server::ingest_swap`]; batches snapshot the `Arc` once, so a swap
 /// never tears in-flight work.
 struct Epoch<'a> {
+    /// 0 at startup, +1 per [`Server::ingest_swap`].
+    generation: u64,
     flavor: FlavorViewRef<'a>,
     recipes: RecipesViewRef<'a>,
     shards: Vec<OnceLock<ShardSlot>>,
@@ -279,8 +283,9 @@ struct Epoch<'a> {
 }
 
 impl<'a> Epoch<'a> {
-    fn new(flavor: FlavorViewRef<'a>, recipes: RecipesViewRef<'a>) -> Epoch<'a> {
+    fn new(generation: u64, flavor: FlavorViewRef<'a>, recipes: RecipesViewRef<'a>) -> Epoch<'a> {
         Epoch {
+            generation,
             flavor,
             recipes,
             shards: (0..Region::ALL.len()).map(|_| OnceLock::new()).collect(),
@@ -304,7 +309,6 @@ pub struct ConnStats {
 /// See the module docs.
 pub struct Server<'a> {
     epoch: RwLock<Arc<Epoch<'a>>>,
-    generation: AtomicU64,
     cfg: ServeConfig,
     metrics: Metrics,
     obs: ServeObs,
@@ -327,8 +331,7 @@ impl<'a> Server<'a> {
         let cache =
             (cfg.cache_entries > 0).then(|| Mutex::new(ResponseCache::new(cfg.cache_entries)));
         Server {
-            epoch: RwLock::new(Arc::new(Epoch::new(flavor, recipes))),
-            generation: AtomicU64::new(0),
+            epoch: RwLock::new(Arc::new(Epoch::new(0, flavor, recipes))),
             cfg,
             metrics,
             obs,
@@ -349,7 +352,7 @@ impl<'a> Server<'a> {
     /// The current data generation (0 at startup, +1 per
     /// [`Server::ingest_swap`]).
     pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
+        self.current().generation
     }
 
     /// Install a new data generation after an ingest: replace the world
@@ -363,9 +366,11 @@ impl<'a> Server<'a> {
     /// snapshot the epoch once at entry and finish against it, so
     /// responses in one batch never mix generations.
     pub fn ingest_swap(&self, flavor: FlavorViewRef<'a>, recipes: RecipesViewRef<'a>) -> u64 {
-        let next = Arc::new(Epoch::new(flavor, recipes));
-        *self.epoch.write().unwrap_or_else(|p| p.into_inner()) = next;
-        let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
+        let mut epoch = self.epoch.write().unwrap_or_else(|p| p.into_inner());
+        let generation = epoch.generation + 1;
+        *epoch = Arc::new(Epoch::new(generation, flavor, recipes));
+        // Still under the epoch lock: no batch can snapshot the new
+        // epoch before the cache has moved to its generation.
         if let Some(cache) = self.cache.as_ref() {
             lock_unpoisoned(cache).set_generation(generation);
         }
@@ -436,7 +441,7 @@ impl<'a> Server<'a> {
         let mut misses: Vec<usize> = Vec::new();
         // Phase 1: serial cache pass, request order.
         for (i, (id, req)) in reqs.iter().enumerate() {
-            match self.cache_lookup(req) {
+            match self.cache_lookup(ep.generation, req) {
                 Some(body) => out[i] = Some(format!("{id} {body}")),
                 None => misses.push(i),
             }
@@ -460,7 +465,7 @@ impl<'a> Server<'a> {
         for (t, &i) in misses.iter().enumerate() {
             let (body, slot) = &computed[t];
             if let Some(slot) = slot {
-                self.cache_store(slot, &reqs[i].1, body.clone());
+                self.cache_store(ep.generation, slot, &reqs[i].1, body.clone());
             }
             out[i] = Some(format!("{} {body}", reqs[i].0));
         }
@@ -497,11 +502,16 @@ impl<'a> Server<'a> {
         }
     }
 
-    fn cache_lookup(&self, req: &Request) -> Option<String> {
+    /// A cached answer for a batch answering against epoch
+    /// `generation`; `None` for any batch a swap has superseded.
+    fn cache_lookup(&self, generation: u64, req: &Request) -> Option<String> {
         let cache = self.cache.as_ref()?;
         let slot = Self::cache_slot(req)?;
         let ids = slot.ids(req);
         let mut cache = lock_unpoisoned(cache);
+        if cache.generation() != generation {
+            return None;
+        }
         let stale_before = cache.stats().invalidations;
         let got = cache.lookup(slot.endpoint, slot.region, slot.param, ids);
         let invalidated = cache.stats().invalidations - stale_before;
@@ -516,7 +526,9 @@ impl<'a> Server<'a> {
         got
     }
 
-    fn cache_store(&self, slot: &CacheSlot, req: &Request, body: String) {
+    /// Cache `body`, computed against epoch `generation`, unless a swap
+    /// has superseded that epoch since.
+    fn cache_store(&self, generation: u64, slot: &CacheSlot, req: &Request, body: String) {
         // Only successful responses are cached — errors stay cheap to
         // recompute and must not shadow a later success.
         if !body.starts_with("OK ") {
@@ -524,6 +536,9 @@ impl<'a> Server<'a> {
         }
         if let Some(cache) = self.cache.as_ref() {
             let mut cache = lock_unpoisoned(cache);
+            if cache.generation() != generation {
+                return;
+            }
             let before = cache.stats().evictions;
             cache.store(slot.endpoint, slot.region, slot.param, slot.ids(req), body);
             let evicted = cache.stats().evictions - before;

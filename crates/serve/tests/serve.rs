@@ -2,7 +2,8 @@
 //! frames never panic and always answer with structured errors),
 //! batch≡serial response bit-identity across worker-thread counts,
 //! served-vs-offline parity for every endpoint, cache behavior over a
-//! live connection, and load-shedding backpressure.
+//! live connection, correct answers across live ingest swaps, and
+//! load-shedding backpressure.
 
 use std::os::unix::net::UnixStream;
 
@@ -163,35 +164,31 @@ fn oversized_frame_is_rejected_not_read() {
     });
 }
 
-/// The canonical deterministic query mix used by the identity tests.
+/// The canonical deterministic query mix used by the identity tests,
+/// parsed from the wire text a client sends. Id sets come back
+/// permuted and with duplicates, and every form must answer like the
+/// normalized set whatever the order.
 fn mixed_requests(world: &World) -> Vec<(u64, Request)> {
     let (region, ids) = probe(world);
-    let mut reqs: Vec<(u64, Request)> = Vec::new();
+    let code = region.code();
+    let [a, b, c, d] = [ids[0].0, ids[1].0, ids[2].0, ids[3].0];
+    let lines = [
+        format!("PAIR {code} {a},{b},{c},{d}"),
+        format!("PAIR - {a},{b},{c},{d}"),
+        format!("TOPK {code} 5"),
+        format!("ZPROF {code}"),
+        "PING".to_string(),
+        format!("PAIR {code} {a},{a},{b}"),
+        format!("PAIR {code} {a},{b}"),
+        format!("PAIR - {b},{a},{a}"),
+        format!("PAIR {code} {d},{c},{b},{a},{d}"),
+    ];
+    let mut reqs = Vec::new();
     for rep in 0..3u64 {
-        reqs.push((
-            rep * 10 + 1,
-            Request::Pair {
-                region: Some(region),
-                ids: ids.clone(),
-            },
-        ));
-        reqs.push((
-            rep * 10 + 2,
-            Request::Pair {
-                region: None,
-                ids: ids.clone(),
-            },
-        ));
-        reqs.push((rep * 10 + 3, Request::TopK { region, k: 5 }));
-        reqs.push((rep * 10 + 4, Request::ZProf { region }));
-        reqs.push((rep * 10 + 5, Request::Ping));
-        reqs.push((
-            rep * 10 + 6,
-            Request::Pair {
-                region: Some(region),
-                ids: vec![ids[0], ids[1]],
-            },
-        ));
+        for (k, line) in lines.iter().enumerate() {
+            let payload = format!("{} {line}", rep * 10 + k as u64 + 1);
+            reqs.push(parse_request(payload.as_bytes()).expect("well-formed request"));
+        }
     }
     reqs
 }
@@ -199,27 +196,34 @@ fn mixed_requests(world: &World) -> Vec<(u64, Request)> {
 #[test]
 fn batch_responses_bit_identical_across_thread_counts() {
     let world = tiny_world();
-    let mc = 300;
-    let mut reference: Option<(Vec<String>, u64, u64)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let cfg = ServeConfig {
-            threads,
-            mc_recipes: mc,
-            ..ServeConfig::default()
-        };
-        let server = server_over(&world, cfg);
-        let reqs = mixed_requests(&world);
-        let mut responses = Vec::new();
-        // Two successive batches so cache state crosses a batch edge.
-        let (front, back) = reqs.split_at(reqs.len() / 2);
-        responses.extend(server.handle_batch(front));
-        responses.extend(server.handle_batch(back));
-        let stats = server.cache_stats().expect("cache on");
-        match &reference {
-            None => reference = Some((responses, stats.hits, stats.misses)),
-            Some((ref_responses, hits, misses)) => {
-                assert_eq!(&responses, ref_responses, "thread count {threads} diverged");
-                assert_eq!((stats.hits, stats.misses), (*hits, *misses));
+    let reqs = mixed_requests(&world);
+    let mut reference: Option<Vec<String>> = None;
+    for cache_entries in [0, ServeConfig::default().cache_entries] {
+        let mut counters = None;
+        for threads in [1usize, 2, 4, 8] {
+            let cfg = ServeConfig {
+                threads,
+                cache_entries,
+                mc_recipes: 300,
+                ..ServeConfig::default()
+            };
+            let server = server_over(&world, cfg);
+            let mut responses = Vec::new();
+            // Two successive batches so cache state crosses a batch edge.
+            let (front, back) = reqs.split_at(reqs.len() / 2);
+            responses.extend(server.handle_batch(front));
+            responses.extend(server.handle_batch(back));
+            let stats = server.cache_stats().map(|s| (s.hits, s.misses));
+            match &counters {
+                None => counters = Some(stats),
+                Some(first) => assert_eq!(&stats, first, "{threads} threads"),
+            }
+            match &reference {
+                None => reference = Some(responses),
+                Some(first) => assert_eq!(
+                    &responses, first,
+                    "{threads} threads, cache {cache_entries} diverged"
+                ),
             }
         }
     }
@@ -247,34 +251,48 @@ fn batched_equals_serial_responses() {
 #[test]
 fn pair_shard_and_global_paths_agree_bitwise() {
     let world = tiny_world();
-    let server = server_over(&world, ServeConfig::default());
     let (region, _) = probe(&world);
     let cuisine = CuisineView::Owned(world.recipes.cuisine(region));
     let pool = cuisine.ingredient_set();
-    // Every adjacent pair and a few larger sets.
-    for w in pool.windows(3).take(20) {
-        let shard = server.handle(
-            1,
-            &Request::Pair {
-                region: Some(region),
-                ids: w.to_vec(),
-            },
-        );
-        let global = server.handle(
-            2,
-            &Request::Pair {
-                region: None,
-                ids: w.to_vec(),
-            },
-        );
-        assert_eq!(
-            shard.split_once(' ').unwrap().1,
-            global.split_once(' ').unwrap().1
-        );
-        // And both match the offline owned-path score bit-for-bit.
-        let offline = recipe_pairing_score(&world.flavor, w);
-        let expected = format!("OK {}", protocol::pair_body(offline));
-        assert_eq!(shard.split_once(' ').unwrap().1, expected);
+    // Every adjacent pair and triple, each sent sorted, reversed with a
+    // duplicate, and with its first id doubled: `a,b`, `b,a,a` and
+    // `a,a,b` for a pair. Over the region shard and the global path,
+    // with the cache off and on and the forms in either order, every
+    // one answers with the offline owned-path score of the set.
+    for cache_entries in [0, ServeConfig::default().cache_entries] {
+        for reversed in [false, true] {
+            let cfg = ServeConfig {
+                cache_entries,
+                ..ServeConfig::default()
+            };
+            let server = server_over(&world, cfg);
+            for w in pool.windows(3).take(20) {
+                for set in [&w[..2], w] {
+                    let offline = recipe_pairing_score(&world.flavor, set);
+                    let expected = format!("OK {}", protocol::pair_body(offline));
+                    let mut dup_rev: Vec<IngredientId> = set.iter().rev().copied().collect();
+                    dup_rev.push(set[0]);
+                    let dup_first: Vec<IngredientId> =
+                        std::iter::once(set[0]).chain(set.iter().copied()).collect();
+                    let mut forms = [ids_arg(set), ids_arg(&dup_rev), ids_arg(&dup_first)];
+                    if reversed {
+                        forms.reverse();
+                    }
+                    for ids in &forms {
+                        for target in [region.code(), "-"] {
+                            let line = format!("1 PAIR {target} {ids}");
+                            let (_, req) = parse_request(line.as_bytes()).unwrap();
+                            let got = server.handle(1, &req);
+                            assert_eq!(
+                                got.split_once(' ').unwrap().1,
+                                expected,
+                                "{line:?}, cache {cache_entries}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -403,8 +421,13 @@ fn cache_hits_and_eviction_counters_over_a_connection() {
     let (region, ids) = probe(&world);
     let arg = ids_arg(&ids);
     let code = region.code();
+    let offline = recipe_pairing_score(&world.flavor, &ids);
+    // The first request repeats an id: its set is normalized before it
+    // is scored, so the answer it caches is the distinct set's.
+    let dup = format!("{},{arg}", ids[0].0);
     with_connection(&server, |client| {
-        let first = client.call(1, &format!("PAIR {code} {arg}")).unwrap();
+        let first = client.call(1, &format!("PAIR {code} {dup}")).unwrap();
+        assert_eq!(first, format!("OK {}", protocol::pair_body(offline)));
         let second = client.call(2, &format!("PAIR {code} {arg}")).unwrap();
         assert_eq!(first, second);
         // Permuted ids hit the same interned-set entry.
@@ -605,6 +628,112 @@ fn ingest_swap_invalidates_cache_and_serves_new_bits() {
     // Counter mirrored into the metrics registry.
     let snap = server.metrics().snapshot();
     assert_eq!(snap.counter("serve.cache.invalidations"), Some(1));
+}
+
+#[test]
+fn pipelined_queries_stay_correct_across_live_ingest_swaps() {
+    let world = tiny_world();
+    let (region, ids) = probe(&world);
+    // Generation g is the world plus g streamed-in recipes of the probe
+    // region, so every swap changes its ZPROF answer.
+    let generations: Vec<RecipeStore> = (0..=3)
+        .map(|g| {
+            let mut store = RecipeStore::new();
+            for r in world.recipes.recipes() {
+                store
+                    .add_recipe(&r.name, r.region, r.source, r.ingredients().to_vec())
+                    .unwrap();
+            }
+            for k in 0..g {
+                store
+                    .add_recipe("streamed", region, Source::Synthetic, ids[k..].to_vec())
+                    .unwrap();
+            }
+            store
+        })
+        .collect();
+    let flavor = FlavorViewRef::Owned(&world.flavor);
+    let code = region.code();
+    let lines = [
+        format!("ZPROF {code}"),
+        format!("PAIR {code} {}", ids_arg(&ids)),
+        format!("PAIR - {}", ids_arg(&ids)),
+        format!("PAIR {code} {}", ids_arg(&ids[1..3])),
+    ];
+    let cfg = ServeConfig {
+        threads: 2,
+        mc_recipes: 200,
+        ..ServeConfig::default()
+    };
+    let server = Server::new(
+        flavor,
+        RecipesViewRef::Owned(&generations[0]),
+        cfg,
+        Metrics::enabled(),
+    );
+
+    let (request_swap, swap_requests) = std::sync::mpsc::channel::<usize>();
+    let (swap_done, swaps_done) = std::sync::mpsc::channel::<u64>();
+    let mut last_round = Vec::new();
+    std::thread::scope(|scope| {
+        let (server, generations) = (&server, &generations);
+        let swapper = scope.spawn(move || {
+            for g in swap_requests {
+                let installed = server.ingest_swap(flavor, RecipesViewRef::Owned(&generations[g]));
+                swap_done.send(installed).unwrap();
+            }
+        });
+        let (lines, last_round) = (&lines, &mut last_round);
+        with_connection(server, move |client| {
+            // Cached before any swap: a generation-0 entry that a later
+            // round must find stale.
+            assert!(client.call(1, &lines[0]).unwrap().starts_with("OK "));
+            for round in 0..=3u64 {
+                for (k, line) in lines.iter().enumerate() {
+                    client
+                        .send(&format!("{} {line}", 10 * round + k as u64))
+                        .unwrap();
+                }
+                // Install the next generation while this round is in
+                // flight.
+                if round < 3 {
+                    request_swap.send(round as usize + 1).unwrap();
+                }
+                let mut replies: Vec<(u64, String)> = (0..lines.len())
+                    .map(|_| client.recv().unwrap().unwrap())
+                    .collect();
+                for (id, rest) in &replies {
+                    assert!(rest.starts_with("OK "), "round {round}, id {id}: {rest}");
+                }
+                if round < 3 {
+                    assert_eq!(swaps_done.recv().unwrap(), round + 1);
+                }
+                replies.sort();
+                *last_round = replies.into_iter().map(|(_, rest)| rest).collect();
+            }
+        });
+        swapper.join().unwrap();
+    });
+    assert_eq!(server.generation(), 3);
+    let stats = server.cache_stats().expect("cache on");
+    assert!(stats.invalidations > 0, "{stats:?}");
+
+    // The round sent after the last swap answers exactly like a cold
+    // server over the final store.
+    let cold = Server::new(
+        flavor,
+        RecipesViewRef::Owned(&generations[3]),
+        cfg,
+        Metrics::enabled(),
+    );
+    let expected: Vec<String> = lines
+        .iter()
+        .map(|line| {
+            let (_, req) = parse_request(format!("0 {line}").as_bytes()).unwrap();
+            cold.handle(0, &req).split_once(' ').unwrap().1.to_string()
+        })
+        .collect();
+    assert_eq!(last_round, expected);
 }
 
 #[test]

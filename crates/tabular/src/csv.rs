@@ -211,8 +211,8 @@ mod tests {
     #[test]
     fn type_inference() {
         let f = read_csv_str("a,b,c,d\n1,1.5,true,hello\n2,2,false,world\n").unwrap();
-        assert!(f.column("a").unwrap().as_int_slice().is_some());
-        assert!(f.column("b").unwrap().as_float_slice().is_some());
+        assert!(matches!(f.column("a").unwrap(), Column::Int(_)));
+        assert!(matches!(f.column("b").unwrap(), Column::Float(_)));
         assert_eq!(f.get(0, "c").unwrap(), Value::Bool(true));
         assert_eq!(f.get(1, "d").unwrap(), Value::Str("world".into()));
     }

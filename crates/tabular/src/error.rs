@@ -21,15 +21,6 @@ pub enum TabularError {
         /// Length the column actually has.
         actual: usize,
     },
-    /// A value's type does not fit the column it is pushed into.
-    TypeMismatch {
-        /// Name of the offending column.
-        column: String,
-        /// Human-readable description of the expected type.
-        expected: &'static str,
-        /// Human-readable description of the actual type.
-        actual: &'static str,
-    },
     /// Row index out of bounds.
     RowOutOfBounds {
         /// The requested row.
@@ -63,11 +54,6 @@ impl fmt::Display for TabularError {
                 f,
                 "column '{column}' has length {actual}, frame expects {expected}"
             ),
-            TabularError::TypeMismatch {
-                column,
-                expected,
-                actual,
-            } => write!(f, "column '{column}' is {actual}, expected {expected}"),
             TabularError::RowOutOfBounds { row, n_rows } => {
                 write!(f, "row {row} out of bounds for frame with {n_rows} rows")
             }
@@ -101,14 +87,6 @@ mod tests {
                     actual: 5,
                 },
                 "length 5",
-            ),
-            (
-                TabularError::TypeMismatch {
-                    column: "w".into(),
-                    expected: "f64",
-                    actual: "str",
-                },
-                "expected f64",
             ),
             (TabularError::RowOutOfBounds { row: 9, n_rows: 2 }, "row 9"),
             (

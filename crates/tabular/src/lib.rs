@@ -40,7 +40,7 @@ pub mod error;
 pub mod frame;
 pub mod value;
 
-pub use column::{Column, ColumnType};
+pub use column::Column;
 pub use error::{Result, TabularError};
 pub use frame::Frame;
 pub use value::Value;

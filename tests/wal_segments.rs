@@ -123,31 +123,42 @@ fn assert_replay_matches_cold(log: &SegmentedLog, raws: &[RawRecipe], ctx: &str)
 fn rotation_and_reopen_are_bit_identical_to_cold_import() {
     let (db, importer) = fixture();
     let raws = seeded_raws(200);
-    let dir = scratch_dir("rotate");
-    {
-        // 2 KiB segments force many rotations over a 200-record log.
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 2048).expect("open");
-        let mut live = RecipeStore::new();
-        let mut offset = 0;
-        for size in [1usize, 2, 13, 44, 60, 80] {
-            log.append_batch(db, importer, &mut live, &raws[offset..offset + size], 2)
-                .expect("append_batch");
-            offset += size;
+    let (cold_bytes, _) = cold_reference(raws.len(), &raws);
+    for policy in [FsyncPolicy::Always, FsyncPolicy::Batch, FsyncPolicy::Off] {
+        let dir = scratch_dir(&format!("rotate-{policy}"));
+        {
+            // 2 KiB segments force many rotations over a 200-record log.
+            let mut log = SegmentedLog::open(&dir, policy, 2048).expect("open");
+            let mut live = RecipeStore::new();
+            let mut offset = 0;
+            for size in [1usize, 2, 13, 44, 60, 80] {
+                log.append_batch(db, importer, &mut live, &raws[offset..offset + size], 2)
+                    .expect("append_batch");
+                offset += size;
+            }
+            assert_eq!(offset, 200);
+            assert!(
+                log.n_segments() >= 3,
+                "{policy}: rotation never kicked in: {} segment(s)",
+                log.n_segments()
+            );
+            log.sync().expect("final sync");
+            assert_eq!(
+                &io::to_snapshot(&live).expect("live snapshot")[..],
+                &cold_bytes[..],
+                "{policy}: the live store diverged from a cold import"
+            );
         }
-        assert_eq!(offset, 200);
+        let log = SegmentedLog::open(&dir, policy, 2048).expect("reopen");
+        assert_eq!(log.len(), 200);
         assert!(
-            log.n_segments() >= 3,
-            "rotation never kicked in: {} segment(s)",
-            log.n_segments()
+            !log.recovery().recovered(),
+            "{policy}: clean close must reopen clean"
         );
-        log.sync().expect("final sync");
+        assert_eq!(log.recovery().orphans, 0);
+        assert_replay_matches_cold(&log, &raws, &format!("{policy}: rotated reopen"));
+        let _ = fs::remove_dir_all(&dir);
     }
-    let log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 2048).expect("reopen");
-    assert_eq!(log.len(), 200);
-    assert!(!log.recovery().recovered(), "clean close must reopen clean");
-    assert_eq!(log.recovery().orphans, 0);
-    assert_replay_matches_cold(&log, &raws, "rotated reopen");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
