@@ -17,18 +17,24 @@
 //! once; scoring then reduces to O(n²) table lookups per recipe. The
 //! `pairing_score` Criterion bench quantifies the cache's advantage
 //! over direct set intersection (an ablation called out in DESIGN.md).
+//!
+//! Food design, the application the paper motivates, ranks a cuisine's
+//! pairs by `overlap / (1 + co-occurrence)`: [`CoocTriangle`] counts
+//! co-occurrence once per store, and [`novel_pairings`] ranks a pool
+//! against it.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use culinaria_flavordb::{
     kernel, FlavorDb, FlavorDbError, IngredientId, MoleculeId, MoleculeUniverse,
 };
 use culinaria_obs::Metrics;
-use culinaria_recipedb::Cuisine;
+use culinaria_recipedb::{Cuisine, Region};
 use culinaria_stats::{fault, pool, tile};
 
 use crate::error::StageFailure;
-use crate::view::{CuisineView, FlavorViewRef};
+use crate::view::{CuisineView, FlavorViewRef, RecipesViewRef};
 
 /// N_s(R) computed directly from flavor profiles (no cache).
 ///
@@ -608,6 +614,159 @@ impl OverlapCache {
     }
 }
 
+/// Store-wide recipe co-occurrence: for every pair of ingredient ids
+/// the store uses, the number of recipes that contain both.
+///
+/// Sized by the number of *distinct* ids in use (one `u32` per pair,
+/// packed like [`OverlapCache`]'s triangle over the sorted id union),
+/// never by the largest id value. One build serves every region's
+/// [`novel_pairings`].
+///
+/// ```
+/// use culinaria_core::pairing::CoocTriangle;
+/// use culinaria_flavordb::IngredientId as I;
+/// use culinaria_recipedb::{RecipeStore, Region, Source};
+///
+/// let mut store = RecipeStore::new();
+/// store.add_recipe("r1", Region::Italy, Source::Synthetic, vec![I(1), I(2), I(7)]).unwrap();
+/// store.add_recipe("r2", Region::Japan, Source::Synthetic, vec![I(2), I(7)]).unwrap();
+/// let cooc = CoocTriangle::build(&store);
+/// assert_eq!(cooc.count(I(7), I(2)), 2);
+/// assert_eq!(cooc.count(I(1), I(2)), 1);
+/// assert_eq!(cooc.count(I(1), I(9)), 0); // 9 is unused
+/// ```
+#[derive(Debug, Clone)]
+pub struct CoocTriangle {
+    /// Every id some recipe uses, ascending: triangle position order.
+    ids: Vec<IngredientId>,
+    /// Packed strict upper triangle over `ids` positions, laid out like
+    /// [`OverlapCache`]'s.
+    tri: Vec<u32>,
+}
+
+impl CoocTriangle {
+    /// Count every recipe of every region, in one pass over the store.
+    pub fn build<'a>(recipes: impl Into<RecipesViewRef<'a>>) -> CoocTriangle {
+        let recipes = recipes.into();
+        let cuisines: Vec<CuisineView<'a>> =
+            Region::ALL.iter().map(|&r| recipes.cuisine(r)).collect();
+        // The union of the region pools: each pool is a sorted region
+        // set, far smaller than the store's flattened recipe lists.
+        let mut ids: Vec<IngredientId> = cuisines.iter().flat_map(|c| c.ingredient_set()).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut cooc = CoocTriangle {
+            tri: vec![0u32; ids.len() * ids.len().saturating_sub(1) / 2],
+            ids,
+        };
+        // Recipe lists are strictly sorted in both views, so their
+        // positions come out distinct and ascending.
+        let mut members: Vec<usize> = Vec::new();
+        for cuisine in &cuisines {
+            for ings in cuisine.recipe_ingredient_lists() {
+                members.clear();
+                members.extend(ings.iter().filter_map(|&id| cooc.position(id)));
+                for (k, &a) in members.iter().enumerate() {
+                    for &b in &members[k + 1..] {
+                        let at = cooc.index(a, b);
+                        cooc.tri[at] += 1;
+                    }
+                }
+            }
+        }
+        cooc
+    }
+
+    /// Recipes containing both `a` and `b`, in either argument order;
+    /// 0 when the ids are equal or either is unused.
+    pub fn count(&self, a: IngredientId, b: IngredientId) -> u32 {
+        match (self.position(a), self.position(b)) {
+            (Some(p), Some(q)) if p != q => self.tri[self.index(p, q)],
+            _ => 0,
+        }
+    }
+
+    fn position(&self, id: IngredientId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// Triangle slot of two distinct positions, in either order.
+    fn index(&self, p: usize, q: usize) -> usize {
+        let (a, b) = if p < q { (p, q) } else { (q, p) };
+        let n = self.ids.len();
+        a * (2 * n - a - 1) / 2 + (b - a - 1)
+    }
+}
+
+/// One ranked pool pair of [`novel_pairings`]; `i < j` are local
+/// indices into the [`OverlapCache`]'s pool.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NovelPairing {
+    /// `overlap / (1 + cooc)`: high overlap, rarely used together.
+    pub novelty: f64,
+    /// Shared flavor compounds.
+    pub overlap: u32,
+    /// Recipes in the store that use both ingredients.
+    pub cooc: u32,
+    /// Local index of the first ingredient.
+    pub i: u32,
+    /// Local index of the second ingredient.
+    pub j: u32,
+}
+
+/// The ranking of [`novel_pairings`]: novelty descending, then `i`,
+/// then `j` ascending — the order a stable novelty sort leaves the
+/// `(i, j)` enumeration in.
+fn novelty_order(a: &NovelPairing, b: &NovelPairing) -> Ordering {
+    b.novelty
+        .total_cmp(&a.novelty)
+        .then(a.i.cmp(&b.i))
+        .then(a.j.cmp(&b.j))
+}
+
+/// The `k` most novel pairs of the cache's pool (every pair that shares
+/// at least one compound when `k` exceeds their number), ranked by
+/// novelty descending with ties in `(i, j)` order. Co-occurrence comes
+/// from `cooc`; a pool id the triangle does not hold counts 0.
+///
+/// Only the top `k` are sorted: a linear selection cuts the pairs to
+/// them first.
+pub fn novel_pairings(cache: &OverlapCache, cooc: &CoocTriangle, k: usize) -> Vec<NovelPairing> {
+    if k == 0 {
+        return Vec::new();
+    }
+    // Each pool id's triangle position, looked up once per call.
+    let pos: Vec<Option<usize>> = cache.pool().iter().map(|&id| cooc.position(id)).collect();
+    let mut out = Vec::new();
+    for i in 0..cache.len() {
+        for j in (i + 1)..cache.len() {
+            let overlap = cache.overlap(i as u32, j as u32);
+            if overlap == 0 {
+                continue;
+            }
+            let used = match (pos[i], pos[j]) {
+                (Some(p), Some(q)) if p != q => cooc.tri[cooc.index(p, q)],
+                _ => 0,
+            };
+            out.push(NovelPairing {
+                novelty: f64::from(overlap) / (1.0 + f64::from(used)),
+                overlap,
+                cooc: used,
+                i: i as u32,
+                j: j as u32,
+            });
+        }
+    }
+    if k < out.len() {
+        out.select_nth_unstable_by(k - 1, novelty_order);
+        out.truncate(k);
+        // Callers cache the result: hold k pairs, not every pair.
+        out.shrink_to_fit();
+    }
+    out.sort_unstable_by(novelty_order);
+    out
+}
+
 /// The `overlap.pack` failure for the dead id at pool index `index`.
 /// The z_analysis engines report a dead id they find before any cache
 /// is built with this same failure, so it reads alike on every path.
@@ -1018,6 +1177,25 @@ mod tests {
         }
         // Empty universe short-circuits.
         assert_eq!(scratch.ktuple_sum(&[], 0, &members, 2), 0);
+    }
+
+    #[test]
+    fn cooc_triangle_is_sized_by_distinct_ids_not_id_values() {
+        let (far, near) = (IngredientId(4_000_000_000), IngredientId(3));
+        let mut store = RecipeStore::new();
+        for (name, region) in [("r1", Region::Italy), ("r2", Region::Japan)] {
+            store
+                .add_recipe(name, region, Source::Synthetic, vec![far, near])
+                .unwrap();
+        }
+        let cooc = CoocTriangle::build(&store);
+        assert_eq!(cooc.ids, [near, far]);
+        assert_eq!(cooc.tri.len(), 1);
+        assert_eq!(cooc.count(far, near), 2);
+        assert_eq!(cooc.count(near, near), 0);
+        assert_eq!(cooc.count(near, IngredientId(7)), 0);
+        let empty = CoocTriangle::build(&RecipeStore::new());
+        assert!(empty.ids.is_empty() && empty.tri.is_empty());
     }
 
     #[test]

@@ -6,10 +6,16 @@ use rand::SeedableRng;
 
 use culinaria_core::ntuple::recipe_ktuple_score;
 use culinaria_core::null_models::{CuisineSampler, NullModel};
-use culinaria_core::pairing::{mean_cuisine_score, recipe_pairing_score, OverlapCache};
+use culinaria_core::pairing::{
+    mean_cuisine_score, novel_pairings, recipe_pairing_score, CoocTriangle, NovelPairing,
+    OverlapCache,
+};
+use culinaria_core::RecipesViewRef;
 use culinaria_flavordb::generator::{generate_flavor_db, GeneratorConfig};
 use culinaria_flavordb::{FlavorDb, IngredientId};
-use culinaria_recipedb::{RecipeStore, Region, Source};
+use culinaria_obs::Metrics;
+use culinaria_recipedb::artifact::{self, AlignedBytes};
+use culinaria_recipedb::{RecipeArtifactBuilder, RecipeStore, Region, Source};
 
 /// A deterministic 40-ingredient database shared by the properties.
 fn db() -> FlavorDb {
@@ -54,7 +60,105 @@ fn build_store(recipes: &[Vec<IngredientId>]) -> RecipeStore {
     store
 }
 
+/// Strategy: a store of 0..40 recipes over ingredient ids 0..30 in any
+/// of the 22 regions (the shape of recipedb's own `arb_store`).
+fn arb_store() -> impl Strategy<Value = RecipeStore> {
+    let recipe = (0usize..22, proptest::collection::vec(0u32..30, 1..12));
+    proptest::collection::vec(recipe, 0..40).prop_map(|specs| {
+        let mut store = RecipeStore::new();
+        for (i, (region_idx, ings)) in specs.into_iter().enumerate() {
+            let region = Region::from_index(region_idx).expect("index < 22");
+            let ings = ings.into_iter().map(IngredientId).collect();
+            store
+                .add_recipe(&format!("r{i}"), region, Source::Synthetic, ings)
+                .expect("non-empty");
+        }
+        store
+    })
+}
+
+/// Recipes of `store` that use both ids, counted one by one.
+fn brute_cooc(store: &RecipeStore, a: IngredientId, b: IngredientId) -> u32 {
+    store
+        .recipes()
+        .filter(|r| r.ingredients().contains(&a) && r.ingredients().contains(&b))
+        .count() as u32
+}
+
+/// The enumeration `novel_pairings` replaces: every overlapping pool
+/// pair in `(i, j)` order, stable-sorted by novelty descending.
+fn stable_sorted_pairings(store: &RecipeStore, cache: &OverlapCache) -> Vec<NovelPairing> {
+    let pool = cache.pool();
+    let mut all = Vec::new();
+    for i in 0..pool.len() {
+        for j in (i + 1)..pool.len() {
+            let overlap = cache.overlap(i as u32, j as u32);
+            if overlap > 0 {
+                let cooc = brute_cooc(store, pool[i], pool[j]);
+                all.push(NovelPairing {
+                    novelty: f64::from(overlap) / (1.0 + f64::from(cooc)),
+                    overlap,
+                    cooc,
+                    i: i as u32,
+                    j: j as u32,
+                });
+            }
+        }
+    }
+    all.sort_by(|a, b| b.novelty.total_cmp(&a.novelty));
+    all
+}
+
+/// A ranking as exact bits, so a float compares by identity.
+fn bits(pairings: &[NovelPairing]) -> Vec<(u64, u32, u32, u32, u32)> {
+    pairings
+        .iter()
+        .map(|p| (p.novelty.to_bits(), p.overlap, p.cooc, p.i, p.j))
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn cooc_triangle_and_novel_pairings_match_brute_force(store in arb_store()) {
+        let db = db();
+        let bytes = AlignedBytes::from_vec(
+            RecipeArtifactBuilder::new(&store).build().expect("encodes"),
+        );
+        let borrowed = artifact::open(bytes.as_slice()).expect("opens");
+        let mut used: Vec<IngredientId> =
+            store.recipes().flat_map(|r| r.ingredients().iter().copied()).collect();
+        used.sort_unstable();
+        used.dedup();
+        // Every populated region's pool, plus every id 0..30: ids no
+        // recipe uses have no triangle position and count 0.
+        let mut pools: Vec<Vec<IngredientId>> = store
+            .regions()
+            .into_iter()
+            .map(|r| store.cuisine(r).ingredient_set())
+            .collect();
+        pools.push((0..30).map(IngredientId).collect());
+        for view in [RecipesViewRef::Owned(&store), RecipesViewRef::Artifact(&borrowed)] {
+            let cooc = CoocTriangle::build(view);
+            for &a in &used {
+                for &b in &used {
+                    let expect = if a == b { 0 } else { brute_cooc(&store, a, b) };
+                    prop_assert_eq!(cooc.count(a, b), expect, "({}, {})", a, b);
+                    prop_assert_eq!(cooc.count(b, a), expect, "({}, {})", b, a);
+                }
+            }
+            for pool in &pools {
+                let cache = OverlapCache::build(&db, pool, 1, &Metrics::disabled())
+                    .expect("live pool");
+                let all = stable_sorted_pairings(&store, &cache);
+                let n = all.len();
+                for k in [0, 1, n / 2, n, n + 5] {
+                    let got = novel_pairings(&cache, &cooc, k);
+                    prop_assert_eq!(bits(&got), bits(&all[..k.min(n)]), "k = {}", k);
+                }
+            }
+        }
+    }
+
     #[test]
     fn pairing_score_non_negative_and_bounded(recipe in arb_recipe()) {
         let db = db();

@@ -13,7 +13,6 @@
 //!   abstraction the food-pairing analysis consumes);
 //! * [`store`] — the indexed store: per-region partitions and an
 //!   inverted ingredient → recipes index;
-//! * [`query`] — multi-ingredient containment and pair co-occurrence;
 //! * [`cuisine`] — a borrowed per-region view with ingredient sets,
 //!   frequency tables and size distributions;
 //! * [`import`] — the raw-text import pipeline: ingredient phrases →
@@ -32,7 +31,6 @@ pub mod cuisine;
 pub mod error;
 pub mod import;
 pub mod io;
-pub mod query;
 pub mod recipe;
 pub mod region;
 pub mod segment;

@@ -158,25 +158,6 @@ proptest! {
     }
 
     #[test]
-    fn recipes_with_all_is_intersection(store in arb_store(), a in 0u32..30, b in 0u32..30) {
-        let ia = IngredientId(a);
-        let ib = IngredientId(b);
-        let joint = store.recipes_with_all(&[ia, ib]);
-        for &rid in &joint {
-            let r = store.recipe(rid).expect("live id");
-            prop_assert!(r.contains(ia) && r.contains(ib));
-        }
-        // Completeness: every recipe containing both is found.
-        for r in store.recipes() {
-            if r.contains(ia) && r.contains(ib) {
-                prop_assert!(joint.contains(&r.id));
-            }
-        }
-        // Co-occurrence symmetry.
-        prop_assert_eq!(store.cooccurrence(ia, ib), store.cooccurrence(ib, ia));
-    }
-
-    #[test]
     fn import_batch_is_thread_count_invariant(raws in arb_raw_recipes()) {
         let db = curated_db();
         let importer = Importer::from_flavor_db(&db);

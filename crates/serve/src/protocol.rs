@@ -174,6 +174,18 @@ impl ProtoError {
     }
 }
 
+/// `ERR bad-k` unless `1 <= k <= MAX_TOPK`: the parser checks a
+/// `TOPK` frame with it, and the server a `Request` built in code.
+pub(crate) fn check_topk_k(k: usize) -> Result<(), ProtoError> {
+    if k == 0 || k > MAX_TOPK {
+        return Err(ProtoError::new(
+            "bad-k",
+            format!("k must be in 1..={MAX_TOPK}"),
+        ));
+    }
+    Ok(())
+}
+
 /// Parse a request payload. The error side carries the request id when
 /// one could be read (0 otherwise) so the reply still correlates.
 pub fn parse_request(payload: &[u8]) -> Result<(u64, Request), (u64, ProtoError)> {
@@ -244,9 +256,7 @@ pub fn parse_request(payload: &[u8]) -> Result<(u64, Request), (u64, ProtoError)
             let k: usize = k_tok
                 .parse()
                 .map_err(|_| fail("bad-k", format!("not a count: {k_tok:?}")))?;
-            if k == 0 || k > MAX_TOPK {
-                return Err(fail("bad-k", format!("k must be in 1..={MAX_TOPK}")));
-            }
+            check_topk_k(k).map_err(|e| (id, e))?;
             Request::TopK { region, k }
         }
         "SCORE" => {

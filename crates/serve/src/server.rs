@@ -20,12 +20,13 @@
 //!
 //! # Generations and ingest
 //!
-//! The server's data views, lazy shards, and `SCORE` context live in
-//! an immutable **epoch** behind an `RwLock<Arc<…>>`. A batch snapshots
-//! the current epoch once and answers entirely against it, so a
-//! concurrent [`Server::ingest_swap`] — which installs a new epoch with
-//! fresh (empty) shard slots and the next **generation** number —
-//! never tears a batch. The response cache is stamped with the
+//! The server's data views, lazy shards, `TOPK`'s store-wide
+//! co-occurrence triangle, and `SCORE` context live in an immutable
+//! **epoch** behind an `RwLock<Arc<…>>`. A batch snapshots the current
+//! epoch once and answers entirely against it, so a concurrent
+//! [`Server::ingest_swap`] — which installs a new epoch with fresh
+//! (empty) shard slots and triangle and the next **generation** number
+//! — never tears a batch. The response cache is stamped with the
 //! generation at store time; the swap moves the cache's generation
 //! forward, and stale entries are evicted lazily on their next lookup
 //! (`serve.cache.invalidations`). A batch whose epoch a swap has
@@ -39,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
 
-use culinaria_core::pairing::OverlapCache;
+use culinaria_core::pairing::{novel_pairings, CoocTriangle, NovelPairing, OverlapCache};
 use culinaria_core::z_analysis::{region_overlap_cache, try_analyze_cuisine_with_cache_observed};
 use culinaria_core::{
     recipe_pairing_score_view, FlavorViewRef, MonteCarloConfig, NullModel, RecipesViewRef,
@@ -55,7 +56,7 @@ use crate::deadline::{DeadlineReader, TimeoutClass};
 use crate::lifecycle::ShutdownFlag;
 use crate::protocol::{
     encode_busy, encode_err, pair_body, parse_request, read_frame, score_body, topk_body,
-    write_frame, zprof_body, FrameError, ProtoError, Request, TopPairing, MAX_FRAME,
+    write_frame, zprof_body, FrameError, ProtoError, Request, TopPairing, MAX_FRAME, MAX_TOPK,
 };
 use crate::queue::{BoundedQueue, Push};
 
@@ -129,46 +130,9 @@ pub struct RegionShard {
     overlap: OverlapCache,
     /// Mean observed ⟨N_s⟩ of the cuisine (None for a scoreless one).
     mean: OnceLock<Option<f64>>,
-    /// Sorted novel-pairing candidates, built on the first `TOPK`.
-    candidates: OnceLock<Vec<Candidate>>,
-}
-
-/// One scored pool pair (indices are pool-local).
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    novelty: f64,
-    overlap: u32,
-    cooc: u64,
-    i: u32,
-    j: u32,
-}
-
-/// Upper-triangle index for `i < j` over an `n`-wide pool.
-fn tri_index(n: usize, i: usize, j: usize) -> usize {
-    i * n - i * (i + 1) / 2 + (j - i - 1)
-}
-
-/// Store-wide co-occurrence counts for every pool pair — the
-/// `examples/novel_pairings.rs` logic promoted into the server.
-fn cooc_triangle<'r>(
-    pool: &[IngredientId],
-    recipes: impl Iterator<Item = &'r [IngredientId]>,
-) -> Vec<u64> {
-    let pos: std::collections::HashMap<IngredientId, usize> =
-        pool.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-    let mut tri = vec![0u64; pool.len() * pool.len().saturating_sub(1) / 2];
-    let mut members = Vec::new();
-    for ings in recipes {
-        members.clear();
-        members.extend(ings.iter().filter_map(|id| pos.get(id).copied()));
-        members.sort_unstable();
-        for (k, &i) in members.iter().enumerate() {
-            for &j in &members[k + 1..] {
-                tri[tri_index(pool.len(), i, j)] += 1;
-            }
-        }
-    }
-    tri
+    /// The `MAX_TOPK` most novel pool pairs, ranked; built on the
+    /// first `TOPK`.
+    candidates: OnceLock<Vec<NovelPairing>>,
 }
 
 /// Lazily materialized owned-database context for `SCORE` (the
@@ -279,6 +243,9 @@ struct Epoch<'a> {
     flavor: FlavorViewRef<'a>,
     recipes: RecipesViewRef<'a>,
     shards: Vec<OnceLock<ShardSlot>>,
+    /// Store-wide co-occurrence for `TOPK`, counted once per
+    /// generation on the first `TOPK` of any region.
+    cooc: OnceLock<CoocTriangle>,
     score_ctx: OnceLock<Option<ScoreCtx<'a>>>,
 }
 
@@ -289,6 +256,7 @@ impl<'a> Epoch<'a> {
             flavor,
             recipes,
             shards: (0..Region::ALL.len()).map(|_| OnceLock::new()).collect(),
+            cooc: OnceLock::new(),
             score_ctx: OnceLock::new(),
         }
     }
@@ -356,8 +324,9 @@ impl<'a> Server<'a> {
     }
 
     /// Install a new data generation after an ingest: replace the world
-    /// views, reset the lazy per-region shards and `SCORE` context
-    /// (they rebuild on first use against the new data), and move the
+    /// views, reset the lazy per-region shards, `TOPK`'s co-occurrence
+    /// triangle and the `SCORE` context (they rebuild on first use
+    /// against the new data), and move the
     /// response cache's generation forward so every cached answer from
     /// an older generation is evicted on its next lookup (counted by
     /// `serve.cache.invalidations`). Returns the new generation.
@@ -673,33 +642,17 @@ impl<'a> Server<'a> {
     }
 
     fn compute_topk(&self, ep: &Epoch<'a>, region: Region, k: usize) -> String {
+        // The parser bounds k, but a `Request` built in code skips it.
+        if let Err(e) = crate::protocol::check_topk_k(k) {
+            return Self::err(e.code, e.message);
+        }
         let shard = match self.usable_shard(ep, region) {
             Ok(s) => s,
             Err(e) => return e,
         };
         let candidates = shard.candidates.get_or_init(|| {
-            let cooc = cooc_triangle(&shard.pool, Self::all_recipe_lists(ep.recipes));
-            let n = shard.pool.len();
-            let mut out = Vec::new();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let overlap = shard.overlap.overlap(i as u32, j as u32);
-                    if overlap == 0 {
-                        continue;
-                    }
-                    let cooc = cooc[tri_index(n, i, j)];
-                    let novelty = f64::from(overlap) / (1.0 + cooc as f64);
-                    out.push(Candidate {
-                        novelty,
-                        overlap,
-                        cooc,
-                        i: i as u32,
-                        j: j as u32,
-                    });
-                }
-            }
-            out.sort_by(|a, b| b.novelty.total_cmp(&a.novelty));
-            out
+            let cooc = ep.cooc.get_or_init(|| CoocTriangle::build(ep.recipes));
+            novel_pairings(&shard.overlap, cooc, MAX_TOPK)
         });
         let mut rows = Vec::with_capacity(k.min(candidates.len()));
         for c in candidates.iter().take(k) {
@@ -712,7 +665,7 @@ impl<'a> Server<'a> {
             rows.push(TopPairing {
                 novelty: c.novelty,
                 overlap: c.overlap,
-                cooc: c.cooc,
+                cooc: u64::from(c.cooc),
                 a: name(c.i),
                 b: name(c.j),
             });
@@ -764,16 +717,6 @@ impl<'a> Server<'a> {
         *shard.mean.get_or_init(|| {
             let cuisine = ep.recipes.cuisine(shard.region);
             shard.overlap.mean_cuisine_score_view(&cuisine)
-        })
-    }
-
-    /// Every recipe ingredient list in the store, region by region
-    /// (each recipe belongs to exactly one region, and co-occurrence
-    /// counting is order-independent).
-    fn all_recipe_lists(recipes: RecipesViewRef<'a>) -> impl Iterator<Item = &'a [IngredientId]> {
-        recipes.regions().into_iter().flat_map(move |region| {
-            let cuisine = recipes.cuisine(region);
-            cuisine.recipe_ingredient_lists().collect::<Vec<_>>()
         })
     }
 

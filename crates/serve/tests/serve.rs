@@ -19,7 +19,7 @@ use culinaria_obs::Metrics;
 use culinaria_recipedb::import::Importer;
 use culinaria_recipedb::{RecipeStore, Region, Source};
 use culinaria_serve::protocol::{
-    self, parse_request, read_frame, topk_body, Client, TopPairing, MAX_FRAME,
+    self, parse_request, read_frame, topk_body, Client, TopPairing, MAX_FRAME, MAX_TOPK,
 };
 use culinaria_serve::{ConnStats, Request, ServeConfig, Server};
 
@@ -321,14 +321,10 @@ fn zprof_matches_offline_analyze_cuisine_bitwise() {
     assert_eq!(served, format!("9 OK {}", protocol::zprof_body(&offline)));
 }
 
-#[test]
-fn topk_matches_offline_novelty_enumeration() {
-    let world = tiny_world();
-    let server = server_over(&world, ServeConfig::default());
-    let (region, _) = probe(&world);
-    let served = server.handle(4, &Request::TopK { region, k: 8 });
-
-    // The offline reference: examples/novel_pairings.rs's enumeration.
+/// The offline `TOPK` reference: every overlapping pool pair of the
+/// region, with co-occurrence counted over every recipe of the store,
+/// stable-sorted by novelty descending.
+fn offline_top_pairings(world: &World, region: Region) -> Vec<TopPairing> {
     let cuisine = CuisineView::Owned(world.recipes.cuisine(region));
     let pool = cuisine.ingredient_set();
     let cache = OverlapCache::for_cuisine(&world.flavor, world.recipes.cuisine(region));
@@ -361,9 +357,8 @@ fn topk_matches_offline_novelty_enumeration() {
         }
     }
     candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
-    let rows: Vec<TopPairing> = candidates
+    candidates
         .iter()
-        .take(8)
         .map(|&(novelty, overlap, cooc, i, j)| TopPairing {
             novelty,
             overlap,
@@ -371,8 +366,49 @@ fn topk_matches_offline_novelty_enumeration() {
             a: world.flavor.ingredient(pool[i]).unwrap().name.clone(),
             b: world.flavor.ingredient(pool[j]).unwrap().name.clone(),
         })
-        .collect();
-    assert_eq!(served, format!("4 OK {}", topk_body(region, &rows)));
+        .collect()
+}
+
+#[test]
+fn topk_matches_offline_novelty_enumeration() {
+    let world = tiny_world();
+    let server = server_over(&world, ServeConfig::default());
+    let mut tie_at_the_cut = false;
+    for region in world.recipes.regions() {
+        let all = offline_top_pairings(&world, region);
+        // Past MAX_TOPK the server keeps only the top pairs; where a
+        // novelty tie spans the cut, the reference's stable order
+        // decides which of the tied pairs make it.
+        if all.len() > MAX_TOPK && all[MAX_TOPK - 1].novelty == all[MAX_TOPK].novelty {
+            tie_at_the_cut = true;
+        }
+        for k in [8, MAX_TOPK] {
+            let served = server.handle(4, &Request::TopK { region, k });
+            let rows = &all[..k.min(all.len())];
+            assert_eq!(
+                served,
+                format!("4 OK {}", topk_body(region, rows)),
+                "{} k={k}",
+                region.code()
+            );
+        }
+    }
+    assert!(tie_at_the_cut, "no region of tiny() ties across MAX_TOPK");
+}
+
+#[test]
+fn topk_rejects_k_outside_the_protocol_bound_even_when_built_in_code() {
+    let world = tiny_world();
+    let server = server_over(&world, ServeConfig::default());
+    let (region, _) = probe(&world);
+    let (_, parsed) = parse_request(format!("3 TOPK {} 0", region.code()).as_bytes()).unwrap_err();
+    for k in [0, MAX_TOPK + 1] {
+        assert_eq!(
+            server.handle(3, &Request::TopK { region, k }),
+            format!("3 ERR {} {}", parsed.code, parsed.message),
+            "k={k}"
+        );
+    }
 }
 
 #[test]
@@ -656,6 +692,7 @@ fn pipelined_queries_stay_correct_across_live_ingest_swaps() {
     let code = region.code();
     let lines = [
         format!("ZPROF {code}"),
+        format!("TOPK {code} {MAX_TOPK}"),
         format!("PAIR {code} {}", ids_arg(&ids)),
         format!("PAIR - {}", ids_arg(&ids)),
         format!("PAIR {code} {}", ids_arg(&ids[1..3])),
@@ -665,6 +702,27 @@ fn pipelined_queries_stay_correct_across_live_ingest_swaps() {
         mc_recipes: 200,
         ..ServeConfig::default()
     };
+    let cold_answers = |store: &RecipeStore| -> Vec<String> {
+        let cold = Server::new(
+            flavor,
+            RecipesViewRef::Owned(store),
+            cfg,
+            Metrics::enabled(),
+        );
+        lines
+            .iter()
+            .map(|line| {
+                let (_, req) = parse_request(format!("0 {line}").as_bytes()).unwrap();
+                cold.handle(0, &req).split_once(' ').unwrap().1.to_string()
+            })
+            .collect()
+    };
+    // The streamed recipes raise co-occurrence counts, so TOPK differs
+    // between the first and the last generation: a co-occurrence
+    // triangle left over from an older generation cannot pass below.
+    let first = cold_answers(&generations[0]);
+    let expected = cold_answers(&generations[3]);
+    assert_ne!(first[1], expected[1], "TOPK must differ across generations");
     let server = Server::new(
         flavor,
         RecipesViewRef::Owned(&generations[0]),
@@ -685,9 +743,10 @@ fn pipelined_queries_stay_correct_across_live_ingest_swaps() {
         });
         let (lines, last_round) = (&lines, &mut last_round);
         with_connection(server, move |client| {
-            // Cached before any swap: a generation-0 entry that a later
-            // round must find stale.
+            // Cached before any swap: generation-0 entries (and TOPK's
+            // generation-0 triangle) that a later round must find stale.
             assert!(client.call(1, &lines[0]).unwrap().starts_with("OK "));
+            assert!(client.call(2, &lines[1]).unwrap().starts_with("OK "));
             for round in 0..=3u64 {
                 for (k, line) in lines.iter().enumerate() {
                     client
@@ -720,19 +779,6 @@ fn pipelined_queries_stay_correct_across_live_ingest_swaps() {
 
     // The round sent after the last swap answers exactly like a cold
     // server over the final store.
-    let cold = Server::new(
-        flavor,
-        RecipesViewRef::Owned(&generations[3]),
-        cfg,
-        Metrics::enabled(),
-    );
-    let expected: Vec<String> = lines
-        .iter()
-        .map(|line| {
-            let (_, req) = parse_request(format!("0 {line}").as_bytes()).unwrap();
-            cold.handle(0, &req).split_once(' ').unwrap().1.to_string()
-        })
-        .collect();
     assert_eq!(last_round, expected);
 }
 

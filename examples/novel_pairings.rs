@@ -16,44 +16,14 @@
 //! cargo run --release --example novel_pairings
 //! ```
 
-use std::collections::HashMap;
 use std::path::Path;
 
-use culinaria::analysis::pairing::OverlapCache;
+use culinaria::analysis::pairing::{novel_pairings, CoocTriangle, OverlapCache};
 use culinaria::analysis::{CuisineView, FlavorViewRef};
 use culinaria::datagen::{generate_world, WorldConfig};
 use culinaria::flavordb::{artifact as flavor_artifact, AlignedBytes, IngredientId};
 use culinaria::obs::Metrics;
-use culinaria::recipedb::{artifact as recipe_artifact, RecipeId, Region};
-
-/// Upper-triangle index for `i < j` over an `n`-wide pool.
-fn tri_index(n: usize, i: usize, j: usize) -> usize {
-    i * n - i * (i + 1) / 2 + (j - i - 1)
-}
-
-/// Store-wide co-occurrence counts for every pool pair, as one pass
-/// over all recipe ingredient lists (works for both representations —
-/// no inverted index required).
-fn cooc_triangle<'r>(
-    pool: &[IngredientId],
-    recipes: impl Iterator<Item = &'r [IngredientId]>,
-) -> Vec<u64> {
-    let pos: HashMap<IngredientId, usize> =
-        pool.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-    let mut tri = vec![0u64; pool.len() * pool.len().saturating_sub(1) / 2];
-    let mut members = Vec::new();
-    for ings in recipes {
-        members.clear();
-        members.extend(ings.iter().filter_map(|id| pos.get(id).copied()));
-        members.sort_unstable();
-        for (k, &i) in members.iter().enumerate() {
-            for &j in &members[k + 1..] {
-                tri[tri_index(pool.len(), i, j)] += 1;
-            }
-        }
-    }
-    tri
-}
+use culinaria::recipedb::{artifact as recipe_artifact, Region};
 
 /// The region's overlap cache: the artifact's precomputed section when
 /// it matches the cuisine pool, a fresh kernel build otherwise.
@@ -67,7 +37,7 @@ fn overlap_cache(flavor: FlavorViewRef<'_>, region: Region, pool: &[IngredientId
     }
 }
 
-fn run(flavor: FlavorViewRef<'_>, cuisine: &CuisineView<'_>, cooc: &[u64]) {
+fn run(flavor: FlavorViewRef<'_>, cuisine: &CuisineView<'_>, cooc: &CoocTriangle) {
     let region = cuisine.region();
     let pool = cuisine.ingredient_set();
     let cache = overlap_cache(flavor, region, &pool);
@@ -79,39 +49,34 @@ fn run(flavor: FlavorViewRef<'_>, cuisine: &CuisineView<'_>, cooc: &[u64]) {
         cuisine.n_recipes()
     );
 
-    let mut candidates: Vec<(f64, usize, u64, usize, usize)> = Vec::new();
-    for i in 0..pool.len() {
-        for j in (i + 1)..pool.len() {
-            let overlap = cache.overlap(i as u32, j as u32) as usize;
-            if overlap == 0 {
-                continue;
-            }
-            let cooc = cooc[tri_index(pool.len(), i, j)];
-            let novelty = overlap as f64 / (1.0 + cooc as f64);
-            candidates.push((novelty, overlap, cooc, i, j));
-        }
-    }
-    candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
+    // Every overlapping pair, most novel first: the signature list
+    // below re-sorts all of them.
+    let mut candidates = novel_pairings(&cache, cooc, usize::MAX);
 
-    let name = |idx: usize| flavor.ingredient_name(pool[idx]).expect("live id");
+    let name = |idx: u32| flavor.ingredient_name(pool[idx as usize]).expect("live id");
     println!("{:>8} {:>8} {:>6}   pair", "novelty", "overlap", "cooc");
-    for &(novelty, overlap, cooc, i, j) in candidates.iter().take(15) {
+    for p in candidates.iter().take(15) {
         println!(
-            "{novelty:>8.1} {overlap:>8} {cooc:>6}   {} + {}",
-            name(i),
-            name(j)
+            "{:>8.1} {:>8} {:>6}   {} + {}",
+            p.novelty,
+            p.overlap,
+            p.cooc,
+            name(p.i),
+            name(p.j)
         );
     }
 
     // The flip side: the cuisine's signature pairings (high overlap AND
     // high co-occurrence) — its culinary fingerprint.
-    candidates.sort_by_key(|&(_, overlap, cooc, _, _)| std::cmp::Reverse(overlap as u64 * cooc));
+    candidates.sort_by_key(|p| std::cmp::Reverse(u64::from(p.overlap) * u64::from(p.cooc)));
     println!("\nsignature pairings (culinary fingerprint):");
-    for &(_, overlap, cooc, i, j) in candidates.iter().take(5) {
+    for p in candidates.iter().take(5) {
         println!(
-            "  {} + {}  (overlap {overlap}, used together {cooc}×)",
-            name(i),
-            name(j)
+            "  {} + {}  (overlap {}, used together {}×)",
+            name(p.i),
+            name(p.j),
+            p.overlap,
+            p.cooc
         );
     }
 }
@@ -132,11 +97,7 @@ fn main() {
         ) {
             println!("opened zero-copy artifacts in {}", dir.display());
             let cuisine = CuisineView::from(recipes.cuisine(region));
-            let cooc = cooc_triangle(
-                &cuisine.ingredient_set(),
-                (0..recipes.n_recipes())
-                    .filter_map(|i| recipes.recipe_ingredients(RecipeId(i as u32))),
-            );
+            let cooc = CoocTriangle::build(&recipes);
             run(FlavorViewRef::Artifact(&flavor), &cuisine, &cooc);
             return;
         }
@@ -144,9 +105,6 @@ fn main() {
 
     let world = generate_world(&WorldConfig::small());
     let cuisine = CuisineView::from(world.recipes.cuisine(region));
-    let cooc = cooc_triangle(
-        &cuisine.ingredient_set(),
-        world.recipes.recipes().map(|r| r.ingredients()),
-    );
+    let cooc = CoocTriangle::build(&world.recipes);
     run(FlavorViewRef::Owned(&world.flavor), &cuisine, &cooc);
 }

@@ -37,7 +37,7 @@ use std::process::ExitCode;
 
 use culinaria::analysis::contribution::top_contributors;
 use culinaria::analysis::generation::{Objective, RecipeGenerator};
-use culinaria::analysis::pairing::OverlapCache;
+use culinaria::analysis::pairing::{novel_pairings, CoocTriangle, OverlapCache};
 use culinaria::analysis::z_analysis::{
     analyses_to_frame, try_analyze_cuisine_view_observed, try_analyze_world_view_observed,
 };
@@ -718,37 +718,29 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let world = build_world(args)?;
             let cuisine = world.recipes.cuisine(region);
             let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
-            let pool = cache.pool().to_vec();
-            let mut candidates: Vec<(f64, usize, usize, usize, usize)> = Vec::new();
-            for i in 0..pool.len() {
-                for j in (i + 1)..pool.len() {
-                    let overlap = cache.overlap(i as u32, j as u32) as usize;
-                    if overlap == 0 {
-                        continue;
-                    }
-                    let cooc = world.recipes.cooccurrence(pool[i], pool[j]);
-                    candidates.push((overlap as f64 / (1.0 + cooc as f64), overlap, cooc, i, j));
-                }
-            }
-            candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
+            let cooc = CoocTriangle::build(&world.recipes);
+            let pool = cache.pool();
             println!(
                 "novel pairings for {} (high overlap, low co-use):",
                 region.name()
             );
-            for &(novelty, overlap, cooc, i, j) in candidates.iter().take(top_k) {
+            for pairing in novel_pairings(&cache, &cooc, top_k) {
                 // The pool comes straight from the overlap cache, so
                 // both ids should be live; a mismatch means the cache
                 // and database went out of sync — report, don't panic.
                 let (a, b) = match (
-                    world.flavor.ingredient(pool[i]),
-                    world.flavor.ingredient(pool[j]),
+                    world.flavor.ingredient(pool[pairing.i as usize]),
+                    world.flavor.ingredient(pool[pairing.j as usize]),
                 ) {
                     (Ok(a), Ok(b)) => (&a.name, &b.name),
                     (Err(e), _) | (_, Err(e)) => {
                         return fail(format!("pairing table references a dead ingredient: {e}"))
                     }
                 };
-                println!("  {novelty:7.1}  {a} + {b}  (overlap {overlap}, co-used {cooc}×)");
+                println!(
+                    "  {:7.1}  {a} + {b}  (overlap {}, co-used {}×)",
+                    pairing.novelty, pairing.overlap, pairing.cooc
+                );
             }
             Ok(ExitCode::SUCCESS)
         }
