@@ -43,7 +43,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use culinaria_flavordb::{FlavorDb, IngredientId};
 use culinaria_obs::Metrics;
@@ -103,20 +102,7 @@ impl fmt::Display for ImportMode {
 /// Smallest batch worth fanning out: below this the pool's thread
 /// spin-up and claim-cursor traffic cost more than the resolution work
 /// (the `bench_alias` import microbench is the evidence).
-const SERIAL_BATCH_MIN: usize = 64;
-
-/// Render a panic payload as text, mirroring the worker pool's
-/// rendering so the serial path reports panics identically.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        match payload.downcast::<String>() {
-            Ok(s) => *s,
-            Err(_) => "non-string panic payload".to_string(),
-        }
-    }
-}
+pub const SERIAL_BATCH_MIN: usize = 64;
 
 /// Statistics of one import run.
 #[derive(Debug, Clone, Default, Eq)]
@@ -399,9 +385,9 @@ impl Importer {
     /// workers (`0` = use the machine).
     ///
     /// The fan-out is adaptive: when [`pool::effective_threads`]
-    /// resolves to one worker, or the batch is below the granularity
-    /// threshold, resolution runs inline instead of through the pool
-    /// ([`ImportStats::mode`] records which path ran).
+    /// resolves to one worker, or the batch is below
+    /// [`SERIAL_BATCH_MIN`], resolution runs on the pool's inline
+    /// one-worker path ([`ImportStats::mode`] records which path ran).
     ///
     /// Determinism contract: per-recipe resolution is a pure function
     /// of the recipe, the pool returns results in task order, and all
@@ -432,7 +418,7 @@ impl Importer {
     /// * counter `import.mode.{serial,pooled}` for the adaptive
     ///   fan-out decision;
     /// * the shared `pool.*` instruments when the pooled path runs
-    ///   (the inline serial path never touches the pool).
+    ///   (the serial path records none).
     ///
     /// Stored recipes and the returned stats are bit-identical to the
     /// unobserved path — instrumentation records, it never steers.
@@ -456,9 +442,8 @@ impl Importer {
         type Outcome = std::result::Result<ResolvedRecipe, String>;
         // Fan out only when more than one worker would actually run
         // *and* the batch is big enough to amortize pool spin-up;
-        // otherwise resolve inline (the BENCH_alias regression was
-        // exactly this: a pool of one worker timing slower than the
-        // plain loop).
+        // otherwise resolve on one worker, which the pool runs inline
+        // with no thread machinery.
         let workers = pool::effective_threads(n_threads).min(raw.len().max(1));
         let mode = if workers > 1 && raw.len() >= SERIAL_BATCH_MIN {
             ImportMode::Pooled
@@ -467,56 +452,34 @@ impl Importer {
         };
         let resolve_span = metrics.span("import.resolve");
         let guard = resolve_span.enter();
-        let resolved: Vec<Outcome> = match mode {
-            ImportMode::Pooled => pool::try_run_observed(
-                n_threads,
-                raw.len(),
-                &pool::PoolObs::new(metrics),
-                ResolveScratch::new,
-                |scratch, i| -> std::result::Result<Outcome, std::convert::Infallible> {
-                    Ok(match fault::probe("import.recipe", i) {
-                        Ok(()) => Ok(self.resolve_recipe(db, &raw[i], scratch)),
-                        Err(e) => Err(e.to_string()),
-                    })
-                },
-            )
-            .map_err(|f| {
-                metrics.counter("error.import.recipe").incr();
-                RecipeDbError::Worker {
-                    index: f.index,
-                    message: match f.kind {
-                        pool::FailureKind::Failed(e) => match e {},
-                        pool::FailureKind::Panicked(msg) => msg,
-                    },
-                }
-            })?,
-            ImportMode::Serial => {
-                // Same contract as the pool, no pool: in-order, panics
-                // isolated per recipe, and the first panic is by
-                // construction the lowest failing index.
-                let mut scratch = ResolveScratch::new();
-                let mut out = Vec::with_capacity(raw.len());
-                for (i, raw_recipe) in raw.iter().enumerate() {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        match fault::probe("import.recipe", i) {
-                            Ok(()) => Ok(self.resolve_recipe(db, raw_recipe, &mut scratch)),
-                            Err(e) => Err(e.to_string()),
-                        }
-                    }));
-                    match outcome {
-                        Ok(o) => out.push(o),
-                        Err(payload) => {
-                            metrics.counter("error.import.recipe").incr();
-                            return Err(RecipeDbError::Worker {
-                                index: i,
-                                message: panic_text(payload),
-                            });
-                        }
-                    }
-                }
-                out
-            }
+        // The serial mode is the pool's inline one-worker path, and it
+        // records no `pool.*` instruments.
+        let (threads, pool_obs) = match mode {
+            ImportMode::Pooled => (n_threads, pool::PoolObs::new(metrics)),
+            ImportMode::Serial => (1, pool::PoolObs::disabled()),
         };
+        let resolved: Vec<Outcome> = pool::try_run_observed(
+            threads,
+            raw.len(),
+            &pool_obs,
+            ResolveScratch::new,
+            |scratch, i| -> std::result::Result<Outcome, std::convert::Infallible> {
+                Ok(match fault::probe("import.recipe", i) {
+                    Ok(()) => Ok(self.resolve_recipe(db, &raw[i], scratch)),
+                    Err(e) => Err(e.to_string()),
+                })
+            },
+        )
+        .map_err(|f| {
+            metrics.counter("error.import.recipe").incr();
+            RecipeDbError::Worker {
+                index: f.index,
+                message: match f.kind {
+                    pool::FailureKind::Failed(e) => match e {},
+                    pool::FailureKind::Panicked(msg) => msg,
+                },
+            }
+        })?;
         guard.stop();
         metrics.counter(mode.metric_label()).incr();
 

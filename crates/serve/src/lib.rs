@@ -19,7 +19,7 @@
 //! `serve-hot` and `serve-cold` workloads: deterministic request
 //! batching over `culinaria_stats::pool` ([`server`] docs give the
 //! bit-identity argument), a bounded LRU
-//! response cache over interned ingredient-id sets ([`cache`]), and
+//! response cache keyed by the request itself ([`cache`]), and
 //! load-shedding bounded-queue backpressure ([`queue`]). Live metrics
 //! flow through `culinaria-obs` and out the `METRICS` endpoint.
 //!
@@ -54,7 +54,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use cache::{CacheStats, ResponseCache};
+pub use cache::{Lookup, ResponseCache};
 pub use deadline::{arm, DeadlineReader, TimeoutClass, POLL_TICK};
 pub use lifecycle::{install_signal_handlers, ShutdownFlag};
 pub use protocol::{Client, ProtoError, Request, MAX_FRAME};

@@ -123,8 +123,8 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Option<Vec<u8>>
     Ok(Some(payload))
 }
 
-/// A parsed request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A parsed request. The server's response cache keys answers by it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Request {
     Ping,
     Quit,
@@ -135,8 +135,9 @@ pub enum Request {
     Health,
     /// Pairing score for an ingredient-id set. `region` selects the
     /// shard fast path (precomputed overlap triangle); `None` walks
-    /// the flavor profiles directly. Both produce the same bits for
-    /// the sorted, distinct `ids` that [`parse_request`] produces.
+    /// the flavor profiles directly. Both produce the same bits.
+    /// `ids` must be sorted and distinct, as [`parse_request`] leaves
+    /// them: the server answers any other set with `ERR bad-ids`.
     Pair {
         region: Option<Region>,
         ids: Vec<IngredientId>,
@@ -184,6 +185,22 @@ pub(crate) fn check_topk_k(k: usize) -> Result<(), ProtoError> {
         ));
     }
     Ok(())
+}
+
+/// `ERR bad-ids` unless `ids` holds 2..=`MAX_SET` strictly increasing
+/// ids: the parser checks a `PAIR` set with it after sorting and
+/// deduplicating, and the server a `Request` built in code.
+pub(crate) fn check_pair_ids(ids: &[IngredientId]) -> Result<(), ProtoError> {
+    let message = if ids.len() > MAX_SET {
+        format!("{} ids exceeds the {MAX_SET}-id cap", ids.len())
+    } else if ids.len() < 2 {
+        "a pairing needs at least two distinct ids".to_string()
+    } else if ids.windows(2).any(|w| w[0] >= w[1]) {
+        "ids must be sorted and distinct".to_string()
+    } else {
+        return Ok(());
+    };
+    Err(ProtoError::new("bad-ids", message))
 }
 
 /// Parse a request payload. The error side carries the request id when
@@ -237,12 +254,7 @@ pub fn parse_request(payload: &[u8]) -> Result<(u64, Request), (u64, ProtoError)
             }
             ids.sort_unstable();
             ids.dedup();
-            if ids.len() < 2 {
-                return Err(fail(
-                    "bad-ids",
-                    "a pairing needs at least two distinct ids".into(),
-                ));
-            }
+            check_pair_ids(&ids).map_err(|e| (id, e))?;
             Request::Pair { region, ids }
         }
         "ZPROF" => Request::ZProf {

@@ -18,6 +18,16 @@
 //! responses — and the cache's evolution — bit-identical to serial
 //! execution at any worker count. The serve tests assert exactly that.
 //!
+//! # Response cache
+//!
+//! `OK` answers of `PAIR`, `ZPROF` and `TOPK` are cached under the
+//! request itself ([`crate::cache`]); `compute_pair` refuses a `PAIR`
+//! set that is not sorted and distinct, so the parser's normalization is
+//! the only one a key needs. The server turns each lookup's
+//! [`Lookup`] and each store's eviction into the
+//! `serve.cache.{hits,misses,evictions,invalidations}` counters, the
+//! only place they are counted.
+//!
 //! # Generations and ingest
 //!
 //! The server's data views, lazy shards, `TOPK`'s store-wide
@@ -51,7 +61,7 @@ use culinaria_recipedb::import::Importer;
 use culinaria_recipedb::Region;
 use culinaria_stats::{fault, pool};
 
-use crate::cache::{CacheStats, Endpoint, ResponseCache, NO_REGION};
+use crate::cache::{Lookup, ResponseCache};
 use crate::deadline::{DeadlineReader, TimeoutClass};
 use crate::lifecycle::ShutdownFlag;
 use crate::protocol::{
@@ -278,6 +288,9 @@ pub struct ConnStats {
 pub struct Server<'a> {
     epoch: RwLock<Arc<Epoch<'a>>>,
     cfg: ServeConfig,
+    /// `cfg.threads` resolved once: resolving 0 reads the cgroup CPU
+    /// quota, tens of microseconds that a batch must not pay.
+    threads: usize,
     metrics: Metrics,
     obs: ServeObs,
     cache: Option<Mutex<ResponseCache>>,
@@ -301,6 +314,7 @@ impl<'a> Server<'a> {
         Server {
             epoch: RwLock::new(Arc::new(Epoch::new(0, flavor, recipes))),
             cfg,
+            threads: pool::effective_threads(cfg.threads),
             metrics,
             obs,
             cache,
@@ -349,11 +363,6 @@ impl<'a> Server<'a> {
     /// Snapshot the current epoch.
     fn current(&self) -> Arc<Epoch<'a>> {
         self.epoch.read().unwrap_or_else(|p| p.into_inner()).clone()
-    }
-
-    /// The cache's own counters (None when the cache is disabled).
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| lock_unpoisoned(c).stats())
     }
 
     /// Connections currently inside [`Server::serve_connection`].
@@ -416,27 +425,17 @@ impl<'a> Server<'a> {
             }
         }
         // Phase 2: compute misses in task order over the worker pool.
-        let computed: Vec<(String, Option<CacheSlot>)> =
-            if misses.len() < 2 || pool::effective_threads(self.cfg.threads) == 1 {
-                misses
-                    .iter()
-                    .map(|&i| self.compute(&ep, &reqs[i].1))
-                    .collect()
-            } else {
-                pool::run(
-                    self.cfg.threads,
-                    misses.len(),
-                    || (),
-                    |_, t| self.compute(&ep, &reqs[misses[t]].1),
-                )
-            };
+        let computed = pool::run(
+            self.threads,
+            misses.len(),
+            || (),
+            |_, t| self.compute(&ep, &reqs[misses[t]].1),
+        );
         // Phase 3: serial fill + cache stores, request order.
-        for (t, &i) in misses.iter().enumerate() {
-            let (body, slot) = &computed[t];
-            if let Some(slot) = slot {
-                self.cache_store(ep.generation, slot, &reqs[i].1, body.clone());
-            }
-            out[i] = Some(format!("{} {body}", reqs[i].0));
+        for (&i, body) in misses.iter().zip(computed) {
+            let (id, req) = &reqs[i];
+            out[i] = Some(format!("{id} {body}"));
+            self.cache_store(ep.generation, req, body);
         }
         out.into_iter()
             .zip(reqs)
@@ -446,84 +445,61 @@ impl<'a> Server<'a> {
             .collect()
     }
 
-    /// Cache identity of a request, when the endpoint is cacheable.
-    fn cache_slot(req: &Request) -> Option<CacheSlot> {
-        match req {
-            Request::Pair { region, .. } => Some(CacheSlot {
-                endpoint: Endpoint::Pair,
-                region: region.map_or(NO_REGION, |r| r.index() as u8),
-                param: 0,
-                keyed_by_ids: true,
-            }),
-            Request::ZProf { region } => Some(CacheSlot {
-                endpoint: Endpoint::ZProf,
-                region: region.index() as u8,
-                param: 0,
-                keyed_by_ids: false,
-            }),
-            Request::TopK { region, k } => Some(CacheSlot {
-                endpoint: Endpoint::TopK,
-                region: region.index() as u8,
-                param: *k as u64,
-                keyed_by_ids: false,
-            }),
-            _ => None,
-        }
+    /// The verbs whose answers are cached: each is a pure function of
+    /// the request and the data generation. `PING`, `QUIT`, `METRICS`
+    /// and `HEALTH` are trivial or volatile, and `SCORE` is free text.
+    fn cacheable(req: &Request) -> bool {
+        matches!(
+            req,
+            Request::Pair { .. } | Request::ZProf { .. } | Request::TopK { .. }
+        )
     }
 
     /// A cached answer for a batch answering against epoch
     /// `generation`; `None` for any batch a swap has superseded.
     fn cache_lookup(&self, generation: u64, req: &Request) -> Option<String> {
-        let cache = self.cache.as_ref()?;
-        let slot = Self::cache_slot(req)?;
-        let ids = slot.ids(req);
-        let mut cache = lock_unpoisoned(cache);
+        if !Self::cacheable(req) {
+            return None;
+        }
+        let mut cache = lock_unpoisoned(self.cache.as_ref()?);
         if cache.generation() != generation {
             return None;
         }
-        let stale_before = cache.stats().invalidations;
-        let got = cache.lookup(slot.endpoint, slot.region, slot.param, ids);
-        let invalidated = cache.stats().invalidations - stale_before;
+        let found = cache.lookup(req);
         drop(cache);
-        if invalidated > 0 {
-            self.obs.cache_invalidations.add(invalidated);
+        match found {
+            Lookup::Hit(body) => {
+                self.obs.cache_hits.incr();
+                return Some(body);
+            }
+            Lookup::Stale => self.obs.cache_invalidations.incr(),
+            Lookup::Miss => {}
         }
-        match &got {
-            Some(_) => self.obs.cache_hits.add(1),
-            None => self.obs.cache_misses.add(1),
-        }
-        got
+        self.obs.cache_misses.incr();
+        None
     }
 
     /// Cache `body`, computed against epoch `generation`, unless a swap
     /// has superseded that epoch since.
-    fn cache_store(&self, generation: u64, slot: &CacheSlot, req: &Request, body: String) {
+    fn cache_store(&self, generation: u64, req: &Request, body: String) {
         // Only successful responses are cached — errors stay cheap to
         // recompute and must not shadow a later success.
-        if !body.starts_with("OK ") {
+        if !Self::cacheable(req) || !body.starts_with("OK ") {
             return;
         }
         if let Some(cache) = self.cache.as_ref() {
             let mut cache = lock_unpoisoned(cache);
-            if cache.generation() != generation {
-                return;
-            }
-            let before = cache.stats().evictions;
-            cache.store(slot.endpoint, slot.region, slot.param, slot.ids(req), body);
-            let evicted = cache.stats().evictions - before;
-            if evicted > 0 {
-                self.obs.cache_evictions.add(evicted);
+            if cache.generation() == generation && cache.store(req, body) {
+                self.obs.cache_evictions.incr();
             }
         }
     }
 
-    /// Compute one response body (`OK …` / `ERR …`, no id prefix),
-    /// plus its cache slot when the endpoint is cacheable. Pure with
-    /// respect to request order — the batching determinism hinges on
-    /// this.
-    fn compute(&self, ep: &Epoch<'a>, req: &Request) -> (String, Option<CacheSlot>) {
-        let slot = Self::cache_slot(req);
-        let body = match req {
+    /// Compute one response body (`OK …` / `ERR …`, no id prefix).
+    /// Pure with respect to request order — the batching determinism
+    /// hinges on this.
+    fn compute(&self, ep: &Epoch<'a>, req: &Request) -> String {
+        match req {
             Request::Ping => "OK pong".to_string(),
             Request::Quit => "OK bye".to_string(),
             Request::Metrics => format!("OK metrics {}", self.metrics.render_json()),
@@ -552,13 +528,12 @@ impl<'a> Server<'a> {
                 t.stop();
                 body
             }
-        };
-        (body, slot)
+        }
     }
 
     /// The `HEALTH` body: liveness and pressure counters for operator
     /// probes. Volatile by construction (uptime, queue depth), so it is
-    /// never cached — like `METRICS`, its cache slot is `None`.
+    /// never cached, like `METRICS`.
     fn health_body(&self) -> String {
         let hits = self.obs.cache_hits.get();
         let misses = self.obs.cache_misses.get();
@@ -598,6 +573,12 @@ impl<'a> Server<'a> {
     }
 
     fn compute_pair(&self, ep: &Epoch<'a>, region: Option<Region>, ids: &[IngredientId]) -> String {
+        // The parser normalizes a set, but a `Request` built in code
+        // skips it: an unsorted or duplicated set would score another
+        // set, and the cache keys a request as given.
+        if let Err(e) = crate::protocol::check_pair_ids(ids) {
+            return Self::err(e.code, e.message);
+        }
         // Shard fast path: O(1) triangle lookups. Falls back to the
         // profile walk for global requests or ids outside the region
         // pool — both produce the same bits (asserted in tests), so
@@ -912,27 +893,5 @@ impl<'a> Server<'a> {
             shed: shed.load(Ordering::Relaxed),
             protocol_errors: proto_errors.load(Ordering::Relaxed),
         })
-    }
-}
-
-/// Cache identity of a cacheable request (the ingredient-id set, when
-/// part of the key, is borrowed from the request at use time).
-#[derive(Debug, Clone, Copy)]
-struct CacheSlot {
-    endpoint: Endpoint,
-    region: u8,
-    param: u64,
-    keyed_by_ids: bool,
-}
-
-impl CacheSlot {
-    fn ids<'r>(&self, req: &'r Request) -> Option<&'r [IngredientId]> {
-        if !self.keyed_by_ids {
-            return None;
-        }
-        match req {
-            Request::Pair { ids, .. } => Some(ids),
-            _ => None,
-        }
     }
 }

@@ -56,6 +56,27 @@ fn ids_arg(ids: &[IngredientId]) -> String {
         .join(",")
 }
 
+/// One of the server's `serve.cache.*` counters.
+fn cache_counter(server: &Server<'_>, name: &str) -> u64 {
+    let snap = server.metrics().snapshot();
+    snap.counter(&format!("serve.cache.{name}")).unwrap_or(0)
+}
+
+/// A copy of the world's store plus one streamed-in recipe of `ids` in
+/// `region` (changes that cuisine, hence its ZPROF and TOPK answers).
+fn grown_store(world: &World, region: Region, ids: &[IngredientId]) -> RecipeStore {
+    let mut grown = RecipeStore::new();
+    for r in world.recipes.recipes() {
+        grown
+            .add_recipe(&r.name, r.region, r.source, r.ingredients().to_vec())
+            .unwrap();
+    }
+    grown
+        .add_recipe("streamed", region, Source::Synthetic, ids.to_vec())
+        .unwrap();
+    grown
+}
+
 /// Run `f` against a served connection; returns the connection stats.
 fn with_connection<F>(server: &Server<'_>, f: F) -> ConnStats
 where
@@ -213,7 +234,10 @@ fn batch_responses_bit_identical_across_thread_counts() {
             let (front, back) = reqs.split_at(reqs.len() / 2);
             responses.extend(server.handle_batch(front));
             responses.extend(server.handle_batch(back));
-            let stats = server.cache_stats().map(|s| (s.hits, s.misses));
+            let stats = (
+                cache_counter(&server, "hits"),
+                cache_counter(&server, "misses"),
+            );
             match &counters {
                 None => counters = Some(stats),
                 Some(first) => assert_eq!(&stats, first, "{threads} threads"),
@@ -466,7 +490,7 @@ fn cache_hits_and_eviction_counters_over_a_connection() {
         assert_eq!(first, format!("OK {}", protocol::pair_body(offline)));
         let second = client.call(2, &format!("PAIR {code} {arg}")).unwrap();
         assert_eq!(first, second);
-        // Permuted ids hit the same interned-set entry.
+        // Permuted ids hit the same entry.
         let permuted: String = ids
             .iter()
             .rev()
@@ -482,15 +506,148 @@ fn cache_hits_and_eviction_counters_over_a_connection() {
         client.call(5, &format!("TOPK {code} 4")).unwrap();
         client.call(6, "QUIT").unwrap();
     });
-    let stats = server.cache_stats().expect("cache on");
-    assert_eq!(stats.hits, 2);
+    assert_eq!(cache_counter(&server, "hits"), 2);
     assert!(
-        stats.evictions >= 1,
+        cache_counter(&server, "evictions") >= 1,
         "capacity 2 with 3 distinct keys evicts"
     );
-    let snap = server.metrics().snapshot();
-    assert_eq!(snap.counter("serve.cache.hits"), Some(2));
-    assert_eq!(snap.counter("serve.cache.evictions"), Some(stats.evictions));
+}
+
+/// Answer `lines` (wire text without the id) as one batch, through
+/// `Server::handle` when it is a single request; returns whether
+/// `serve.cache.hits` moved.
+fn batch_hit(server: &Server<'_>, lines: &[&str]) -> bool {
+    let reqs: Vec<(u64, Request)> = lines
+        .iter()
+        .map(|line| parse_request(format!("1 {line}").as_bytes()).unwrap())
+        .collect();
+    let before = cache_counter(server, "hits");
+    let replies = match &reqs[..] {
+        [(id, req)] => vec![server.handle(*id, req)],
+        _ => server.handle_batch(&reqs),
+    };
+    for (line, reply) in lines.iter().zip(&replies) {
+        let ok = reply.starts_with("1 OK ");
+        assert_eq!(ok, !line.contains("4000000000"), "{line:?}: {reply}");
+    }
+    cache_counter(server, "hits") != before
+}
+
+#[test]
+fn cache_decisions_over_a_fixed_sequence_are_pinned() {
+    let world = tiny_world();
+    let (region, ids) = probe(&world);
+    let grown = grown_store(&world, region, &ids);
+    let cfg = ServeConfig {
+        threads: 1,
+        cache_entries: 3,
+        mc_recipes: 200,
+        ..ServeConfig::default()
+    };
+    let server = server_over(&world, cfg);
+    let code = region.code();
+    let [a, b, c] = [ids[0].0, ids[1].0, ids[2].0];
+    let pair: &str = &format!("PAIR {code} {a},{b}");
+    let global: &str = &format!("PAIR - {b},{a},{a}");
+    let triple: &str = &format!("PAIR {code} {c},{a},{b}");
+    let top5: &str = &format!("TOPK {code} 5");
+    let top6: &str = &format!("TOPK {code} 6");
+    let zprof: &str = &format!("ZPROF {code}");
+    let unknown: &str = &format!("PAIR {code} {a},4000000000");
+    // Each step is one batch and whether it hit. The comments give the
+    // cache after the step, most recent entry first.
+    let before_swap: [(&[&str], bool); 18] = [
+        (&[pair], false),   // pair
+        (&[pair], true),    // pair
+        (&[global], false), // global, pair: same set, its own entry
+        (&[global], true),  // global, pair
+        (&[pair], true),    // pair, global
+        (&[top5], false),   // top5, pair, global
+        (&[top6], false),   // top6, top5, pair: evicts global
+        (&[global], false), // global, top6, top5: evicts pair
+        (&[pair], false),   // pair, global, top6: evicts top5
+        (&[top6], true),    // top6, pair, global
+        // Three misses; stores evict global, then pair, and the second
+        // top5 store refreshes the first one's entry to most recent.
+        (&[top5, triple, top5], false), // top5, triple, top6
+        (&[zprof], false),              // zprof, top5, triple: evicts top6
+        (&[pair], false),               // pair, zprof, top5: evicts triple
+        (&[top5], true),                // top5, pair, zprof
+        (&[triple], false),             // triple, top5, pair: evicts zprof
+        (&[unknown], false),            // an error is never stored
+        (&[unknown], false),
+        (&["PING"], false), // never looked up
+    ];
+    let after_swap: [(&[&str], bool); 7] = [
+        (&[triple], false), // stale: invalidated, recomputed and stored
+        (&[triple], true),
+        (&[top5], false),   // stale: top5, triple, pair (pair still stale)
+        (&[global], false), // global, top5, triple: evicts stale pair
+        (&[pair], false),   // pair, global, top5: evicts triple
+        (&[global], true),
+        (&[pair], true),
+    ];
+    for (step, (lines, hit)) in before_swap.iter().enumerate() {
+        assert_eq!(batch_hit(&server, lines), *hit, "step {step}: {lines:?}");
+    }
+    server.ingest_swap(
+        FlavorViewRef::Owned(&world.flavor),
+        RecipesViewRef::Owned(&grown),
+    );
+    for (step, (lines, hit)) in after_swap.iter().enumerate() {
+        assert_eq!(
+            batch_hit(&server, lines),
+            *hit,
+            "step {step} after the swap: {lines:?}"
+        );
+    }
+    let counters =
+        ["hits", "misses", "evictions", "invalidations"].map(|name| cache_counter(&server, name));
+    assert_eq!(counters, [8, 18, 10, 2]);
+}
+
+#[test]
+fn pair_sets_built_in_code_must_be_sorted_and_distinct() {
+    let world = tiny_world();
+    let (region, _) = probe(&world);
+    // The region's pair with the largest overlap, so a duplicated id
+    // (a zero-overlap pair) changes the score.
+    let cuisine = CuisineView::Owned(world.recipes.cuisine(region));
+    let pool = cuisine.ingredient_set();
+    let overlaps = OverlapCache::for_cuisine(&world.flavor, world.recipes.cuisine(region));
+    let (i, j) = (0..pool.len())
+        .flat_map(|i| (i + 1..pool.len()).map(move |j| (i, j)))
+        .max_by_key(|&(i, j)| overlaps.overlap(i as u32, j as u32))
+        .unwrap();
+    let (a, b) = (pool[i], pool[j]);
+    let score = recipe_pairing_score(&world.flavor, &[a, b]);
+    assert_ne!(score, recipe_pairing_score(&world.flavor, &[a, a, b]));
+    let expected = format!("1 OK {}", protocol::pair_body(score));
+
+    let wire_error = |line: String| {
+        let (_, e) = parse_request(line.as_bytes()).unwrap_err();
+        format!("1 ERR {} {}", e.code, e.message)
+    };
+    let long: Vec<IngredientId> = (0..=protocol::MAX_SET as u32).map(IngredientId).collect();
+    let server = server_over(&world, ServeConfig::default());
+    for region in [Some(region), None] {
+        let pair = |ids: &[IngredientId]| {
+            let ids = ids.to_vec();
+            server.handle(1, &Request::Pair { region, ids })
+        };
+        let code = region.map_or("-", |r| r.code());
+        // A duplicated set first: it must neither score nor cache an
+        // answer for the set it would normalize to.
+        let duplicated = pair(&[a, a, b]);
+        assert_eq!(pair(&[a, b]), expected, "{code}");
+        for reply in [duplicated, pair(&[b, a])] {
+            assert!(reply.starts_with("1 ERR bad-ids "), "{code}: {reply}");
+        }
+        // What the parser refuses on the wire, with its message.
+        assert_eq!(pair(&[a]), wire_error(format!("1 PAIR {code} {}", a.0)));
+        let wire = wire_error(format!("1 PAIR {code} {}", ids_arg(&long)));
+        assert_eq!(pair(&long), wire);
+    }
 }
 
 #[test]
@@ -601,17 +758,7 @@ fn artifact_backed_server_is_bit_identical_to_owned() {
 fn ingest_swap_invalidates_cache_and_serves_new_bits() {
     let world = tiny_world();
     let (region, ids) = probe(&world);
-    // A grown copy of the store: the same corpus plus one streamed-in
-    // recipe in the probe region (changes its cuisine, hence ZPROF).
-    let mut grown = RecipeStore::new();
-    for r in world.recipes.recipes() {
-        grown
-            .add_recipe(&r.name, r.region, r.source, r.ingredients().to_vec())
-            .unwrap();
-    }
-    grown
-        .add_recipe("streamed", region, Source::Synthetic, ids.clone())
-        .unwrap();
+    let grown = grown_store(&world, region, &ids);
 
     let cfg = ServeConfig {
         cache_entries: 8,
@@ -625,7 +772,7 @@ fn ingest_swap_invalidates_cache_and_serves_new_bits() {
     let first = server.handle(1, &req);
     let hit = server.handle(2, &req);
     assert_eq!(first[2..], hit[2..], "ids differ, bodies must not");
-    assert_eq!(server.cache_stats().expect("cache on").hits, 1);
+    assert_eq!(cache_counter(&server, "hits"), 1);
     assert_eq!(server.generation(), 0);
 
     // Ingest: swap to the grown store. Generation moves, nothing is
@@ -636,13 +783,16 @@ fn ingest_swap_invalidates_cache_and_serves_new_bits() {
     );
     assert_eq!(generation, 1);
     assert_eq!(server.generation(), 1);
-    assert_eq!(server.cache_stats().expect("cache on").invalidations, 0);
+    assert_eq!(cache_counter(&server, "invalidations"), 0);
 
     // The same query now evicts the stale entry (counted) and answers
     // with the new data's bits.
     let after = server.handle(3, &req);
-    let stats = server.cache_stats().expect("cache on");
-    assert_eq!(stats.invalidations, 1, "stale entry evicted on lookup");
+    assert_eq!(
+        cache_counter(&server, "invalidations"),
+        1,
+        "stale entry evicted on lookup"
+    );
     assert_ne!(first[2..], after[2..], "answer must change with the data");
 
     // Bit-identical to a cold server started over the grown store.
@@ -657,13 +807,8 @@ fn ingest_swap_invalidates_cache_and_serves_new_bits() {
     // And the new answer is cached under the new generation.
     let again = server.handle(4, &req);
     assert_eq!(after[2..], again[2..]);
-    let stats = server.cache_stats().expect("cache on");
-    assert_eq!(stats.invalidations, 1);
-    assert_eq!(stats.hits, 2);
-
-    // Counter mirrored into the metrics registry.
-    let snap = server.metrics().snapshot();
-    assert_eq!(snap.counter("serve.cache.invalidations"), Some(1));
+    assert_eq!(cache_counter(&server, "invalidations"), 1);
+    assert_eq!(cache_counter(&server, "hits"), 2);
 }
 
 #[test]
@@ -774,8 +919,7 @@ fn pipelined_queries_stay_correct_across_live_ingest_swaps() {
         swapper.join().unwrap();
     });
     assert_eq!(server.generation(), 3);
-    let stats = server.cache_stats().expect("cache on");
-    assert!(stats.invalidations > 0, "{stats:?}");
+    assert!(cache_counter(&server, "invalidations") > 0);
 
     // The round sent after the last swap answers exactly like a cold
     // server over the final store.
@@ -955,38 +1099,4 @@ fn shutdown_drains_accepted_requests_before_closing() {
     });
     assert_eq!(stats.served, 5);
     assert_eq!(stats.protocol_errors, 0);
-}
-
-/// With the `serve.write` probe armed, a reply-path failure kills that
-/// connection (reader stops via the dead flag) but never the server.
-#[cfg(feature = "fault-injection")]
-#[test]
-fn injected_write_fault_kills_the_connection_not_the_server() {
-    use culinaria_stats::fault::{self, FaultKind, FaultPlan};
-
-    let world = tiny_world();
-    let server = server_over(&world, deadline_cfg(200, 200));
-    let failed = fault::with_plan(
-        FaultPlan::new().fail("serve.write", 0, FaultKind::Error),
-        || {
-            let (server_side, client_side) = UnixStream::pair().expect("socketpair");
-            arm(&server_side, server.config()).expect("arm");
-            std::thread::scope(|scope| {
-                let reader = server_side.try_clone().expect("clone");
-                let server_ref = &server;
-                let handle = scope.spawn(move || server_ref.serve_connection(reader, server_side));
-                let mut client = Client::new(client_side);
-                client.send("1 PING").unwrap();
-                // The reply path died before the response: EOF, no frame.
-                assert!(client.recv().unwrap().is_none());
-                handle.join().expect("server thread")
-            })
-        },
-    );
-    assert!(failed.is_err(), "injected write fault must surface");
-    // A fresh connection (plan cleared) serves normally.
-    let stats = with_connection(&server, |client| {
-        assert_eq!(client.call(1, "PING").unwrap(), "OK pong");
-    });
-    assert_eq!(stats.served, 1);
 }

@@ -28,7 +28,9 @@ use culinaria::analysis::z_analysis::{
 use culinaria::analysis::{FailureCause, MonteCarloConfig, NullModel, OverlapCache, StageFailure};
 use culinaria::datagen::{generate_world, World, WorldConfig};
 use culinaria::obs::Metrics;
-use culinaria::recipedb::import::{ImportFailureReason, Importer, RawRecipe};
+use culinaria::recipedb::import::{
+    ImportFailureReason, ImportMode, Importer, RawRecipe, SERIAL_BATCH_MIN,
+};
 use culinaria::recipedb::{IngestLog, RecipeDbError, RecipeStore, Region, Source};
 use culinaria::stats::fault::{self, FaultKind, FaultPlan};
 
@@ -306,10 +308,10 @@ fn engine_failures_bump_error_counters() {
     assert_eq!(snap.counter("pool.failures"), Some(1));
 }
 
-fn import_fixture() -> (Importer, Vec<RawRecipe>) {
+fn import_fixture(n: usize) -> (Importer, Vec<RawRecipe>) {
     let db = culinaria::flavordb::curated::curated_db();
     let importer = Importer::from_flavor_db(&db);
-    let raws: Vec<RawRecipe> = (0..12)
+    let raws: Vec<RawRecipe> = (0..n)
         .map(|i| RawRecipe {
             name: format!("recipe {i}"),
             region: Region::Italy,
@@ -320,19 +322,33 @@ fn import_fixture() -> (Importer, Vec<RawRecipe>) {
     (importer, raws)
 }
 
+/// `(batch size, threads, mode)` for the import fault tests: 12 recipes
+/// resolve serially at every thread count, and a batch past
+/// `SERIAL_BATCH_MIN` at 2 threads fans out over the pool. Both modes
+/// must report the same failure.
+fn import_runs() -> Vec<(usize, usize, ImportMode)> {
+    let mut runs: Vec<_> = THREAD_COUNTS
+        .iter()
+        .map(|&threads| (12, threads, ImportMode::Serial))
+        .collect();
+    runs.push((SERIAL_BATCH_MIN + 8, 2, ImportMode::Pooled));
+    runs
+}
+
 #[test]
 fn import_error_faults_become_per_recipe_failures() {
     let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
-    for threads in THREAD_COUNTS {
+    for (n, threads, mode) in import_runs() {
+        let (importer, raws) = import_fixture(n);
         let mut store = RecipeStore::new();
         let stats = fault::with_plan(plan("import.recipe", 1, FaultKind::Error), || {
             importer
                 .import_batch(&db, &mut store, &raws, threads)
                 .unwrap()
         });
-        assert_eq!(stats.offered, 12, "at {threads} threads");
-        assert_eq!(stats.stored, 11);
+        assert_eq!(stats.mode, mode, "{n} recipes at {threads} threads");
+        assert_eq!(stats.offered, n);
+        assert_eq!(stats.stored, n - 1);
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.failures.len(), 1);
         assert_eq!(stats.failures[0].index, 1);
@@ -341,8 +357,8 @@ fn import_error_faults_become_per_recipe_failures() {
             stats.failures[0].reason,
             ImportFailureReason::Fault("injected fault at import.recipe[1]".into())
         );
-        // The other eleven recipes made it into the store.
-        assert_eq!(store.n_recipes(), 11);
+        // Every other recipe made it into the store.
+        assert_eq!(store.n_recipes(), n - 1);
     }
 }
 
@@ -350,11 +366,11 @@ fn import_error_faults_become_per_recipe_failures() {
 fn import_panic_fails_the_batch_with_the_lowest_index() {
     fault::silence_injected_panics();
     let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
     let two_panics = FaultPlan::new()
         .fail("import.recipe", 7, FaultKind::Panic)
         .fail("import.recipe", 2, FaultKind::Panic);
-    for threads in THREAD_COUNTS {
+    for (n, threads, _) in import_runs() {
+        let (importer, raws) = import_fixture(n);
         let mut store = RecipeStore::new();
         let err = fault::with_plan(two_panics.clone(), || {
             importer
@@ -367,7 +383,7 @@ fn import_panic_fails_the_batch_with_the_lowest_index() {
                 index: 2,
                 message: "injected panic at import.recipe[2]".into(),
             },
-            "diverged at {threads} threads"
+            "diverged for {n} recipes at {threads} threads"
         );
         // A failed batch must not have mutated the store.
         assert_eq!(store.n_recipes(), 0);
@@ -377,7 +393,7 @@ fn import_panic_fails_the_batch_with_the_lowest_index() {
 #[test]
 fn wal_append_fault_leaves_a_valid_replayable_prefix() {
     let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
+    let (importer, raws) = import_fixture(12);
     for threads in THREAD_COUNTS {
         let mut log = IngestLog::new();
         let mut store = RecipeStore::new();
@@ -408,7 +424,7 @@ fn wal_append_probe_indices_are_log_global() {
     // The probe index is the *log* offset, not the batch offset, so a
     // plan targeting record 13 fires in the second batch.
     let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
+    let (importer, raws) = import_fixture(12);
     let mut log = IngestLog::new();
     let mut store = RecipeStore::new();
     log.append_batch(&db, &importer, &mut store, &raws, 2)
@@ -489,7 +505,7 @@ fn assert_recovered_prefix_replays(dir: &std::path::Path, raws: &[RawRecipe]) {
 #[test]
 fn segment_append_fault_leaves_a_reopenable_prefix() {
     let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
+    let (importer, raws) = import_fixture(12);
     for threads in THREAD_COUNTS {
         let dir = segment_scratch(&format!("append-{threads}"));
         let mut store = RecipeStore::new();
@@ -511,7 +527,7 @@ fn segment_append_fault_leaves_a_reopenable_prefix() {
 #[test]
 fn segment_fsync_fault_surfaces_but_never_corrupts() {
     let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
+    let (importer, raws) = import_fixture(12);
     for threads in THREAD_COUNTS {
         let dir = segment_scratch(&format!("fsync-{threads}"));
         let mut store = RecipeStore::new();
@@ -531,7 +547,7 @@ fn segment_fsync_fault_surfaces_but_never_corrupts() {
 #[test]
 fn segment_rotate_fault_keeps_the_manifest_commit_point() {
     let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
+    let (importer, raws) = import_fixture(12);
     let dir = segment_scratch("rotate");
     let mut store = RecipeStore::new();
     // A tiny rotation threshold forces a rotation inside the batch;
@@ -551,7 +567,7 @@ fn segment_rotate_fault_keeps_the_manifest_commit_point() {
 #[test]
 fn segment_compact_fault_leaves_the_old_segments_live() {
     let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
+    let (importer, raws) = import_fixture(12);
     let dir = segment_scratch("compact");
     let mut store = RecipeStore::new();
     let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 256).expect("open");
