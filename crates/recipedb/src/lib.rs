@@ -20,11 +20,12 @@
 //!   (`culinaria-flavordb`), with per-import curation statistics;
 //! * [`artifact`] — CRDB2, the zero-copy on-disk form of a store;
 //! * [`io`] — a byte image for store-equality checks, and CSV export;
-//! * [`wal`] — the append-only, checksummed import log with
-//!   deterministic replay (streaming ingestion);
-//! * [`segment`] — the durable on-disk form of the log: size-rotated
+//! * [`segment`] — the import log (streaming ingestion): size-rotated
 //!   CWAL1 segment files with an atomically-renamed manifest,
-//!   configurable fsync policy, and torn-tail recovery.
+//!   configurable fsync policy, torn-tail recovery, and deterministic
+//!   replay;
+//! * [`wal`] — the log's checksummed CWAL1 record codec and the replay
+//!   every log prefix goes through.
 
 pub mod artifact;
 pub mod cuisine;
@@ -45,4 +46,4 @@ pub use recipe::{Recipe, RecipeId, Source};
 pub use region::Region;
 pub use segment::{FsyncPolicy, RecoveryReport, SegmentedLog};
 pub use store::RecipeStore;
-pub use wal::{IngestLog, WalRecord};
+pub use wal::WalRecord;

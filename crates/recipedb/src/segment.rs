@@ -1,16 +1,16 @@
-//! Durable, size-rotated segment files for the CWAL1 import log.
+//! The import log: durable, size-rotated segment files of `CWAL1`
+//! records.
 //!
-//! [`crate::wal::IngestLog`] is an in-memory byte image; persisting it
-//! means rewriting the whole file per append — O(n) each time, and a
-//! crash mid-rewrite can lose the entire log. [`SegmentedLog`] is the
-//! durable writer: records are appended to an *open segment file* with
-//! the exact CWAL1 record framing, fsynced under a configurable
-//! [`FsyncPolicy`], and rotated into sealed segments once the open one
-//! crosses a size threshold. Because appends only ever extend a file,
-//! a crash leaves at worst a torn tail on the last segment, which
-//! [`SegmentedLog::open`] truncates back to the last checksum-valid
-//! record boundary — the "shorter valid prefix" contract the in-memory
-//! log promises, made real on disk.
+//! [`SegmentedLog`] is the one import log. Records are appended to an
+//! *open segment file* in the [`crate::wal`] record framing, fsynced
+//! under a configurable [`FsyncPolicy`], and rotated into sealed
+//! segments once the open one crosses a size threshold.
+//! [`SegmentedLog::append_batch`] is the only way to write records, so
+//! the log is always a transcript of exactly what the importer saw.
+//! Because appends only ever extend a file, a crash leaves at worst a
+//! torn tail on the last segment, which [`SegmentedLog::open`]
+//! truncates back to the last checksum-valid record boundary: a
+//! shorter valid prefix, never a rewritten one.
 //!
 //! # Directory grammar
 //!
@@ -30,11 +30,12 @@
 //! between the two leaves an unreferenced orphan file that recovery
 //! counts and rotation later overwrites. Sealed segments must decode
 //! fully (corruption there is reported, not repaired); only the open
-//! segment is scanned leniently for a torn tail.
-//!
-//! Replay goes through the same code path as [`crate::wal::IngestLog`],
-//! so the replay-≡-batch determinism contract (bit-identical store and
-//! stats at every thread count) carries over unchanged.
+//! segment's records are scanned leniently for a torn tail. Its 16-byte
+//! header is fsynced before any manifest names the segment, so only a
+//! header cut short is a torn write: a whole but wrong header is
+//! corruption, reported like a sealed segment's. A directory with no
+//! manifest starts a new log only when no segment file in it holds
+//! more than a header, so a lost manifest never costs records.
 
 // User-reachable durability surface: panicking on bad data or I/O
 // weather is forbidden here — return errors instead.
@@ -53,8 +54,8 @@ use crate::error::Result;
 use crate::import::{ImportStats, Importer, RawRecipe};
 use crate::store::RecipeStore;
 use crate::wal::{
-    self, encode_raw, frame_record, header_bytes, replay_records, scan_valid_prefix, IngestLog,
-    WalRecord, HEADER_LEN, KIND_RECIPE, KIND_TOMBSTONE,
+    self, check_header, decode, encode_record, header_bytes, replay_records, scan_valid_prefix,
+    WalRecord, HEADER_LEN,
 };
 
 /// Manifest file name inside a segment directory.
@@ -129,8 +130,8 @@ impl RecoveryReport {
     }
 }
 
-/// The durable, size-rotated CWAL1 writer. See the module docs for the
-/// on-disk grammar and crash-consistency argument.
+/// The import log: a directory of size-rotated CWAL1 segments. See the
+/// module docs for the on-disk grammar and crash-consistency argument.
 #[derive(Debug)]
 pub struct SegmentedLog {
     dir: PathBuf,
@@ -158,6 +159,21 @@ fn parse_segment_index(name: &str) -> Option<u64> {
 
 fn iow(ctx: impl std::fmt::Display, e: std::io::Error) -> crate::error::RecipeDbError {
     wal::err(format!("{ctx}: {e}"))
+}
+
+/// The `seg-*.cwal` file names in `dir`, sorted.
+fn segment_files(dir: &Path) -> Result<Vec<String>> {
+    let list = |e| iow(format!("list {}", dir.display()), e);
+    let mut names = Vec::new();
+    for entry in fs::read_dir(dir).map_err(list)? {
+        let name = entry.map_err(list)?.file_name();
+        let name = name.to_string_lossy();
+        if parse_segment_index(&name).is_some() {
+            names.push(name.into_owned());
+        }
+    }
+    names.sort();
+    Ok(names)
 }
 
 /// fsync a directory so a rename inside it is durable.
@@ -188,12 +204,14 @@ fn write_manifest(dir: &Path, names: &[String]) -> Result<()> {
 impl SegmentedLog {
     /// Open (or initialize) a segment directory.
     ///
-    /// A missing directory or manifest initializes a fresh log with one
-    /// empty open segment. An existing manifest is read, every sealed
-    /// segment is strictly decoded, and the open (last) segment is
+    /// A missing directory, or one with no manifest and no segment file
+    /// longer than a bare header, initializes a fresh log with one empty
+    /// open segment. An existing manifest is read, every sealed segment
+    /// is strictly decoded, and the open (last) segment's records are
     /// scanned leniently: a torn tail — the residue of a crash between
     /// fsyncs — is truncated back to the last checksum-valid record
-    /// boundary and reported in [`SegmentedLog::recovery`].
+    /// boundary and reported in [`SegmentedLog::recovery`], as is an
+    /// open segment shorter than its 16-byte header, which is reset.
     ///
     /// `segment_bytes` is the rotation threshold (an append that pushes
     /// the open segment to or past it seals the segment); `0` disables
@@ -201,9 +219,12 @@ impl SegmentedLog {
     ///
     /// # Errors
     /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) on I/O
-    /// failure, a malformed manifest, or corruption in a *sealed*
-    /// segment (those were fully durable when sealed, so damage there
-    /// is reported, never silently dropped).
+    /// failure, a malformed manifest, corruption in a *sealed* segment
+    /// (those were fully durable when sealed, so damage there is
+    /// reported, never silently dropped), a whole but invalid header on
+    /// the open segment, or a missing manifest beside a segment that
+    /// holds records. The last three are raised before anything in the
+    /// directory is written.
     pub fn open(dir: impl AsRef<Path>, policy: FsyncPolicy, segment_bytes: u64) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir).map_err(|e| iow(format!("create dir {}", dir.display()), e))?;
@@ -233,6 +254,19 @@ impl SegmentedLog {
             }
             names
         } else {
+            for name in segment_files(&dir)? {
+                let path = dir.join(&name);
+                let len = fs::metadata(&path)
+                    .map_err(|e| iow(format!("stat {}", path.display()), e))?
+                    .len();
+                if len > HEADER_LEN as u64 {
+                    return Err(wal::err(format!(
+                        "{} has no {MANIFEST} but segment {name} holds {len} bytes; \
+                         refusing to start a new log over it",
+                        dir.display()
+                    )));
+                }
+            }
             let name = segment_name(1);
             let path = dir.join(&name);
             let mut f =
@@ -262,49 +296,39 @@ impl SegmentedLog {
             let bytes =
                 fs::read(&path).map_err(|e| iow(format!("read segment {}", path.display()), e))?;
             if i < last {
-                let log = IngestLog::from_bytes(&bytes)
-                    .map_err(|e| wal::err(format!("sealed segment {name}: {e}")))?;
-                records.extend(log.records().iter().cloned());
+                records.extend(
+                    decode(&bytes).map_err(|e| wal::err(format!("sealed segment {name}: {e}")))?,
+                );
+            } else if bytes.len() < HEADER_LEN {
+                // A header cut short (crash during segment init): reset
+                // to a fresh empty segment.
+                truncated_bytes += bytes.len() as u64;
+                fs::write(&path, header_bytes())
+                    .map_err(|e| iow(format!("reset segment {name}"), e))?;
             } else {
+                check_header(&bytes).map_err(|e| wal::err(format!("open segment {name}: {e}")))?;
                 let (valid_len, recs) = scan_valid_prefix(&bytes);
-                if valid_len == 0 {
-                    // Header unreadable (crash during segment init):
-                    // reset to a fresh empty segment.
-                    truncated_bytes += bytes.len() as u64;
-                    fs::write(&path, header_bytes())
-                        .map_err(|e| iow(format!("reset segment {name}"), e))?;
-                    open_len = HEADER_LEN as u64;
-                } else {
-                    if valid_len < bytes.len() {
-                        truncated_bytes += (bytes.len() - valid_len) as u64;
-                        let f = OpenOptions::new()
-                            .write(true)
-                            .open(&path)
-                            .map_err(|e| iow(format!("open segment {name}"), e))?;
-                        f.set_len(valid_len as u64)
-                            .and_then(|()| f.sync_all())
-                            .map_err(|e| iow(format!("truncate torn tail of {name}"), e))?;
-                    }
-                    records.extend(recs);
-                    open_len = valid_len as u64;
+                if valid_len < bytes.len() {
+                    truncated_bytes += (bytes.len() - valid_len) as u64;
+                    let f = OpenOptions::new()
+                        .write(true)
+                        .open(&path)
+                        .map_err(|e| iow(format!("open segment {name}"), e))?;
+                    f.set_len(valid_len as u64)
+                        .and_then(|()| f.sync_all())
+                        .map_err(|e| iow(format!("truncate torn tail of {name}"), e))?;
                 }
+                records.extend(recs);
+                open_len = valid_len as u64;
             }
         }
 
         // Count orphan segment files (created but never named by a
         // manifest — a crash window during rotation).
-        let mut orphans = 0usize;
-        if let Ok(entries) = fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if parse_segment_index(&name).is_some()
-                    && !segment_names.iter().any(|s| s == &*name)
-                {
-                    orphans += 1;
-                }
-            }
-        }
+        let orphans = segment_files(&dir)?
+            .iter()
+            .filter(|name| !segment_names.contains(name))
+            .count();
 
         let open_path = dir.join(&segment_names[last]);
         let open = OpenOptions::new()
@@ -347,11 +371,6 @@ impl SegmentedLog {
         &self.dir
     }
 
-    /// The configured fsync policy.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
-
     /// Number of records (recipes + tombstones) across all segments.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -377,45 +396,23 @@ impl SegmentedLog {
         &self.segment_names
     }
 
-    /// Append one raw recipe as a stored-recipe record.
+    /// Import a batch into `store` **and** log every offered recipe:
+    /// stored recipes as [`WalRecord::Recipe`], per-recipe failures as
+    /// tombstones carrying their rendered reason. This is the only way
+    /// to write the log, which keeps it a transcript of exactly what
+    /// the importer saw — what makes replay ≡ batch hold.
     ///
-    /// # Errors
-    /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) on encode
-    /// failure, I/O failure, or an injected `wal.segment.*` fault.
-    pub fn append(&mut self, raw: &RawRecipe) -> Result<()> {
-        let payload = encode_raw(raw, None)?;
-        self.push_record(KIND_RECIPE, &payload, WalRecord::Recipe(raw.clone()))
-    }
-
-    /// Append a raw recipe that failed per-recipe import, with its
-    /// rendered failure reason, as a tombstone record.
-    ///
-    /// # Errors
-    /// Same as [`SegmentedLog::append`].
-    pub fn append_tombstone(&mut self, raw: &RawRecipe, reason: &str) -> Result<()> {
-        let payload = encode_raw(raw, Some(reason))?;
-        self.push_record(
-            KIND_TOMBSTONE,
-            &payload,
-            WalRecord::Tombstone {
-                raw: raw.clone(),
-                reason: reason.to_owned(),
-            },
-        )
-    }
-
-    /// Import a batch into `store` **and** log every offered recipe —
-    /// the durable counterpart of
-    /// [`IngestLog::append_batch`](crate::wal::IngestLog::append_batch),
-    /// with the same contract: import runs first, appends follow in
-    /// batch order (each probed at `wal.segment.append`), so an
+    /// Import runs first; appends follow in batch order, each probed at
+    /// `wal.segment.append` with its log-wide record index, so an
     /// append-side failure leaves the directory a valid prefix of the
-    /// intended state. Under [`FsyncPolicy::Batch`] the open segment is
-    /// fsynced once after the batch lands.
+    /// intended state (records land whole, in order). Under
+    /// [`FsyncPolicy::Batch`] the open segment is fsynced once after the
+    /// batch lands.
     ///
     /// # Errors
     /// Whatever [`Importer::import_batch`] returns, an encode/I/O
-    /// failure, or an injected `wal.segment.*` fault.
+    /// failure (a string over the format's u32 length fields), or an
+    /// injected `wal.segment.*` fault.
     pub fn append_batch(
         &mut self,
         db: &FlavorDb,
@@ -431,10 +428,11 @@ impl SegmentedLog {
             .map(|f| (f.index, f.reason.to_string()))
             .collect();
         for (i, raw) in raws.iter().enumerate() {
-            match reasons.remove(&i) {
-                Some(reason) => self.append_tombstone(raw, &reason)?,
-                None => self.append(raw)?,
-            }
+            let raw = raw.clone();
+            self.push(match reasons.remove(&i) {
+                Some(reason) => WalRecord::Tombstone { raw, reason },
+                None => WalRecord::Recipe(raw),
+            })?;
         }
         if self.policy == FsyncPolicy::Batch {
             self.sync()?;
@@ -457,52 +455,7 @@ impl SegmentedLog {
         self.fsync_open(seq)
     }
 
-    /// Rewrite every record into one fresh segment and atomically point
-    /// the manifest at it, dropping the old segment files (and any
-    /// orphans their indices collide with). Byte-for-byte the new
-    /// segment is the concatenation the old segments held, so replay is
-    /// unchanged; what compaction buys is a bounded file count after
-    /// long rotation histories.
-    ///
-    /// # Errors
-    /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) on encode/I/O
-    /// failure or an injected `wal.segment.compact` fault.
-    pub fn compact(&mut self) -> Result<()> {
-        fault::probe("wal.segment.compact", self.records.len())
-            .map_err(|e| wal::err(format!("compact aborted: {e}")))?;
-        let mut image = header_bytes().to_vec();
-        for rec in &self.records {
-            let (kind, payload) = match rec {
-                WalRecord::Recipe(raw) => (KIND_RECIPE, encode_raw(raw, None)?),
-                WalRecord::Tombstone { raw, reason } => {
-                    (KIND_TOMBSTONE, encode_raw(raw, Some(reason))?)
-                }
-            };
-            image.extend_from_slice(&frame_record(kind, &payload));
-        }
-        let name = segment_name(self.next_index);
-        self.next_index += 1;
-        let path = self.dir.join(&name);
-        let mut f =
-            File::create(&path).map_err(|e| iow(format!("create {}", path.display()), e))?;
-        f.write_all(&image)
-            .and_then(|()| f.sync_all())
-            .map_err(|e| iow(format!("write compacted segment {name}"), e))?;
-        let old = std::mem::replace(&mut self.segment_names, vec![name]);
-        write_manifest(&self.dir, &self.segment_names)?;
-        for stale in old {
-            let _ = fs::remove_file(self.dir.join(stale));
-        }
-        self.open = f;
-        self.open_len = image.len() as u64;
-        self.dirty = false;
-        Ok(())
-    }
-
-    /// Replay the whole log — same contract as
-    /// [`IngestLog::replay`](crate::wal::IngestLog::replay): the store
-    /// and stats are bit-identical to a cold batch import of the same
-    /// records at every thread count.
+    /// Replay the whole log: see [`SegmentedLog::replay_prefix`].
     ///
     /// # Errors
     /// Import errors pass through; tombstone drift is reported as
@@ -516,8 +469,19 @@ impl SegmentedLog {
         replay_records(db, importer, &self.records, n_threads)
     }
 
-    /// Replay the first `n` records; see
-    /// [`IngestLog::replay_prefix`](crate::wal::IngestLog::replay_prefix).
+    /// Replay the first `n` records into a fresh store by running the
+    /// raw recipes — tombstoned or not — through
+    /// [`Importer::import_batch`], exactly as a cold batch import of the
+    /// same prefix would. The store, recipe ids and [`ImportStats`] are
+    /// therefore bit-identical to that batch import at every thread
+    /// count (the importer's serial task-order merge guarantees it).
+    ///
+    /// Tombstones are cross-checked: a record logged as failed must
+    /// fail again with the same rendered reason, and a record logged as
+    /// stored must not fail. A mismatch is reported as
+    /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) — it means the
+    /// importer (lexicon, thresholds) drifted from the one that wrote
+    /// the log.
     ///
     /// # Errors
     /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) on an
@@ -539,11 +503,13 @@ impl SegmentedLog {
         replay_records(db, importer, prefix, n_threads)
     }
 
-    fn push_record(&mut self, kind: u32, payload: &[u8], record: WalRecord) -> Result<()> {
+    /// Append one record to the open segment, fsyncing under
+    /// [`FsyncPolicy::Always`] and rotating past the size threshold.
+    fn push(&mut self, record: WalRecord) -> Result<()> {
+        let frame = encode_record(&record)?;
         let seq = self.records.len();
         fault::probe("wal.segment.append", seq)
             .map_err(|e| wal::err(format!("append aborted at record {seq}: {e}")))?;
-        let frame = frame_record(kind, payload);
         self.open
             .write_all(&frame)
             .map_err(|e| iow(format!("append record {seq}"), e))?;
@@ -628,16 +594,19 @@ mod tests {
         ]
     }
 
-    /// Byte image equivalent to concatenating all segments' records.
-    fn as_single_image(log: &SegmentedLog) -> Vec<u8> {
-        let mut mem = IngestLog::new();
-        for rec in log.records() {
-            match rec {
-                WalRecord::Recipe(raw) => mem.append(raw).unwrap(),
-                WalRecord::Tombstone { raw, reason } => mem.append_tombstone(raw, reason).unwrap(),
-            }
-        }
-        mem.as_bytes().to_vec()
+    /// A one-segment log of [`seeded_raws`] in `dir`; returns the
+    /// segment's path and bytes.
+    fn written_log(dir: &Path) -> (PathBuf, Vec<u8>) {
+        let db = curated_db();
+        let importer = Importer::from_flavor_db(&db);
+        let mut store = RecipeStore::new();
+        let mut log = SegmentedLog::open(dir, FsyncPolicy::Batch, 0).unwrap();
+        log.append_batch(&db, &importer, &mut store, &seeded_raws(), 1)
+            .unwrap();
+        let path = dir.join(&log.segment_names()[0]);
+        drop(log);
+        let bytes = fs::read(&path).unwrap();
+        (path, bytes)
     }
 
     #[test]
@@ -656,7 +625,7 @@ mod tests {
         let importer = Importer::from_flavor_db(&db);
         let raws = seeded_raws();
         let mut store = RecipeStore::new();
-        {
+        let (stats, records) = {
             let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
             assert!(log.is_empty());
             assert_eq!(log.n_segments(), 1);
@@ -665,21 +634,19 @@ mod tests {
                 .unwrap();
             assert_eq!(stats.offered, raws.len());
             assert_eq!(log.len(), raws.len());
-        }
+            (stats, log.records().to_vec())
+        };
+        // The two failures are logged as tombstones; replay below fails
+        // on any record whose logged outcome differs from the import's.
+        assert_eq!(records.iter().filter(|r| r.is_tombstone()).count(), 2);
         let back = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
-        assert_eq!(back.len(), raws.len());
+        assert_eq!(back.records(), &records[..]);
         assert!(!back.recovery().recovered());
-        let mut mem = IngestLog::new();
-        let mut mem_store = RecipeStore::new();
-        mem.append_batch(&db, &importer, &mut mem_store, &raws, 2)
-            .unwrap();
-        assert_eq!(back.records(), mem.records());
         for threads in [1usize, 2, 8] {
-            let (a, astats) = back.replay(&db, &importer, threads).unwrap();
-            let (b, bstats) = mem.replay(&db, &importer, threads).unwrap();
-            assert_eq!(astats, bstats, "{threads} threads");
-            assert_eq!(a.n_recipes(), b.n_recipes());
-            for (x, y) in a.recipes().zip(b.recipes()) {
+            let (replayed, rstats) = back.replay(&db, &importer, threads).unwrap();
+            assert_eq!(rstats, stats, "{threads} threads");
+            assert_eq!(replayed.n_recipes(), store.n_recipes());
+            for (x, y) in replayed.recipes().zip(store.recipes()) {
                 assert_eq!(x, y, "{threads} threads");
             }
         }
@@ -777,31 +744,50 @@ mod tests {
     }
 
     #[test]
-    fn compaction_collapses_segments_and_preserves_records() {
-        let dir = temp_dir("compact");
-        let db = curated_db();
-        let importer = Importer::from_flavor_db(&db);
-        let mut store = RecipeStore::new();
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 64).unwrap();
-        log.append_batch(&db, &importer, &mut store, &seeded_raws(), 2)
-            .unwrap();
-        let before = log.records().to_vec();
-        let old_names = log.segment_names().to_vec();
-        assert!(old_names.len() > 1);
-        log.compact().unwrap();
-        assert_eq!(log.n_segments(), 1);
-        assert_eq!(log.records(), &before[..]);
-        for stale in &old_names {
-            assert!(!dir.join(stale).exists(), "{stale} not removed");
+    fn missing_manifest_beside_records_is_an_error_not_a_new_log() {
+        let dir = temp_dir("nomanifest");
+        let (path, bytes) = written_log(&dir);
+        fs::remove_file(dir.join(MANIFEST)).unwrap();
+        let e = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap_err();
+        let name = path.file_name().unwrap().to_string_lossy();
+        assert!(e.to_string().contains(&*name), "{e}");
+        assert!(e.to_string().contains(&*dir.to_string_lossy()), "{e}");
+        assert_eq!(fs::read(&path).unwrap(), bytes, "open rewrote {name}");
+        assert!(!dir.join(MANIFEST).exists(), "open wrote a manifest");
+
+        // A bare header is what a crash during initialization leaves
+        // (the segment is fsynced before the first manifest): that
+        // directory still opens as a new, empty log.
+        fs::write(&path, header_bytes()).unwrap();
+        let log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
+        assert!(log.is_empty());
+        assert_eq!(log.recovery().orphans, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn whole_but_invalid_open_header_is_an_error_not_a_reset() {
+        let dir = temp_dir("openheader");
+        let (path, bytes) = written_log(&dir);
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        // Magic, version and reserved word: the header is fsynced before
+        // the manifest names the segment, so none of these is a torn
+        // write.
+        for at in [0, 8, 12] {
+            let mut bad = bytes.clone();
+            bad[at] ^= 1;
+            fs::write(&path, &bad).unwrap();
+            let e = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap_err();
+            assert!(e.to_string().contains(&name), "byte {at}: {e}");
+            assert_eq!(
+                fs::read(&path).unwrap(),
+                bad,
+                "byte {at}: open rewrote {name}"
+            );
         }
-        // The compacted image is byte-identical to the in-memory log of
-        // the same records, and appends keep working after compaction.
-        let image = fs::read(dir.join(&log.segment_names()[0])).unwrap();
-        assert_eq!(image, as_single_image(&log));
-        log.append(&raw("after", &["tomato"])).unwrap();
-        drop(log);
-        let back = SegmentedLog::open(&dir, FsyncPolicy::Batch, 64).unwrap();
-        assert_eq!(back.len(), before.len() + 1);
+        fs::write(&path, &bytes).unwrap();
+        let log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
+        assert_eq!(log.len(), seeded_raws().len());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -844,8 +830,12 @@ mod tests {
     #[test]
     fn always_policy_leaves_nothing_dirty() {
         let dir = temp_dir("always");
+        let db = curated_db();
+        let importer = Importer::from_flavor_db(&db);
+        let mut store = RecipeStore::new();
         let mut log = SegmentedLog::open(&dir, FsyncPolicy::Always, 0).unwrap();
-        log.append(&raw("solo", &["tomato"])).unwrap();
+        log.append_batch(&db, &importer, &mut store, &[raw("solo", &["tomato"])], 1)
+            .unwrap();
         assert!(!log.dirty);
         log.sync().unwrap(); // no-op when clean
         let _ = fs::remove_dir_all(&dir);

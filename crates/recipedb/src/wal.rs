@@ -1,10 +1,13 @@
-//! Append-only, checksummed import log with deterministic replay.
+//! The `CWAL1` record codec and the replay of the import log.
 //!
 //! The batch importer ([`crate::import`]) is all-or-nothing: the corpus
 //! arrives once and is resolved once. A production service ingests
-//! continuously, so this module adds the durable half of streaming
-//! ingestion: every raw recipe offered to the importer is framed into
-//! an append-only log (`CWAL1`), and **replaying any prefix of the log
+//! continuously, so every raw recipe offered to the importer is framed
+//! into an append-only log. The log itself is
+//! [`SegmentedLog`](crate::segment::SegmentedLog), a directory of
+//! `CWAL1` segment files; this module holds what a segment file is made
+//! of — the record grammar, its encoder and decoder — and the replay
+//! every log prefix goes through. **Replaying any prefix of the log
 //! through [`Importer::import_batch`] reproduces, bit for bit, the
 //! store and [`ImportStats`] a cold batch import of that prefix would
 //! have produced** — at every thread count, because replay reuses the
@@ -44,7 +47,6 @@
 use std::collections::HashMap;
 
 use culinaria_flavordb::FlavorDb;
-use culinaria_stats::fault;
 
 use crate::error::{RecipeDbError, Result};
 use crate::import::{ImportStats, Importer, RawRecipe};
@@ -64,13 +66,13 @@ pub const RECORD_HEADER_LEN: usize = 16;
 /// keeps a flipped length byte from driving a huge allocation.
 pub const MAX_PAYLOAD: usize = 1 << 24;
 
-pub(crate) const KIND_RECIPE: u32 = 1;
-pub(crate) const KIND_TOMBSTONE: u32 = 2;
+const KIND_RECIPE: u32 = 1;
+const KIND_TOMBSTONE: u32 = 2;
 
 /// FNV-1a 64 over the payload bytes. Dependency-free, byte-order
 /// independent, and strong enough to catch the single-byte flips and
 /// torn tails an append-only file actually suffers.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -80,7 +82,7 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Round up to the next multiple of 8 (§12 alignment convention).
-pub(crate) fn align8(n: usize) -> usize {
+fn align8(n: usize) -> usize {
     n.div_ceil(8) * 8
 }
 
@@ -96,7 +98,7 @@ pub(crate) fn header_bytes() -> [u8; HEADER_LEN] {
     h
 }
 
-/// Validate the 16-byte header (magic + version).
+/// Validate the 16-byte header (magic + version + zero reserved word).
 pub(crate) fn check_header(bytes: &[u8]) -> Result<()> {
     if bytes.len() < HEADER_LEN {
         return Err(err(format!(
@@ -111,25 +113,57 @@ pub(crate) fn check_header(bytes: &[u8]) -> Result<()> {
     if version != VERSION {
         return Err(err(format!("unsupported version {version}")));
     }
+    if bytes[12..HEADER_LEN] != [0; 4] {
+        return Err(err("nonzero reserved header word"));
+    }
     Ok(())
 }
 
-/// Frame one record (header + payload + zero pad) as its on-disk bytes.
-pub(crate) fn frame_record(kind: u32, payload: &[u8]) -> Vec<u8> {
+/// Frame one record (frame header + payload + zero pad) as its on-disk
+/// bytes.
+///
+/// # Errors
+/// [`RecipeDbError::Wal`] when a string exceeds the format's u32
+/// length fields (the writer checks instead of truncating).
+pub(crate) fn encode_record(record: &WalRecord) -> Result<Vec<u8>> {
+    let (kind, payload) = match record {
+        WalRecord::Recipe(raw) => (KIND_RECIPE, encode_raw(raw, None)?),
+        WalRecord::Tombstone { raw, reason } => (KIND_TOMBSTONE, encode_raw(raw, Some(reason))?),
+    };
     let framed = RECORD_HEADER_LEN + align8(payload.len());
     let mut buf = Vec::with_capacity(framed);
     buf.extend_from_slice(&kind.to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    buf.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    buf.extend_from_slice(&payload);
     buf.resize(framed, 0);
-    buf
+    Ok(buf)
+}
+
+/// Decode a whole `CWAL1` image: the header, then every record frame
+/// and checksum, with nothing trailing the last record.
+///
+/// # Errors
+/// [`RecipeDbError::Wal`] on any structural problem — truncation at
+/// any byte, a bad magic, version or reserved word, a bad kind, an
+/// over-large or checksum-mismatched payload, nonzero padding, or
+/// malformed payload contents. Corrupt bytes never panic.
+pub(crate) fn decode(bytes: &[u8]) -> Result<Vec<WalRecord>> {
+    check_header(bytes)?;
+    let mut records = Vec::new();
+    let mut at = HEADER_LEN;
+    while at < bytes.len() {
+        let (record, next) = decode_next(bytes, at)?;
+        records.push(record);
+        at = next;
+    }
+    Ok(records)
 }
 
 /// Decode the record starting at byte offset `at` (which the caller has
 /// checked is `< bytes.len()`), validating the frame, checksum, padding
 /// and payload. Returns the record and the offset of the next one.
-pub(crate) fn decode_next(bytes: &[u8], at: usize) -> Result<(WalRecord, usize)> {
+fn decode_next(bytes: &[u8], at: usize) -> Result<(WalRecord, usize)> {
     let rest = &bytes[at..];
     if rest.len() < RECORD_HEADER_LEN {
         return Err(err(format!(
@@ -219,251 +253,11 @@ impl WalRecord {
     }
 }
 
-/// The append-only import log.
-///
-/// The log is an in-memory byte image in the `CWAL1` format plus its
-/// decoded records; persistence is the caller's `fs::write` /
-/// `fs::read` of [`IngestLog::as_bytes`] — appends only ever extend
-/// the image, so an interrupted write leaves a shorter valid prefix at
-/// worst, never a rewritten one.
-///
-/// ```
-/// use culinaria_flavordb::curated::curated_db;
-/// use culinaria_recipedb::wal::IngestLog;
-/// use culinaria_recipedb::{Importer, RawRecipe, Region, Source};
-///
-/// let db = curated_db();
-/// let importer = Importer::from_flavor_db(&db);
-/// let mut log = IngestLog::new();
-/// log.append(&RawRecipe {
-///     name: "marinara".into(),
-///     region: Region::Italy,
-///     source: Source::Epicurious,
-///     ingredient_lines: vec!["3 ripe tomatoes".into(), "2 cloves garlic".into()],
-/// })
-/// .unwrap();
-///
-/// // The byte image round-trips, and replay rebuilds the store.
-/// let back = IngestLog::from_bytes(log.as_bytes()).unwrap();
-/// let (store, stats) = back.replay(&db, &importer, 1).unwrap();
-/// assert_eq!(store.n_recipes(), 1);
-/// assert_eq!(stats.stored, 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct IngestLog {
-    bytes: Vec<u8>,
-    records: Vec<WalRecord>,
-}
-
-impl IngestLog {
-    /// A fresh, empty log (header only).
-    pub fn new() -> IngestLog {
-        IngestLog {
-            bytes: header_bytes().to_vec(),
-            records: Vec::new(),
-        }
-    }
-
-    /// Decode a log image, validating the header, every record frame,
-    /// every checksum, and that nothing trails the last record.
-    ///
-    /// # Errors
-    /// [`RecipeDbError::Wal`] on any structural problem — truncation at
-    /// any byte, bad magic/version/kind, an over-large or checksum-
-    /// mismatched payload, nonzero padding, or malformed payload
-    /// contents. Corrupt bytes never panic.
-    pub fn from_bytes(bytes: &[u8]) -> Result<IngestLog> {
-        check_header(bytes)?;
-        let mut records = Vec::new();
-        let mut at = HEADER_LEN;
-        while at < bytes.len() {
-            let (record, next) = decode_next(bytes, at)?;
-            records.push(record);
-            at = next;
-        }
-        Ok(IngestLog {
-            bytes: bytes.to_vec(),
-            records,
-        })
-    }
-
-    /// The log's byte image — write this to disk to persist it.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Number of records (recipes + tombstones).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no records have been appended.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The decoded records in append order.
-    pub fn records(&self) -> &[WalRecord] {
-        &self.records
-    }
-
-    /// Append one raw recipe as a stored-recipe record.
-    ///
-    /// # Errors
-    /// [`RecipeDbError::Wal`] when a string exceeds the format's u32
-    /// length fields (the writer checks instead of truncating).
-    pub fn append(&mut self, raw: &RawRecipe) -> Result<()> {
-        let payload = encode_raw(raw, None)?;
-        self.push_record(KIND_RECIPE, &payload, WalRecord::Recipe(raw.clone()));
-        Ok(())
-    }
-
-    /// Append a raw recipe that failed per-recipe import, with its
-    /// rendered failure reason, as a tombstone record.
-    ///
-    /// # Errors
-    /// [`RecipeDbError::Wal`] on a string over the format limit.
-    pub fn append_tombstone(&mut self, raw: &RawRecipe, reason: &str) -> Result<()> {
-        let payload = encode_raw(raw, Some(reason))?;
-        self.push_record(
-            KIND_TOMBSTONE,
-            &payload,
-            WalRecord::Tombstone {
-                raw: raw.clone(),
-                reason: reason.to_owned(),
-            },
-        );
-        Ok(())
-    }
-
-    /// Import a batch into `store` **and** log every offered recipe:
-    /// stored recipes as [`WalRecord::Recipe`], per-recipe failures as
-    /// tombstones carrying their reason. This is the streaming ingest
-    /// entry point — it keeps the log a transcript of exactly what the
-    /// importer saw, which is what makes replay ≡ batch hold.
-    ///
-    /// Import runs first; appends follow in batch order, with a
-    /// `wal.append` fault probe per record. An append-side failure
-    /// therefore leaves the log a *valid prefix* of the intended state
-    /// (records land whole, in order), never a torn frame.
-    ///
-    /// # Errors
-    /// Whatever [`Importer::import_batch`] returns (worker panic), a
-    /// [`RecipeDbError::Wal`] encode failure, or an injected
-    /// `wal.append` fault.
-    pub fn append_batch(
-        &mut self,
-        db: &FlavorDb,
-        importer: &Importer,
-        store: &mut RecipeStore,
-        raws: &[RawRecipe],
-        n_threads: usize,
-    ) -> Result<ImportStats> {
-        let base = self.records.len();
-        let stats = importer.import_batch(db, store, raws, n_threads)?;
-        let mut reasons: HashMap<usize, String> = stats
-            .failures
-            .iter()
-            .map(|f| (f.index, f.reason.to_string()))
-            .collect();
-        for (i, raw) in raws.iter().enumerate() {
-            fault::probe("wal.append", base + i)
-                .map_err(|e| err(format!("append aborted at record {}: {e}", base + i)))?;
-            match reasons.remove(&i) {
-                Some(reason) => self.append_tombstone(raw, &reason)?,
-                None => self.append(raw)?,
-            }
-        }
-        Ok(stats)
-    }
-
-    /// Replay the whole log: see [`IngestLog::replay_prefix`].
-    ///
-    /// ```
-    /// use culinaria_flavordb::curated::curated_db;
-    /// use culinaria_recipedb::wal::IngestLog;
-    /// use culinaria_recipedb::{Importer, RawRecipe, RecipeStore, Region, Source};
-    ///
-    /// let db = curated_db();
-    /// let importer = Importer::from_flavor_db(&db);
-    /// let raws = vec![
-    ///     RawRecipe {
-    ///         name: "bruschetta".into(),
-    ///         region: Region::Italy,
-    ///         source: Source::Epicurious,
-    ///         ingredient_lines: vec!["tomato".into(), "olive oil".into()],
-    ///     },
-    ///     RawRecipe {
-    ///         name: "mystery".into(),
-    ///         region: Region::Italy,
-    ///         source: Source::Epicurious,
-    ///         ingredient_lines: vec![], // fails: tombstoned, not lost
-    ///     },
-    /// ];
-    /// let mut log = IngestLog::new();
-    /// let mut live = RecipeStore::new();
-    /// log.append_batch(&db, &importer, &mut live, &raws, 1).unwrap();
-    ///
-    /// // Replay ≡ batch: same store, same stats, tombstone re-checked.
-    /// let (replayed, stats) = log.replay(&db, &importer, 2).unwrap();
-    /// assert_eq!(replayed.n_recipes(), live.n_recipes());
-    /// assert_eq!(stats.stored, 1);
-    /// assert_eq!(stats.failures.len(), 1);
-    /// ```
-    pub fn replay(
-        &self,
-        db: &FlavorDb,
-        importer: &Importer,
-        n_threads: usize,
-    ) -> Result<(RecipeStore, ImportStats)> {
-        self.replay_prefix(db, importer, self.records.len(), n_threads)
-    }
-
-    /// Replay the first `n` records into a fresh store by running the
-    /// raw recipes — tombstoned or not — through
-    /// [`Importer::import_batch`], exactly as a cold batch import of
-    /// the same prefix would. The store, recipe ids, and
-    /// [`ImportStats`] are therefore bit-identical to that batch
-    /// import at every thread count (the importer's serial task-order
-    /// merge guarantees it).
-    ///
-    /// Tombstones are cross-checked: a record logged as failed must
-    /// fail again with the same rendered reason, and a record logged
-    /// as stored must not fail. A mismatch is reported as
-    /// [`RecipeDbError::Wal`] — it means the importer (lexicon,
-    /// thresholds) drifted from the one that wrote the log.
-    ///
-    /// # Errors
-    /// [`RecipeDbError::Wal`] on an out-of-range prefix or a tombstone
-    /// mismatch; import errors pass through.
-    pub fn replay_prefix(
-        &self,
-        db: &FlavorDb,
-        importer: &Importer,
-        n: usize,
-        n_threads: usize,
-    ) -> Result<(RecipeStore, ImportStats)> {
-        let Some(prefix) = self.records.get(..n) else {
-            return Err(err(format!(
-                "prefix {n} out of range for a {}-record log",
-                self.records.len()
-            )));
-        };
-        replay_records(db, importer, prefix, n_threads)
-    }
-
-    fn push_record(&mut self, kind: u32, payload: &[u8], record: WalRecord) {
-        self.bytes.extend_from_slice(&frame_record(kind, payload));
-        self.records.push(record);
-    }
-}
-
 /// Replay a slice of decoded records into a fresh store, re-resolving
 /// every raw recipe through [`Importer::import_batch`] and cross-checking
-/// tombstones against today's import outcome. This is the single replay
-/// path shared by [`IngestLog::replay_prefix`] and the segmented log
-/// ([`crate::segment::SegmentedLog`]), so both carry the same
-/// replay-≡-batch determinism contract.
+/// tombstones against today's import outcome. This is the one replay
+/// path; [`SegmentedLog::replay_prefix`](crate::segment::SegmentedLog::replay_prefix)
+/// states its contract.
 pub(crate) fn replay_records(
     db: &FlavorDb,
     importer: &Importer,
@@ -501,7 +295,7 @@ pub(crate) fn replay_records(
     Ok((store, stats))
 }
 
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<()> {
+fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<()> {
     let len = u32::try_from(s.len()).map_err(|_| {
         err(format!(
             "string of {} bytes exceeds the u32 format limit",
@@ -513,7 +307,7 @@ pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<()> {
     Ok(())
 }
 
-pub(crate) fn encode_raw(raw: &RawRecipe, reason: Option<&str>) -> Result<Vec<u8>> {
+fn encode_raw(raw: &RawRecipe, reason: Option<&str>) -> Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(64);
     put_str(&mut buf, &raw.name)?;
     buf.push(raw.region.index() as u8);
@@ -578,7 +372,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-pub(crate) fn decode_record(kind: u32, payload: &[u8], record_at: usize) -> Result<WalRecord> {
+fn decode_record(kind: u32, payload: &[u8], record_at: usize) -> Result<WalRecord> {
     if kind != KIND_RECIPE && kind != KIND_TOMBSTONE {
         return Err(err(format!("bad record kind {kind} at offset {record_at}")));
     }
@@ -638,7 +432,10 @@ mod tests {
         }
     }
 
-    fn seeded_log() -> (IngestLog, RecipeStore, ImportStats) {
+    /// Four records as the importer classifies them — two stored, two
+    /// tombstones with their real reasons — plus the store and stats a
+    /// batch import of the four produces.
+    fn seeded_records() -> (Vec<WalRecord>, RecipeStore, ImportStats) {
         let db = curated_db();
         let importer = Importer::from_flavor_db(&db);
         let raws = vec![
@@ -647,27 +444,46 @@ mod tests {
             raw("mystery", &["quixotic zanthum paste"]),
             raw("aglio e olio", &["garlic", "olive oil", "chili"]),
         ];
-        let mut log = IngestLog::new();
         let mut store = RecipeStore::new();
-        let stats = log
-            .append_batch(&db, &importer, &mut store, &raws, 1)
-            .unwrap();
-        (log, store, stats)
+        let stats = importer.import_batch(&db, &mut store, &raws, 1).unwrap();
+        let records = raws
+            .into_iter()
+            .enumerate()
+            .map(
+                |(i, raw)| match stats.failures.iter().find(|f| f.index == i) {
+                    Some(f) => WalRecord::Tombstone {
+                        raw,
+                        reason: f.reason.to_string(),
+                    },
+                    None => WalRecord::Recipe(raw),
+                },
+            )
+            .collect();
+        (records, store, stats)
+    }
+
+    /// The `CWAL1` image of `records`: the header, then each frame.
+    fn image(records: &[WalRecord]) -> Vec<u8> {
+        let mut bytes = header_bytes().to_vec();
+        for record in records {
+            bytes.extend(encode_record(record).unwrap());
+        }
+        bytes
     }
 
     #[test]
     fn roundtrip_and_replay_parity() {
-        let (log, store, stats) = seeded_log();
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.records().iter().filter(|r| r.is_tombstone()).count(), 2);
+        let (records, store, stats) = seeded_records();
+        assert_eq!(records.len(), 4);
+        assert_eq!(records.iter().filter(|r| r.is_tombstone()).count(), 2);
 
-        let back = IngestLog::from_bytes(log.as_bytes()).unwrap();
-        assert_eq!(back.records(), log.records());
+        let back = decode(&image(&records)).unwrap();
+        assert_eq!(back, records);
 
         let db = curated_db();
         let importer = Importer::from_flavor_db(&db);
         for threads in [1, 2, 8] {
-            let (replayed, rstats) = back.replay(&db, &importer, threads).unwrap();
+            let (replayed, rstats) = replay_records(&db, &importer, &back, threads).unwrap();
             assert_eq!(rstats, stats, "stats diverged at {threads} threads");
             assert_eq!(replayed.n_recipes(), store.n_recipes());
             for (a, b) in replayed.recipes().zip(store.recipes()) {
@@ -678,77 +494,92 @@ mod tests {
 
     #[test]
     fn every_prefix_replays_as_batch() {
-        let (log, _, _) = seeded_log();
+        let (records, _, _) = seeded_records();
         let db = curated_db();
         let importer = Importer::from_flavor_db(&db);
-        for n in 0..=log.len() {
-            let raws: Vec<RawRecipe> = log.records()[..n].iter().map(|r| r.raw().clone()).collect();
+        for n in 0..=records.len() {
+            let raws: Vec<RawRecipe> = records[..n].iter().map(|r| r.raw().clone()).collect();
             let mut batch_store = RecipeStore::new();
             let batch_stats = importer.import(&db, &mut batch_store, &raws).unwrap();
-            let (replayed, rstats) = log.replay_prefix(&db, &importer, n, 2).unwrap();
+            let (replayed, rstats) = replay_records(&db, &importer, &records[..n], 2).unwrap();
             assert_eq!(rstats, batch_stats, "prefix {n}");
             for (a, b) in replayed.recipes().zip(batch_store.recipes()) {
                 assert_eq!(a, b, "prefix {n}");
             }
         }
-        assert!(log.replay_prefix(&db, &importer, log.len() + 1, 1).is_err());
     }
 
     #[test]
     fn every_truncation_prefix_errors() {
-        let (log, _, _) = seeded_log();
-        let bytes = log.as_bytes();
-        for cut in 0..bytes.len() {
-            // Cuts at record boundaries decode to a shorter valid log;
-            // every other cut must be a structural error.
-            if let Ok(short) = IngestLog::from_bytes(&bytes[..cut]) {
-                assert!(short.len() < log.len(), "cut {cut}");
-                let mut whole = IngestLog::new();
-                for r in short.records() {
-                    match r {
-                        WalRecord::Recipe(raw) => whole.append(raw).unwrap(),
-                        WalRecord::Tombstone { raw, reason } => {
-                            whole.append_tombstone(raw, reason).unwrap()
-                        }
-                    }
-                }
-                assert_eq!(whole.as_bytes(), &bytes[..cut], "cut {cut}");
+        let (records, _, _) = seeded_records();
+        let bytes = image(&records);
+        let mut decoded_cuts = 0;
+        for cut in 0..=bytes.len() {
+            // A cut at a record boundary — what an interrupted append
+            // leaves — decodes to a shorter log that re-encodes to
+            // exactly those bytes; every other cut is an error.
+            if let Ok(short) = decode(&bytes[..cut]) {
+                assert_eq!(short[..], records[..short.len()], "cut {cut}");
+                assert_eq!(image(&short), &bytes[..cut], "cut {cut}");
+                decoded_cuts += 1;
+            }
+        }
+        // The bare header and each of the four record boundaries.
+        assert_eq!(decoded_cuts, records.len() + 1);
+    }
+
+    #[test]
+    fn every_bit_flip_is_an_error() {
+        let (records, _, _) = seeded_records();
+        let bytes = image(&records);
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                assert!(
+                    decode(&flipped).is_err(),
+                    "flip of bit {bit} in byte {i} decoded"
+                );
             }
         }
     }
 
     #[test]
     fn byte_flips_never_panic_and_rarely_pass() {
-        let (log, _, _) = seeded_log();
-        let bytes = log.as_bytes().to_vec();
+        let (records, _, _) = seeded_records();
+        let bytes = image(&records);
         for i in 0..bytes.len() {
             let mut c = bytes.clone();
             c[i] = c[i].wrapping_add(1);
-            let _ = IngestLog::from_bytes(&c); // must not panic
+            let _ = decode(&c); // must not panic
         }
         // A payload flip specifically trips the checksum.
         let mut c = bytes.clone();
         c[HEADER_LEN + RECORD_HEADER_LEN] ^= 0xff;
-        let e = IngestLog::from_bytes(&c).unwrap_err();
+        let e = decode(&c).unwrap_err();
         assert!(e.to_string().contains("checksum"), "{e}");
     }
 
     #[test]
     fn bad_magic_version_kind_and_padding() {
-        let (log, _, _) = seeded_log();
-        let good = log.as_bytes().to_vec();
+        let (records, _, _) = seeded_records();
+        let good = image(&records);
 
-        let mut bad = good.clone();
-        bad[0] = b'X';
-        assert!(IngestLog::from_bytes(&bad).is_err());
-
-        let mut bad = good.clone();
-        bad[8] = 9;
-        assert!(IngestLog::from_bytes(&bad).is_err());
+        for (at, byte, what) in [
+            (0, b'X', "magic"),
+            (8, 9, "version"),
+            (12, 0xAB, "reserved"),
+        ] {
+            let mut bad = good.clone();
+            bad[at] = byte;
+            let e = decode(&bad).unwrap_err();
+            assert!(e.to_string().contains(what), "{e}");
+            assert!(check_header(&bad).is_err());
+        }
 
         let mut bad = good.clone();
         bad[HEADER_LEN] = 7; // record kind
-        assert!(IngestLog::from_bytes(&bad).is_err());
+        assert!(decode(&bad).unwrap_err().to_string().contains("kind"));
 
         // Nonzero pad byte: find a record with payload_len % 8 != 0.
         let mut at = HEADER_LEN;
@@ -765,40 +596,35 @@ mod tests {
         let padded_at = padded_at.expect("seed log has an unaligned payload");
         let mut bad = good.clone();
         bad[padded_at] = 1;
-        assert!(IngestLog::from_bytes(&bad)
-            .unwrap_err()
-            .to_string()
-            .contains("padding"));
+        assert!(decode(&bad).unwrap_err().to_string().contains("padding"));
     }
 
     #[test]
     fn tombstone_drift_is_reported() {
         let db = curated_db();
         let importer = Importer::from_flavor_db(&db);
-        let mut log = IngestLog::new();
         // Log a perfectly resolvable recipe as a tombstone: replay must
         // flag the drift instead of trusting either side silently.
-        log.append_tombstone(&raw("fine", &["tomato"]), "no ingredient lines")
-            .unwrap();
-        let e = log.replay(&db, &importer, 1).unwrap_err();
+        let fine = WalRecord::Tombstone {
+            raw: raw("fine", &["tomato"]),
+            reason: "no ingredient lines".into(),
+        };
+        let e = replay_records(&db, &importer, &[fine], 1).unwrap_err();
         assert!(e.to_string().contains("drift"), "{e}");
 
         // And the converse: a stored record that now fails.
-        let mut log = IngestLog::new();
-        log.append(&raw("empty", &[])).unwrap();
-        let e = log.replay(&db, &importer, 1).unwrap_err();
+        let empty = WalRecord::Recipe(raw("empty", &[]));
+        let e = replay_records(&db, &importer, &[empty], 1).unwrap_err();
         assert!(e.to_string().contains("drift"), "{e}");
     }
 
     #[test]
     fn empty_log_is_valid_and_replays_empty() {
-        let log = IngestLog::new();
-        assert!(log.is_empty());
-        let back = IngestLog::from_bytes(log.as_bytes()).unwrap();
-        assert_eq!(back.len(), 0);
+        let back = decode(&header_bytes()).unwrap();
+        assert!(back.is_empty());
         let db = curated_db();
         let importer = Importer::from_flavor_db(&db);
-        let (store, stats) = back.replay(&db, &importer, 4).unwrap();
+        let (store, stats) = replay_records(&db, &importer, &back, 4).unwrap();
         assert_eq!(store.n_recipes(), 0);
         assert_eq!(stats.offered, 0);
     }

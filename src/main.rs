@@ -47,6 +47,7 @@ use culinaria::datagen::{generate_world, World, WorldConfig};
 use culinaria::flavordb::{AlignedBytes, FlavorArtifactBuilder};
 use culinaria::obs::Metrics;
 use culinaria::recipedb::import::{Importer, RawRecipe};
+use culinaria::recipedb::segment::MANIFEST;
 use culinaria::recipedb::{
     FsyncPolicy, RecipeArtifactBuilder, RecipeStore, Region, SegmentedLog, Source,
 };
@@ -570,10 +571,10 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
                 .transpose()?;
             let mc = mc_config(args, 2000)?;
             let sink = args.metrics()?;
-            // Opening a log creates a missing directory; replay must
-            // not, so a mistyped path fails instead of replaying 0/0.
-            if !std::path::Path::new(dir).is_dir() {
-                return fail(format!("{dir}: no wal directory to replay"));
+            // Opening a log initializes a directory without one; replay
+            // must not, so a mistyped path fails instead of replaying 0/0.
+            if !std::path::Path::new(dir).join(MANIFEST).is_file() {
+                return fail(format!("{dir}: no wal to replay (no {MANIFEST})"));
             }
             let db = culinaria::flavordb::curated::curated_db();
             let importer = Importer::from_flavor_db(&db);

@@ -199,6 +199,28 @@ fn replay_refuses_a_missing_wal_directory() {
         "stderr {stderr:?} does not name {missing}"
     );
     assert!(!dir.exists(), "replay created {missing}");
+
+    // A directory that exists but holds no log is refused too, and
+    // replay writes nothing into it.
+    std::fs::create_dir_all(&dir).expect("create dir");
+    std::fs::write(dir.join("notes.txt"), "not a log\n").expect("write notes");
+    let (ok, stdout, stderr) = run(&["replay", "--wal", missing]);
+    assert!(
+        !ok,
+        "replay of a directory without a log succeeded: {stdout}"
+    );
+    assert!(
+        stderr.contains("MANIFEST"),
+        "stderr {stderr:?} does not name MANIFEST"
+    );
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read dir")
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["notes.txt"], "replay wrote into {missing}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -31,7 +31,7 @@ use culinaria::obs::Metrics;
 use culinaria::recipedb::import::{
     ImportFailureReason, ImportMode, Importer, RawRecipe, SERIAL_BATCH_MIN,
 };
-use culinaria::recipedb::{IngestLog, RecipeDbError, RecipeStore, Region, Source};
+use culinaria::recipedb::{RecipeDbError, RecipeStore, Region, Source};
 use culinaria::stats::fault::{self, FaultKind, FaultPlan};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -391,54 +391,6 @@ fn import_panic_fails_the_batch_with_the_lowest_index() {
 }
 
 #[test]
-fn wal_append_fault_leaves_a_valid_replayable_prefix() {
-    let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture(12);
-    for threads in THREAD_COUNTS {
-        let mut log = IngestLog::new();
-        let mut store = RecipeStore::new();
-        let err = fault::with_plan(plan("wal.append", 3, FaultKind::Error), || {
-            log.append_batch(&db, &importer, &mut store, &raws, threads)
-                .unwrap_err()
-        });
-        assert!(
-            matches!(err, RecipeDbError::Wal(_)),
-            "expected a Wal error, got {err:?} at {threads} threads"
-        );
-        assert!(err.to_string().contains("record 3"), "{err}");
-        // Import ran first (append_batch contract), but only the
-        // records before the fault reached the log — whole, in order.
-        assert_eq!(store.n_recipes(), 12);
-        assert_eq!(log.records().len(), 3);
-        // What did land is a valid log: the bytes re-decode and replay
-        // as a cold batch import of that 3-record prefix.
-        let reopened = IngestLog::from_bytes(log.as_bytes()).expect("prefix stays decodable");
-        let (prefix_store, stats) = reopened.replay(&db, &importer, threads).expect("replays");
-        assert_eq!(stats.stored, 3);
-        assert_eq!(prefix_store.n_recipes(), 3);
-    }
-}
-
-#[test]
-fn wal_append_probe_indices_are_log_global() {
-    // The probe index is the *log* offset, not the batch offset, so a
-    // plan targeting record 13 fires in the second batch.
-    let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture(12);
-    let mut log = IngestLog::new();
-    let mut store = RecipeStore::new();
-    log.append_batch(&db, &importer, &mut store, &raws, 2)
-        .expect("first batch appends cleanly");
-    assert_eq!(log.records().len(), 12);
-    let err = fault::with_plan(plan("wal.append", 13, FaultKind::Error), || {
-        log.append_batch(&db, &importer, &mut store, &raws, 2)
-            .unwrap_err()
-    });
-    assert!(err.to_string().contains("record 13"), "{err}");
-    assert_eq!(log.records().len(), 13);
-}
-
-#[test]
 fn seeded_plans_are_reproducible() {
     let stages = ["overlap.tile", "mc.block", "world.block"];
     let a = FaultPlan::seeded(42, &stages, 16, 5);
@@ -464,8 +416,8 @@ fn seeded_plans_are_reproducible() {
 }
 
 // ---------------------------------------------------------------------------
-// Segmented-WAL chaos: faults at the append / fsync / rotate / compact
-// stages must surface as errors, and whatever reached disk must reopen
+// Segmented-WAL chaos: faults at the append / fsync / rotate stages
+// must surface as errors, and whatever reached disk must reopen
 // as a valid prefix that replays bit-identically at every thread count.
 // ---------------------------------------------------------------------------
 
@@ -525,6 +477,33 @@ fn segment_append_fault_leaves_a_reopenable_prefix() {
 }
 
 #[test]
+fn segment_append_probe_indices_are_log_global() {
+    // The probe index is the *log* offset, not the batch offset, so a
+    // plan targeting record 13 fires in the second batch.
+    let db = culinaria::flavordb::curated::curated_db();
+    let (importer, raws) = import_fixture(12);
+    let dir = segment_scratch("append-global");
+    let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).expect("open");
+    let mut store = RecipeStore::new();
+    log.append_batch(&db, &importer, &mut store, &raws, 2)
+        .expect("first batch appends cleanly");
+    assert_eq!(log.len(), 12);
+    let err = fault::with_plan(plan("wal.segment.append", 13, FaultKind::Error), || {
+        log.append_batch(&db, &importer, &mut store, &raws, 2)
+            .unwrap_err()
+    });
+    assert!(err.to_string().contains("record 13"), "{err}");
+    // Import runs before the appends: the store took the whole second
+    // batch, the log only the records before the fault.
+    assert_eq!(store.n_recipes(), 24);
+    assert_eq!(log.len(), 13);
+    drop(log);
+    let doubled: Vec<RawRecipe> = raws.iter().chain(&raws).cloned().collect();
+    assert_recovered_prefix_replays(&dir, &doubled);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn segment_fsync_fault_surfaces_but_never_corrupts() {
     let db = culinaria::flavordb::curated::curated_db();
     let (importer, raws) = import_fixture(12);
@@ -560,32 +539,6 @@ fn segment_rotate_fault_keeps_the_manifest_commit_point() {
     assert!(err.to_string().contains("rotation 1 aborted"), "{err}");
     // The manifest (the commit point) still names only intact
     // segments, so reopen finds a valid prefix — not a torn directory.
-    assert_recovered_prefix_replays(&dir, &raws);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn segment_compact_fault_leaves_the_old_segments_live() {
-    let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture(12);
-    let dir = segment_scratch("compact");
-    let mut store = RecipeStore::new();
-    let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 256).expect("open");
-    log.append_batch(&db, &importer, &mut store, &raws, 2)
-        .expect("append_batch");
-    log.sync().expect("sync");
-    let segments_before = log.n_segments();
-    assert!(segments_before >= 2, "need rotation history");
-    let err = fault::with_plan(
-        plan("wal.segment.compact", raws.len(), FaultKind::Error),
-        || log.compact().unwrap_err(),
-    );
-    assert!(err.to_string().contains("compact aborted"), "{err}");
-    // Compaction failed before touching the manifest: the old segment
-    // list still serves every record.
-    assert_eq!(log.n_segments(), segments_before);
-    assert_eq!(log.len(), raws.len());
-    drop(log);
     assert_recovered_prefix_replays(&dir, &raws);
     let _ = std::fs::remove_dir_all(&dir);
 }

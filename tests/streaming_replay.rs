@@ -1,99 +1,58 @@
-//! Streaming-ingestion replay contract (`culinaria_recipedb::wal`).
+//! Streaming-ingestion replay contract (`culinaria_recipedb::segment`,
+//! DESIGN.md §14.2).
 //!
 //! The import log's whole value is one guarantee: **replaying any
 //! prefix of the log is bit-identical to a cold batch import of the
 //! same prefix**, at every thread count, with per-recipe failures
 //! preserved as tombstones. This suite drives that guarantee over a
-//! seeded 200-recipe log (deliberate failures included), checks that
-//! the downstream Fig-4 z-score table is bit-identical too, and
-//! property-tests the on-disk format: truncations and bit flips must
-//! be *reported*, never panicked on.
+//! seeded 200-recipe `SegmentedLog` (deliberate failures included),
+//! checks that the downstream Fig-4 z-score table is bit-identical too,
+//! and property-tests the on-disk format through `SegmentedLog::open`:
+//! truncations and bit flips must be *reported* or cut back to a valid
+//! prefix, never panicked on.
 
+mod common;
+
+use std::fs;
+use std::path::Path;
 use std::sync::OnceLock;
 
+use common::{cold_reference, fixture, scratch_dir, seeded_raws, THREAD_COUNTS};
 use culinaria::analysis::z_analysis::{analyses_to_frame, analyze_world_view};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
-use culinaria::flavordb::curated::curated_db;
-use culinaria::flavordb::FlavorDb;
-use culinaria::recipedb::import::{Importer, RawRecipe};
-use culinaria::recipedb::{io, IngestLog, RecipeStore, Region, Source};
+use culinaria::recipedb::import::RawRecipe;
+use culinaria::recipedb::wal::HEADER_LEN;
+use culinaria::recipedb::{io, FsyncPolicy, RecipeStore, SegmentedLog, WalRecord};
 use proptest::prelude::*;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-fn fixture() -> &'static (FlavorDb, Importer) {
-    static FIXTURE: OnceLock<(FlavorDb, Importer)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let db = curated_db();
-        let importer = Importer::from_flavor_db(&db);
-        (db, importer)
-    })
-}
-
-/// A deterministic batch of `n` raw recipes over the curated lexicon.
-/// Every 17th recipe has no ingredient lines and every 23rd resolves
-/// nothing — both fail import and must come back as tombstones.
-fn seeded_raws(n: usize) -> Vec<RawRecipe> {
-    let (db, _) = fixture();
-    let names: Vec<String> = db.ingredients().map(|ing| ing.name.clone()).collect();
-    assert!(names.len() > 20, "curated db unexpectedly small");
-    (0..n)
-        .map(|i| {
-            let region = Region::ALL[i % Region::ALL.len()];
-            if i % 17 == 5 {
-                return RawRecipe {
-                    name: format!("empty {i}"),
-                    region,
-                    source: Source::Synthetic,
-                    ingredient_lines: Vec::new(),
-                };
-            }
-            if i % 23 == 7 {
-                return RawRecipe {
-                    name: format!("gibberish {i}"),
-                    region,
-                    source: Source::Synthetic,
-                    ingredient_lines: vec!["xqzzt unobtainium".into()],
-                };
-            }
-            let k = 2 + i % 5;
-            let lines = (0..k)
-                .map(|j| names[(i * 7 + j * 13 + 1) % names.len()].clone())
-                .collect();
-            RawRecipe {
-                name: format!("recipe {i}"),
-                region,
-                source: Source::Epicurious,
-                ingredient_lines: lines,
-            }
-        })
-        .collect()
-}
-
 /// The 200-record log, built in uneven micro-batches (like a stream
-/// would), serialized and re-opened from its own bytes (like the CLI
-/// does), plus the live store those batches accumulated.
-fn seeded_log() -> (IngestLog, RecipeStore, Vec<RawRecipe>) {
+/// would) into 4 KiB segments, closed and re-opened from its directory
+/// (like the CLI does), plus the live store those batches accumulated.
+fn seeded_log(name: &str) -> (SegmentedLog, RecipeStore, Vec<RawRecipe>) {
     let (db, importer) = fixture();
     let raws = seeded_raws(200);
-    let mut log = IngestLog::new();
+    let dir = scratch_dir(name);
     let mut live = RecipeStore::new();
-    let mut offset = 0;
-    for size in [1usize, 2, 13, 44, 60, 80] {
-        let chunk = &raws[offset..offset + size];
-        log.append_batch(db, importer, &mut live, chunk, 2)
-            .expect("append_batch");
-        offset += size;
+    {
+        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 4096).expect("open");
+        let mut offset = 0;
+        for size in [1usize, 2, 13, 44, 60, 80] {
+            let chunk = &raws[offset..offset + size];
+            log.append_batch(db, importer, &mut live, chunk, 2)
+                .expect("append_batch");
+            offset += size;
+        }
+        assert_eq!(offset, 200);
     }
-    assert_eq!(offset, 200);
-    let log = IngestLog::from_bytes(log.as_bytes()).expect("own bytes re-open");
+    let log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 4096).expect("own directory re-opens");
+    assert!(!log.recovery().recovered(), "clean close must reopen clean");
     (log, live, raws)
 }
 
 #[test]
 fn every_prefix_replays_bit_identical_to_cold_batch() {
     let (db, importer) = fixture();
-    let (log, live, raws) = seeded_log();
+    let (log, live, raws) = seeded_log("every-prefix");
     assert_eq!(log.records().len(), 200);
     let tombstones = log.records().iter().filter(|r| r.is_tombstone()).count();
     assert!(
@@ -102,11 +61,7 @@ fn every_prefix_replays_bit_identical_to_cold_batch() {
     );
 
     for n in 0..=200 {
-        let mut cold = RecipeStore::new();
-        let cold_stats = importer
-            .import_batch(db, &mut cold, &raws[..n], 1)
-            .expect("cold import");
-        let cold_bytes = io::to_snapshot(&cold).expect("cold snapshot");
+        let (cold_bytes, cold_stats) = cold_reference(n, &raws);
         for threads in THREAD_COUNTS {
             let (store, stats) = log
                 .replay_prefix(db, importer, n, threads)
@@ -116,12 +71,13 @@ fn every_prefix_replays_bit_identical_to_cold_batch() {
                 "stats diverged at prefix {n}, {threads} threads"
             );
             assert_eq!(
-                io::to_snapshot(&store).expect("replay snapshot"),
-                cold_bytes,
+                &io::to_snapshot(&store).expect("replay snapshot")[..],
+                &cold_bytes[..],
                 "store bytes diverged at prefix {n}, {threads} threads"
             );
         }
     }
+    assert!(log.replay_prefix(db, importer, 201, 1).is_err());
 
     // The store grown batch-by-batch while logging is itself identical
     // to one full replay — streaming never forks from batch state.
@@ -131,12 +87,13 @@ fn every_prefix_replays_bit_identical_to_cold_batch() {
         io::to_snapshot(&replayed).expect("replayed snapshot"),
         "micro-batched live store diverged from full replay"
     );
+    let _ = fs::remove_dir_all(log.dir());
 }
 
 #[test]
 fn z_scores_after_replay_match_cold_batch_at_every_thread_count() {
     let (db, importer) = fixture();
-    let (log, _, raws) = seeded_log();
+    let (log, _, raws) = seeded_log("z-scores");
     for n in [67usize, 200] {
         let mc = |threads: usize| MonteCarloConfig {
             n_recipes: 1000,
@@ -182,57 +139,117 @@ fn z_scores_after_replay_match_cold_batch_at_every_thread_count() {
             );
         }
     }
+    let _ = fs::remove_dir_all(log.dir());
 }
 
-/// A small serialized log for the corruption properties below.
-fn small_log_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
+/// A small log for the corruption properties below: 24 records (with
+/// tombstones) rotated over 1 KiB segments, kept as its decoded records
+/// and its segment files (manifest order, so the last one is open).
+struct SmallLog {
+    records: Vec<WalRecord>,
+    manifest: Vec<u8>,
+    segments: Vec<(String, Vec<u8>)>,
+}
+
+fn small_log() -> &'static SmallLog {
+    static LOG: OnceLock<SmallLog> = OnceLock::new();
+    LOG.get_or_init(|| {
         let (db, importer) = fixture();
         let raws = seeded_raws(24);
-        let mut log = IngestLog::new();
+        let dir = scratch_dir("small");
+        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 1024).expect("open");
         let mut store = RecipeStore::new();
         log.append_batch(db, importer, &mut store, &raws, 2)
             .expect("append_batch");
         assert!(log.records().iter().any(|r| r.is_tombstone()));
-        log.as_bytes().to_vec()
+        assert!(log.n_segments() >= 2, "need a sealed segment too");
+        let read = |name: &str| fs::read(dir.join(name)).expect("read log file");
+        let small = SmallLog {
+            records: log.records().to_vec(),
+            manifest: read("MANIFEST"),
+            segments: log
+                .segment_names()
+                .iter()
+                .map(|name| (name.clone(), read(name)))
+                .collect(),
+        };
+        let (_, open_bytes) = small.segments.last().expect("open segment");
+        assert!(
+            open_bytes.len() > HEADER_LEN,
+            "open segment holds no records"
+        );
+        let _ = fs::remove_dir_all(&dir);
+        small
     })
 }
 
+/// Lay `small`'s files out in `dir`, with `segments` in place of its
+/// segment bytes.
+fn write_log(dir: &Path, small: &SmallLog, segments: &[(String, Vec<u8>)]) {
+    let _ = fs::remove_dir_all(dir);
+    fs::create_dir_all(dir).expect("create log dir");
+    fs::write(dir.join("MANIFEST"), &small.manifest).expect("write manifest");
+    for (name, bytes) in segments {
+        fs::write(dir.join(name), bytes).expect("write segment");
+    }
+}
+
 proptest! {
-    /// Truncating the byte stream anywhere is survivable: either the
-    /// cut lands on a record boundary (the valid-prefix case an
-    /// interrupted append leaves behind) and the shorter log re-encodes
-    /// to exactly those bytes, or decoding reports an error. Never a
-    /// panic, never silently invented records.
+    /// Truncating the open segment anywhere — the residue of a crash
+    /// mid-append — is survivable: reopening cuts the file back to a
+    /// record boundary (or a fresh header) and keeps exactly the
+    /// records before it. Never a panic, never invented records.
     #[test]
     fn truncated_logs_never_panic(cut in 0usize..1 << 16) {
-        let bytes = small_log_bytes();
-        let cut = cut % (bytes.len() + 1);
-        match IngestLog::from_bytes(&bytes[..cut]) {
+        let small = small_log();
+        let dir = scratch_dir("truncated");
+        let mut segments = small.segments.clone();
+        let (open_name, open_bytes) = segments.last_mut().expect("open segment");
+        let full = open_bytes.clone();
+        let cut = cut % (full.len() + 1);
+        open_bytes.truncate(cut);
+        let open_name = open_name.clone();
+        write_log(&dir, small, &segments);
+        match SegmentedLog::open(&dir, FsyncPolicy::Off, 1024) {
             Ok(log) => {
-                prop_assert_eq!(log.as_bytes(), &bytes[..cut]);
-                prop_assert!(log.records().len() <= 24);
+                prop_assert!(log.len() <= small.records.len());
+                prop_assert_eq!(log.records(), &small.records[..log.len()]);
+                let kept = fs::read(dir.join(&open_name)).expect("read repaired segment");
+                prop_assert!(full.starts_with(&kept), "repair rewrote bytes");
             }
             Err(e) => prop_assert!(!e.to_string().is_empty()),
         }
+        let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Flipping any single bit is survivable. Every region of the
-    /// format is covered by a check (magic, version, kind, framing,
-    /// payload checksum, zero padding), so decode-then-replay must
-    /// report an error or reproduce a well-formed log — never panic.
+    /// Flipping any single bit of any segment is survivable. Every
+    /// region of the format is covered by a check (magic, version,
+    /// reserved word, kind, framing, payload checksum, zero padding),
+    /// so reopening reports an error — in a sealed segment or the open
+    /// one's header — or cuts the open segment back before the flipped
+    /// record; whatever survives must replay without panicking.
     #[test]
     fn bit_flipped_logs_never_panic(pos in 0usize..1 << 16, bit in 0u32..8) {
         let (db, importer) = fixture();
-        let mut bytes = small_log_bytes().to_vec();
-        let pos = pos % bytes.len();
-        bytes[pos] ^= 1u8 << bit;
-        if let Ok(log) = IngestLog::from_bytes(&bytes) {
-            prop_assert!(log.records().len() <= 24);
-            // A decodable flip (e.g. in an unchecked reserved field)
-            // must still replay without panicking.
+        let small = small_log();
+        let dir = scratch_dir("bit-flipped");
+        let mut segments = small.segments.clone();
+        let total: usize = segments.iter().map(|(_, bytes)| bytes.len()).sum();
+        let mut pos = pos % total;
+        for (_, bytes) in &mut segments {
+            if pos < bytes.len() {
+                bytes[pos] ^= 1u8 << bit;
+                break;
+            }
+            pos -= bytes.len();
+        }
+        write_log(&dir, small, &segments);
+        if let Ok(log) = SegmentedLog::open(&dir, FsyncPolicy::Off, 1024) {
+            prop_assert!(log.len() < small.records.len(), "a flip went unnoticed");
+            prop_assert_eq!(log.records(), &small.records[..log.len()]);
+            prop_assert!(log.recovery().truncated_bytes > 0);
             let _ = log.replay(db, importer, 2);
         }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,5 +1,5 @@
 //! Crash-and-recover chaos suite for the durable segmented WAL
-//! (`culinaria_recipedb::segment`, DESIGN.md §15).
+//! (`culinaria_recipedb::segment`, DESIGN.md §15.3).
 //!
 //! The durability contract under test: **kill the process between any
 //! two fsyncs, reopen the directory, and replay is bit-identical to a
@@ -10,73 +10,16 @@
 //! tries *every* cut; replay parity is checked once per distinct
 //! surviving prefix (each record boundary, i.e. each inter-fsync gap).
 
-use std::fs;
-use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+mod common;
 
+use std::fs;
+use std::path::Path;
+
+use common::{cold_reference, fixture, scratch_dir, seeded_raws, THREAD_COUNTS};
 use culinaria::analysis::z_analysis::{analyses_to_frame, analyze_world_view};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
-use culinaria::flavordb::curated::curated_db;
-use culinaria::flavordb::FlavorDb;
-use culinaria::recipedb::import::{Importer, RawRecipe};
-use culinaria::recipedb::{io, FsyncPolicy, RecipeStore, Region, SegmentedLog, Source};
-
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-fn fixture() -> &'static (FlavorDb, Importer) {
-    static FIXTURE: OnceLock<(FlavorDb, Importer)> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let db = curated_db();
-        let importer = Importer::from_flavor_db(&db);
-        (db, importer)
-    })
-}
-
-/// Same deterministic generator as `streaming_replay.rs`: every 17th
-/// recipe is empty and every 23rd resolves nothing, so the log always
-/// carries tombstones through the crash windows too.
-fn seeded_raws(n: usize) -> Vec<RawRecipe> {
-    let (db, _) = fixture();
-    let names: Vec<String> = db.ingredients().map(|ing| ing.name.clone()).collect();
-    assert!(names.len() > 20, "curated db unexpectedly small");
-    (0..n)
-        .map(|i| {
-            let region = Region::ALL[i % Region::ALL.len()];
-            if i % 17 == 5 {
-                return RawRecipe {
-                    name: format!("empty {i}"),
-                    region,
-                    source: Source::Synthetic,
-                    ingredient_lines: Vec::new(),
-                };
-            }
-            if i % 23 == 7 {
-                return RawRecipe {
-                    name: format!("gibberish {i}"),
-                    region,
-                    source: Source::Synthetic,
-                    ingredient_lines: vec!["xqzzt unobtainium".into()],
-                };
-            }
-            let k = 2 + i % 5;
-            let lines = (0..k)
-                .map(|j| names[(i * 7 + j * 13 + 1) % names.len()].clone())
-                .collect();
-            RawRecipe {
-                name: format!("recipe {i}"),
-                region,
-                source: Source::Epicurious,
-                ingredient_lines: lines,
-            }
-        })
-        .collect()
-}
-
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("culinaria-chaos-{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
+use culinaria::recipedb::import::RawRecipe;
+use culinaria::recipedb::{io, FsyncPolicy, RecipeStore, SegmentedLog};
 
 /// Copy a segment directory file-by-file (flat layout by construction).
 fn copy_dir(src: &Path, dst: &Path) {
@@ -85,20 +28,6 @@ fn copy_dir(src: &Path, dst: &Path) {
     for entry in fs::read_dir(src).expect("read dir").flatten() {
         fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy segment file");
     }
-}
-
-/// Cold batch import of `raws[..n]` — the reference every recovered
-/// prefix must match bit-for-bit.
-fn cold_reference(n: usize, raws: &[RawRecipe]) -> (Vec<u8>, culinaria::recipedb::ImportStats) {
-    let (db, importer) = fixture();
-    let mut store = RecipeStore::new();
-    let stats = importer
-        .import_batch(db, &mut store, &raws[..n], 1)
-        .expect("cold import");
-    (
-        io::to_snapshot(&store).expect("cold snapshot").to_vec(),
-        stats,
-    )
 }
 
 fn assert_replay_matches_cold(log: &SegmentedLog, raws: &[RawRecipe], ctx: &str) {
@@ -349,42 +278,6 @@ fn fig4_z_profile_is_bit_identical_after_crash_recovery() {
             "rendered Fig-4 table diverged after recovery at {threads} threads"
         );
     }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn compaction_preserves_replay_and_bounds_the_file_count() {
-    let (db, importer) = fixture();
-    let raws = seeded_raws(120);
-    let dir = scratch_dir("compact");
-    let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 2048).expect("open");
-    let mut store = RecipeStore::new();
-    log.append_batch(db, importer, &mut store, &raws, 2)
-        .expect("append_batch");
-    log.sync().expect("sync");
-    let before = log.n_segments();
-    assert!(before >= 3, "need rotation history to compact: {before}");
-    let records_before = log.records().to_vec();
-
-    log.compact().expect("compact");
-    assert_eq!(log.n_segments(), 1);
-    assert_eq!(
-        log.records(),
-        &records_before[..],
-        "compaction altered records"
-    );
-    let cwal_files = fs::read_dir(&dir)
-        .expect("read dir")
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().ends_with(".cwal"))
-        .count();
-    assert_eq!(cwal_files, 1, "stale segments must be unlinked");
-    drop(log);
-
-    let reopened = SegmentedLog::open(&dir, FsyncPolicy::Batch, 2048).expect("reopen");
-    assert_eq!(reopened.records(), &records_before[..]);
-    assert!(!reopened.recovery().recovered());
-    assert_replay_matches_cold(&reopened, &raws, "post-compaction reopen");
     let _ = fs::remove_dir_all(&dir);
 }
 
