@@ -66,7 +66,4 @@ pub use pairing::{
 };
 pub use streaming::{RegionStream, StreamState};
 pub use view::{CuisineView, FlavorViewRef, RecipesViewRef};
-pub use z_analysis::{
-    analyze_cuisine, analyze_world_view, region_overlap_cache,
-    try_analyze_cuisine_with_cache_observed, CuisineAnalysis,
-};
+pub use z_analysis::{analyze_cuisine, analyze_world_view, region_overlap_cache, CuisineAnalysis};

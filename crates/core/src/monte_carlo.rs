@@ -1,19 +1,23 @@
 //! The Monte-Carlo engine: 100,000 randomized recipes per null model,
-//! scored against the overlap cache, summarized as a
-//! [`NullEnsemble`].
+//! scored against the overlap cache (or a k-tuple scorer), summarized
+//! as a [`NullEnsemble`].
+//!
+//! Every null ensemble in the crate is sampled through one block queue
+//! (`run_ensembles`): [`run_null_model`], [`crate::ntuple::ktuple_null_ensemble`]
+//! and the z_analysis engines, which queue every `(region, model)`
+//! ensemble of a run at once. Each keeps its own instrument and fault
+//! names: `mc.*` here, `mc.ktuple.*` for k-tuples, `world.mc` /
+//! `world.block` for z_analysis.
 //!
 //! Parallelism is the shared worker pool ([`culinaria_stats::pool`])
 //! over fixed-size *blocks* of recipes. Each block derives its PRNG
-//! seed deterministically from `(run seed, model, block index)` and
-//! accumulates its own [`RunningStats`]; the pool returns block results
-//! in block order (one lock-free slot per block, one writer per slot),
-//! and they are merged in that canonical order. The result is therefore
-//! **bit-identical regardless of thread count** — a design choice
-//! DESIGN.md calls out.
-//!
-//! Workers carry a reusable `McScratch` (recipe buffer + distinctness
-//! bitmask), so the steady state of a run allocates nothing per sampled
-//! recipe.
+//! seed deterministically from `(ensemble seed, k, model, block index)`
+//! and accumulates its own [`RunningStats`]; the pool returns block
+//! results in task order, and each ensemble's blocks are merged in
+//! block order. The result is therefore **bit-identical regardless of
+//! thread count** — a design choice DESIGN.md calls out. Workers reuse
+//! one scratch (recipe buffer, distinctness bitmask, k-way intersection
+//! stack), so a run allocates nothing per sampled recipe.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,49 +28,147 @@ use culinaria_stats::{fault, pool};
 use culinaria_stats::{NullEnsemble, RunningStats};
 
 use crate::error::StageFailure;
+use crate::ntuple::{ktuple_stream, KTupleScorer};
 use crate::null_models::{CuisineSampler, NullModel, SampleScratch};
-use crate::pairing::OverlapCache;
+use crate::pairing::{IntersectScratch, OverlapCache};
 
 /// Recipes per scheduling block (also the determinism granularity).
 pub(crate) const BLOCK: usize = 2048;
 
+/// What a null recipe is scored by.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scorer<'a> {
+    /// Pairwise N_s over a cuisine's overlap cache (stream order 0).
+    Pairs(&'a OverlapCache),
+    /// N_s^(k) over a cuisine's k-tuple scorer (stream order k).
+    KTuple(&'a KTupleScorer),
+}
+
+/// One null ensemble to sample: draws of `model` from `sampler`,
+/// scored by `scorer`, on streams derived from `seed`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ensemble<'a> {
+    pub(crate) sampler: &'a CuisineSampler,
+    pub(crate) scorer: Scorer<'a>,
+    pub(crate) model: NullModel,
+    pub(crate) seed: u64,
+}
+
+/// What a caller of `run_ensembles` records under: a span around the
+/// queue and fold, recipe and block counters, a per-block wall-time
+/// histogram, and the fault stage, indexed by task
+/// (`ensemble * n_blocks + block`).
+#[derive(Debug)]
+pub(crate) struct McNames {
+    pub(crate) span: &'static str,
+    pub(crate) recipes: &'static str,
+    pub(crate) blocks: &'static str,
+    pub(crate) block_us: &'static str,
+    pub(crate) stage: &'static str,
+}
+
+/// [`run_null_model`]'s names.
+const PAIRS: McNames = McNames {
+    span: "mc.run",
+    recipes: "mc.recipes",
+    blocks: "mc.blocks",
+    block_us: "mc.block_us",
+    stage: "mc.block",
+};
+
 /// Per-worker reusable buffers for Monte-Carlo sampling.
 #[derive(Debug, Default)]
-pub(crate) struct McScratch {
+struct McScratch {
     recipe: Vec<u32>,
     sample: SampleScratch,
+    inter: IntersectScratch,
 }
 
-impl McScratch {
-    pub(crate) fn new() -> McScratch {
-        McScratch::default()
-    }
-}
-
-/// Sample and score one block of recipes — the unit of work both the
-/// single-cuisine runner and the flattened world pipeline feed to the
-/// pool. `run_seed` is the seed the whole run was configured with;
-/// the block's own stream is derived from `(run_seed, model, block)`,
-/// so a block's statistics depend only on those three values.
-pub(crate) fn block_stats(
-    cache: &OverlapCache,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    run_seed: u64,
+/// Sample and score block `block` of an ensemble at stream order `k`.
+/// Its stream is derived from `(seed, k, model, block)` alone, so its
+/// statistics depend only on those values.
+fn sample_block(
+    e: &Ensemble<'_>,
+    k: usize,
     block: usize,
     n_recipes: usize,
     scratch: &mut McScratch,
+    score: impl Fn(&[u32], &mut IntersectScratch) -> f64,
 ) -> RunningStats {
-    let lo = block * BLOCK;
-    let hi = ((block + 1) * BLOCK).min(n_recipes);
-    let stream = (model.index() as u64) << 32 | block as u64;
-    let mut rng = StdRng::seed_from_u64(derive_seed(run_seed, stream));
+    let mut rng = StdRng::seed_from_u64(derive_seed(e.seed, ktuple_stream(k, e.model, block)));
     let mut stats = RunningStats::new();
-    for _ in lo..hi {
-        sampler.generate_into(model, &mut rng, &mut scratch.recipe, &mut scratch.sample);
-        stats.push(cache.score_local(&scratch.recipe));
+    for _ in block * BLOCK..((block + 1) * BLOCK).min(n_recipes) {
+        e.sampler
+            .generate_into(e.model, &mut rng, &mut scratch.recipe, &mut scratch.sample);
+        stats.push(score(&scratch.recipe, &mut scratch.inter));
     }
     stats
+}
+
+/// The Monte-Carlo block queue: `n_recipes` null recipes for every
+/// ensemble, summarized per ensemble in `ensembles` order (`None` for
+/// a degenerate one, fewer than two recipes).
+///
+/// Every `(ensemble, block)` task goes through one
+/// [`pool::try_run_observed`] call, ensemble-major, with no barrier
+/// between ensembles; each ensemble's blocks are then folded in block
+/// order. With no tasks nothing is recorded. A failing or panicking
+/// block becomes a [`StageFailure`] at `names.stage` (the lowest
+/// failing task index wins, for any thread count). The ensembles do not
+/// depend on whether `metrics` is enabled: the only per-block cost when
+/// enabled is one clock read pair.
+pub(crate) fn run_ensembles(
+    ensembles: &[Ensemble<'_>],
+    n_recipes: usize,
+    n_threads: usize,
+    names: &McNames,
+    metrics: &Metrics,
+) -> Result<Vec<Option<NullEnsemble>>, StageFailure> {
+    let n_blocks = n_recipes.div_ceil(BLOCK);
+    let n_tasks = ensembles.len() * n_blocks;
+    if n_tasks == 0 {
+        return Ok(vec![None; ensembles.len()]);
+    }
+    let span = metrics.span(names.span);
+    let _guard = span.enter();
+    metrics
+        .counter(names.recipes)
+        .add((ensembles.len() * n_recipes) as u64);
+    metrics.counter(names.blocks).add(n_tasks as u64);
+    let block_hist = metrics.histogram(names.block_us);
+    let blocks = pool::try_run_observed(
+        n_threads,
+        n_tasks,
+        &pool::PoolObs::new(metrics),
+        McScratch::default,
+        |scratch, t| -> Result<RunningStats, fault::InjectedFault> {
+            fault::probe(names.stage, t)?;
+            let timer = block_hist.start();
+            let (e, b) = (&ensembles[t / n_blocks], t % n_blocks);
+            // One match per block, so the per-recipe loop is static.
+            let stats = match e.scorer {
+                Scorer::Pairs(c) => {
+                    sample_block(e, 0, b, n_recipes, scratch, |r, _| c.score_local(r))
+                }
+                Scorer::KTuple(kt) => sample_block(e, kt.k(), b, n_recipes, scratch, |r, i| {
+                    kt.score_local_with(r, i)
+                }),
+            };
+            timer.stop();
+            Ok(stats)
+        },
+    )
+    .map_err(|f| StageFailure::from_task(names.stage, f).record(metrics))?;
+    Ok(blocks
+        .chunks(n_blocks)
+        .map(|chunk| {
+            let mut total = RunningStats::new();
+            for s in chunk {
+                total.merge(s);
+            }
+            NullEnsemble::from_running(&total)
+        })
+        .collect())
 }
 
 /// Monte-Carlo configuration.
@@ -101,7 +203,8 @@ impl MonteCarloConfig {
 }
 
 /// Run one null model for one cuisine: sample `cfg.n_recipes` recipes,
-/// score each against `cache`, and summarize.
+/// score each against `cache`, and summarize. `cfg.seed` is used as
+/// given (the z_analysis engines salt theirs per region).
 ///
 /// Returns `Ok(None)` when the ensemble is degenerate (fewer than two
 /// recipes sampled). A panicking sampling block becomes a structured
@@ -118,9 +221,7 @@ impl MonteCarloConfig {
 ///   sampler imbalance between full and partial blocks);
 /// * the shared `pool.*` instruments.
 ///
-/// The ensemble does not depend on whether `metrics` is enabled: block
-/// seeds, sampling, and the block-order merge are untouched, and the
-/// only per-block cost when enabled is one clock read pair.
+/// The ensemble does not depend on whether `metrics` is enabled.
 pub fn run_null_model(
     cache: &OverlapCache,
     sampler: &CuisineSampler,
@@ -128,39 +229,14 @@ pub fn run_null_model(
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<NullEnsemble>, StageFailure> {
-    let n_blocks = cfg.n_recipes.div_ceil(BLOCK);
-    if n_blocks == 0 {
-        return Ok(None);
-    }
-    let run_span = metrics.span("mc.run");
-    let run_guard = run_span.enter();
-    metrics.counter("mc.recipes").add(cfg.n_recipes as u64);
-    metrics.counter("mc.blocks").add(n_blocks as u64);
-    let block_hist = metrics.histogram("mc.block_us");
-    let blocks = pool::try_run_observed(
-        cfg.n_threads,
-        n_blocks,
-        &pool::PoolObs::new(metrics),
-        McScratch::new,
-        |scratch, b| -> Result<RunningStats, fault::InjectedFault> {
-            fault::probe("mc.block", b)?;
-            let timer = block_hist.start();
-            let stats = block_stats(cache, sampler, model, cfg.seed, b, cfg.n_recipes, scratch);
-            timer.stop();
-            Ok(stats)
-        },
-    )
-    .map_err(|f| StageFailure::from_task("mc.block", f).record(metrics))?;
-
-    // Deterministic merge in block order (the pool already returned the
-    // blocks in that order).
-    let mut total = RunningStats::new();
-    for s in &blocks {
-        total.merge(s);
-    }
-    let out = NullEnsemble::from_running(&total);
-    run_guard.stop();
-    Ok(out)
+    let ensemble = Ensemble {
+        sampler,
+        scorer: Scorer::Pairs(cache),
+        model,
+        seed: cfg.seed,
+    };
+    let mut out = run_ensembles(&[ensemble], cfg.n_recipes, cfg.n_threads, &PAIRS, metrics)?;
+    Ok(out.pop().flatten())
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! prefixes pruning whole subtrees. Counts are exact integers, so every
 //! score is bit-identical to the frozen [`mod@reference`] walker (property-
 //! tested, and re-asserted by the `bench_ntuple` harness), and the
-//! Monte-Carlo ensembles are block-seeded on the shared worker pool, so
+//! null ensembles run through [`crate::monte_carlo`]'s block queue, so
 //! they are bit-identical for every thread count.
 
 pub mod reference;
@@ -29,15 +29,12 @@ use std::collections::HashMap;
 use culinaria_flavordb::{FlavorDb, IngredientId, MoleculeUniverse};
 use culinaria_obs::Metrics;
 use culinaria_recipedb::Cuisine;
-use culinaria_stats::rng::derive_seed;
-use culinaria_stats::{fault, pool};
-use culinaria_stats::{NullEnsemble, RunningStats};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use culinaria_stats::pool;
+use culinaria_stats::NullEnsemble;
 
 use crate::error::StageFailure;
-use crate::monte_carlo::{MonteCarloConfig, BLOCK};
-use crate::null_models::{CuisineSampler, NullModel, SampleScratch};
+use crate::monte_carlo::{run_ensembles, Ensemble, McNames, MonteCarloConfig, Scorer};
+use crate::null_models::{CuisineSampler, NullModel};
 use crate::pairing::IntersectScratch;
 use crate::view::{CuisineView, FlavorViewRef};
 
@@ -306,23 +303,22 @@ impl KTupleScorer {
     }
 }
 
-/// Per-worker scratch of the parallel n-tuple ensembles: the sampled
-/// recipe, the sampler's distinctness bitmask, and the intersection
-/// prefix-mask stack.
-#[derive(Debug, Default)]
-struct KTupleMcScratch {
-    recipe: Vec<u32>,
-    sample: SampleScratch,
-    inter: IntersectScratch,
-}
-
-/// The PRNG stream id of one `(k, model, block)` cell. Salting with k
-/// keeps ensembles of different orders on disjoint streams even under
-/// one run seed (the pairwise engine's `(model, block)` lattice sits at
-/// k = 0 of this layout and stays disjoint too).
-fn ktuple_stream(k: usize, model: NullModel, block: usize) -> u64 {
+/// The PRNG stream id of one `(k, model, block)` cell of the
+/// Monte-Carlo queue. Salting with k keeps ensembles of different
+/// orders on disjoint streams even under one run seed (the pairwise
+/// ensembles sit at k = 0 of this layout and stay disjoint too).
+pub(crate) fn ktuple_stream(k: usize, model: NullModel, block: usize) -> u64 {
     (k as u64) << 48 | (model.index() as u64) << 32 | block as u64
 }
+
+/// [`ktuple_null_ensemble`]'s instrument and fault-stage names.
+const KTUPLE: McNames = McNames {
+    span: "mc.ktuple.run",
+    recipes: "mc.ktuple.recipes",
+    blocks: "mc.ktuple.blocks",
+    block_us: "mc.ktuple.block_us",
+    stage: "mc.ktuple.block",
+};
 
 /// Monte-Carlo null ensemble of N_s^(k) for one cuisine and model,
 /// parallel over fixed 2048-recipe blocks on the shared worker pool.
@@ -352,46 +348,14 @@ pub fn ktuple_null_ensemble(
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<NullEnsemble>, StageFailure> {
-    let n_blocks = cfg.n_recipes.div_ceil(BLOCK);
-    if n_blocks == 0 {
-        return Ok(None);
-    }
-    let run_span = metrics.span("mc.ktuple.run");
-    let run_guard = run_span.enter();
-    metrics
-        .counter("mc.ktuple.recipes")
-        .add(cfg.n_recipes as u64);
-    metrics.counter("mc.ktuple.blocks").add(n_blocks as u64);
-    let block_hist = metrics.histogram("mc.ktuple.block_us");
-    let blocks = pool::try_run_observed(
-        cfg.n_threads,
-        n_blocks,
-        &pool::PoolObs::new(metrics),
-        KTupleMcScratch::default,
-        |scratch, b| -> Result<RunningStats, fault::InjectedFault> {
-            fault::probe("mc.ktuple.block", b)?;
-            let timer = block_hist.start();
-            let lo = b * BLOCK;
-            let hi = ((b + 1) * BLOCK).min(cfg.n_recipes);
-            let mut rng =
-                StdRng::seed_from_u64(derive_seed(cfg.seed, ktuple_stream(scorer.k, model, b)));
-            let mut stats = RunningStats::new();
-            for _ in lo..hi {
-                sampler.generate_into(model, &mut rng, &mut scratch.recipe, &mut scratch.sample);
-                stats.push(scorer.score_local_with(&scratch.recipe, &mut scratch.inter));
-            }
-            timer.stop();
-            Ok(stats)
-        },
-    )
-    .map_err(|f| StageFailure::from_task("mc.ktuple.block", f).record(metrics))?;
-    let mut total = RunningStats::new();
-    for s in &blocks {
-        total.merge(s);
-    }
-    let out = NullEnsemble::from_running(&total);
-    run_guard.stop();
-    Ok(out)
+    let ensemble = Ensemble {
+        sampler,
+        scorer: Scorer::KTuple(scorer),
+        model,
+        seed: cfg.seed,
+    };
+    let mut out = run_ensembles(&[ensemble], cfg.n_recipes, cfg.n_threads, &KTUPLE, metrics)?;
+    Ok(out.pop().flatten())
 }
 
 #[cfg(test)]

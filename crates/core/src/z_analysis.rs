@@ -1,34 +1,37 @@
 //! Z-score analysis of cuisines against the null models (Fig 4) and the
 //! full 22-region driver.
 //!
-//! The world driver does not run region after region: it flattens every
-//! `(region, model, block)` triple of the full Fig 4 run into one task
-//! queue on the shared worker pool, so a thread finishing the last
+//! One engine, prepare → queue → merge, serves the world (every
+//! populated region) and a single cuisine. Prepare builds each region's
+//! sampler, overlap cache and observed mean; the queue puts every
+//! `(region, model, block)` task of the run through
+//! [`crate::monte_carlo`]'s block queue, so a thread finishing the last
 //! block of one cuisine immediately starts the next cuisine's work
-//! instead of idling at a per-region barrier.
+//! instead of idling at a per-region barrier; merge turns each
+//! ensemble into a Z-score.
 //!
 //! Each region's Monte-Carlo streams are salted with its region code
-//! (`derive_seed_labeled(cfg.seed, region.code())`) — in both the
-//! cuisine and the world engines — so (a) no two regions share a random
-//! stream, and (b) analyzing a cuisine alone is bit-identical to its
-//! row of the world run.
+//! (`derive_seed_labeled(cfg.seed, region.code())`), so (a) no two
+//! regions share a random stream, and (b) analyzing a cuisine alone is
+//! bit-identical to its row of the world run.
 //!
 //! The `try_…_observed` engines take views (owned or artifact-backed,
 //! via `impl Into<…>`), record through `metrics` and return a
 //! [`StageFailure`]; [`analyze_cuisine`] and [`analyze_world_view`] are
 //! their uninstrumented, panicking forms.
 
+use std::borrow::Cow;
+
 use culinaria_flavordb::IngredientId;
 use culinaria_obs::Metrics;
 use culinaria_recipedb::Region;
 use culinaria_stats::rng::derive_seed_labeled;
 use culinaria_stats::zscore::z_score_of_mean;
-use culinaria_stats::{fault, pool};
-use culinaria_stats::{NullEnsemble, RunningStats};
+use culinaria_stats::NullEnsemble;
 use culinaria_tabular::{Column, Frame};
 
 use crate::error::StageFailure;
-use crate::monte_carlo::{block_stats, run_null_model, McScratch, MonteCarloConfig, BLOCK};
+use crate::monte_carlo::{run_ensembles, Ensemble, McNames, MonteCarloConfig, Scorer, BLOCK};
 use crate::null_models::{CuisineSampler, NullModel};
 use crate::pairing::{dead_pool_id, OverlapCache};
 use crate::view::{CuisineView, FlavorViewRef, RecipesViewRef};
@@ -119,7 +122,7 @@ pub fn analyze_cuisine<'a>(
     models: &[NullModel],
     cfg: &MonteCarloConfig,
 ) -> Option<CuisineAnalysis> {
-    try_analyze_cuisine_view_observed(flavor, cuisine, models, cfg, &Metrics::disabled())
+    try_analyze_cuisine_view_observed(flavor, cuisine, None, models, cfg, &Metrics::disabled())
         .unwrap_or_else(|failure| panic!("cuisine analysis failed: {failure}"))
 }
 
@@ -173,113 +176,155 @@ fn region_sampler(
     Ok(None)
 }
 
-/// The cuisine engine behind [`analyze_cuisine`]. Stage failures (dead
-/// ingredient ids, degenerate ensembles, panicking Monte-Carlo blocks)
-/// bump `error.<stage>` and come back as a [`StageFailure`], identical
-/// for any thread count; `Ok(None)` means "no pairing-bearing recipes".
+/// The cuisine engine behind [`analyze_cuisine`]: the world engine
+/// ([`try_analyze_world_view_observed`]) over one region, with its
+/// instruments and failure stages; `Ok(None)` means "no
+/// pairing-bearing recipes".
 ///
-/// The nested overlap-cache build records the `overlap.*` instruments
-/// and each null-model run the `mc.*` and `pool.*` ones. The analysis
-/// depends neither on `metrics` nor on whether the views are owned or
-/// artifact-backed (artifact overlap sections only skip the build).
+/// `cache` is the region's overlap cache when the caller keeps one
+/// (`culinaria serve` builds each region's once); it must cover the
+/// cuisine's ingredient set, as [`region_overlap_cache`]'s does. `None`
+/// gets one from [`region_overlap_cache`]. The analysis depends neither
+/// on `metrics`, nor on where the cache came from, nor on whether the
+/// views are owned or artifact-backed.
 pub fn try_analyze_cuisine_view_observed<'a>(
     flavor: impl Into<FlavorViewRef<'a>>,
     cuisine: impl Into<CuisineView<'a>>,
+    cache: Option<&OverlapCache>,
     models: &[NullModel],
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<CuisineAnalysis>, StageFailure> {
     let (flavor, cuisine) = (flavor.into(), cuisine.into());
-    let pool = cuisine.ingredient_set();
-    let Some(sampler) = region_sampler(flavor, &cuisine, &pool, metrics)? else {
-        return Ok(None);
-    };
-    let cache = region_overlap_cache(flavor, cuisine.region(), &pool, cfg.n_threads, metrics)?;
-    analyze_sampled(&cuisine, &sampler, &cache, models, cfg, metrics)
-}
-
-/// [`try_analyze_cuisine_view_observed`] with a caller-supplied overlap
-/// cache — the entry point for long-lived processes (`culinaria serve`)
-/// that build each region's cache once and reuse it across queries.
-/// The cache must cover the cuisine's ingredient set (what
-/// [`region_overlap_cache`] builds); the analysis is then bit-identical
-/// to the cache-building path for the same `cfg`.
-pub fn try_analyze_cuisine_with_cache_observed<'a>(
-    flavor: impl Into<FlavorViewRef<'a>>,
-    cuisine: impl Into<CuisineView<'a>>,
-    cache: &OverlapCache,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    let (flavor, cuisine) = (flavor.into(), cuisine.into());
-    let Some(sampler) = region_sampler(flavor, &cuisine, cache.pool(), metrics)? else {
-        return Ok(None);
-    };
-    analyze_sampled(&cuisine, &sampler, cache, models, cfg, metrics)
-}
-
-/// Shared tail of the cuisine analysis once a sampler and overlap
-/// cache exist: observed mean, per-model null ensembles, Z-scores.
-fn analyze_sampled(
-    cuisine: &CuisineView<'_>,
-    sampler: &CuisineSampler,
-    cache: &OverlapCache,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    let observed_mean = cache.mean_cuisine_score_view(cuisine).ok_or_else(|| {
-        StageFailure::error(
-            "cuisine.score",
-            0,
-            format!(
-                "cuisine {} references ingredients outside its own pool",
-                cuisine.region().code()
-            ),
-        )
-        .record(metrics)
-    })?;
-
-    let region_cfg = MonteCarloConfig {
-        seed: derive_seed_labeled(cfg.seed, cuisine.region().code()),
-        ..*cfg
-    };
-    let mut comparisons = Vec::with_capacity(models.len());
-    for (mi, &model) in models.iter().enumerate() {
-        let null =
-            run_null_model(cache, sampler, model, &region_cfg, metrics)?.ok_or_else(|| {
-                StageFailure::error(
-                    "mc.run",
-                    mi,
-                    format!("degenerate {model} ensemble: fewer than two sampled recipes"),
-                )
-                .record(metrics)
-            })?;
-        let z = z_score_of_mean(observed_mean, &null);
-        comparisons.push(ModelComparison { model, null, z });
-    }
-
-    Ok(Some(CuisineAnalysis {
-        region: cuisine.region(),
-        n_recipes: sampler.n_templates(),
-        n_ingredients: cache.len(),
-        observed_mean,
-        comparisons,
-    }))
+    let prepared = prepare(flavor, [(cuisine, cache)], cfg, metrics)?;
+    Ok(analyze_prepared(&prepared, models, cfg, metrics)?.pop())
 }
 
 /// A region's immutable per-run state, shared read-only by every
-/// worker of the flattened world queue.
-struct PreparedRegion {
+/// worker of the Monte-Carlo queue.
+struct PreparedRegion<'c> {
     region: Region,
     sampler: CuisineSampler,
-    cache: OverlapCache,
+    cache: Cow<'c, OverlapCache>,
     observed_mean: f64,
-    n_recipes: usize,
-    n_ingredients: usize,
     /// Region-salted Monte-Carlo seed.
     seed: u64,
+}
+
+/// The prepare pass: a [`PreparedRegion`] per cuisine that carries a
+/// pairing signal, in input order.
+fn prepare<'a, 'c>(
+    flavor: FlavorViewRef<'a>,
+    cuisines: impl IntoIterator<Item = (CuisineView<'a>, Option<&'c OverlapCache>)>,
+    cfg: &MonteCarloConfig,
+    metrics: &Metrics,
+) -> Result<Vec<PreparedRegion<'c>>, StageFailure> {
+    let _guard = metrics.span("world.prepare").enter();
+    let mut prepared = Vec::new();
+    for (cuisine, cache) in cuisines {
+        let region = cuisine.region();
+        let pool = match cache {
+            Some(cache) => Cow::Borrowed(cache.pool()),
+            None => Cow::Owned(cuisine.ingredient_set()),
+        };
+        let Some(sampler) = region_sampler(flavor, &cuisine, &pool, metrics)? else {
+            continue;
+        };
+        let cache = match cache {
+            Some(cache) => Cow::Borrowed(cache),
+            None => Cow::Owned(region_overlap_cache(
+                flavor,
+                region,
+                &pool,
+                cfg.n_threads,
+                metrics,
+            )?),
+        };
+        let observed_mean = cache.mean_cuisine_score_view(&cuisine).ok_or_else(|| {
+            StageFailure::error(
+                "world.prepare",
+                prepared.len(),
+                format!(
+                    "cuisine {} references ingredients outside its own pool",
+                    region.code()
+                ),
+            )
+            .record(metrics)
+        })?;
+        prepared.push(PreparedRegion {
+            region,
+            sampler,
+            cache,
+            observed_mean,
+            seed: derive_seed_labeled(cfg.seed, region.code()),
+        });
+    }
+    Ok(prepared)
+}
+
+/// The engine's names in [`crate::monte_carlo`]'s queue.
+const WORLD: McNames = McNames {
+    span: "world.mc",
+    recipes: "mc.recipes",
+    blocks: "mc.blocks",
+    block_us: "mc.block_us",
+    stage: "world.block",
+};
+
+/// The queue and merge passes: every `(region, model)` ensemble through
+/// one Monte-Carlo queue, then a Z-score per ensemble.
+fn analyze_prepared(
+    prepared: &[PreparedRegion<'_>],
+    models: &[NullModel],
+    cfg: &MonteCarloConfig,
+    metrics: &Metrics,
+) -> Result<Vec<CuisineAnalysis>, StageFailure> {
+    let ensembles: Vec<Ensemble<'_>> = prepared
+        .iter()
+        .flat_map(|p| {
+            models.iter().map(move |&model| Ensemble {
+                sampler: &p.sampler,
+                scorer: Scorer::Pairs(&p.cache),
+                model,
+                seed: p.seed,
+            })
+        })
+        .collect();
+    metrics.counter("world.regions").add(prepared.len() as u64);
+    metrics
+        .counter("world.tasks")
+        .add((ensembles.len() * cfg.n_recipes.div_ceil(BLOCK)) as u64);
+    let nulls = run_ensembles(&ensembles, cfg.n_recipes, cfg.n_threads, &WORLD, metrics)?;
+
+    let _guard = metrics.span("world.merge").enter();
+    let mut analyses = Vec::with_capacity(prepared.len());
+    for (pi, p) in prepared.iter().enumerate() {
+        let mut comparisons = Vec::with_capacity(models.len());
+        for (mi, &model) in models.iter().enumerate() {
+            let i = pi * models.len() + mi;
+            let null = nulls[i].ok_or_else(|| {
+                StageFailure::error(
+                    "world.merge",
+                    i,
+                    format!(
+                        "degenerate {model} ensemble for {}: fewer than two sampled recipes",
+                        p.region.code()
+                    ),
+                )
+                .record(metrics)
+            })?;
+            let z = z_score_of_mean(p.observed_mean, &null);
+            comparisons.push(ModelComparison { model, null, z });
+        }
+        analyses.push(CuisineAnalysis {
+            region: p.region,
+            n_recipes: p.sampler.n_templates(),
+            n_ingredients: p.cache.len(),
+            observed_mean: p.observed_mean,
+            comparisons,
+        });
+    }
+    Ok(analyses)
 }
 
 /// Analyze every populated region of a recipe collection (the full
@@ -298,23 +343,18 @@ pub fn analyze_world_view<'a>(
         .unwrap_or_else(|failure| panic!("world analysis failed: {failure}"))
 }
 
-/// The world engine behind [`analyze_world_view`].
-///
-/// All `(region, model, block)` Monte-Carlo work units go through one
-/// shared worker pool as a single flattened queue — there is no
-/// per-region or per-model barrier, so late stragglers of one cuisine
-/// overlap with the next cuisine's blocks. Block statistics come back
-/// in canonical task order and are merged per `(region, model)` in
-/// block order, keeping every number bit-identical for any thread
-/// count and equal to the per-region [`analyze_cuisine`] results.
-/// Artifact flavor views with precomputed overlap sections skip the
-/// per-region cache builds (see [`OverlapCache::from_parts`]); all
-/// emitted numbers are bit-identical either way.
+/// The world engine behind [`analyze_world_view`]: prepare → queue →
+/// merge over every populated region (see the module docs). Block
+/// statistics are merged per `(region, model)` in block order, keeping
+/// every number bit-identical for any thread count and equal to the
+/// per-region [`analyze_cuisine`] results. Artifact flavor views with
+/// precomputed overlap sections skip the per-region cache builds (see
+/// [`OverlapCache::from_parts`]), with bit-identical results.
 ///
 /// Failures in region preparation (a dead ingredient id fails at
-/// `overlap.pack`, as in the cuisine engine), the flattened
-/// Monte-Carlo queue (stage `world.block`, lowest task index wins), or
-/// the canonical merge become a structured [`StageFailure`]; the
+/// `overlap.pack`), the Monte-Carlo queue (stage `world.block`, lowest
+/// task index wins) or the merge (stage `world.merge`, a degenerate
+/// ensemble) become a structured [`StageFailure`]; the
 /// `error.<stage>` counter is bumped and the reported failure is
 /// identical for any thread count.
 ///
@@ -322,12 +362,12 @@ pub fn analyze_world_view<'a>(
 ///
 /// * spans `world.prepare` (samplers + overlap caches + observed
 ///   means; the nested cache builds record the `overlap.*`
-///   instruments), `world.mc` (the flattened Monte-Carlo queue) and
-///   `world.merge` (the canonical per-`(region, model)` fold);
-/// * counters `world.regions`, `world.tasks` (flattened `(region,
-///   model, block)` triples) and `mc.recipes` / `mc.blocks` totals;
+///   instruments), `world.mc` (the Monte-Carlo queue and block fold)
+///   and `world.merge` (the Z-scores);
+/// * counters `world.regions`, `world.tasks` (queued `(region, model,
+///   block)` triples) and `mc.recipes` / `mc.blocks` totals;
 /// * histogram `mc.block_us` — per-block wall time across the whole
-///   world run;
+///   run;
 /// * the shared `pool.*` instruments.
 ///
 /// The rows do not depend on whether `metrics` is enabled.
@@ -339,117 +379,12 @@ pub fn try_analyze_world_view_observed<'a>(
     metrics: &Metrics,
 ) -> Result<Vec<CuisineAnalysis>, StageFailure> {
     let (flavor, recipes) = (flavor.into(), recipes.into());
-    // Setup pass: samplers, overlap caches (internally parallel), and
-    // observed means per populated region.
-    let prepare_guard = metrics.span("world.prepare").enter();
-    let mut prepared: Vec<PreparedRegion> = Vec::new();
-    for region in recipes.regions() {
-        let cuisine = recipes.cuisine(region);
-        let pool = cuisine.ingredient_set();
-        let Some(sampler) = region_sampler(flavor, &cuisine, &pool, metrics)? else {
-            continue;
-        };
-        let cache = region_overlap_cache(flavor, region, &pool, cfg.n_threads, metrics)?;
-        let observed_mean = cache.mean_cuisine_score_view(&cuisine).ok_or_else(|| {
-            StageFailure::error(
-                "world.prepare",
-                prepared.len(),
-                format!(
-                    "cuisine {} references ingredients outside its own pool",
-                    region.code()
-                ),
-            )
-            .record(metrics)
-        })?;
-        prepared.push(PreparedRegion {
-            region,
-            n_recipes: sampler.n_templates(),
-            n_ingredients: pool.len(),
-            sampler,
-            cache,
-            observed_mean,
-            seed: derive_seed_labeled(cfg.seed, region.code()),
-        });
-    }
-    prepare_guard.stop();
-
-    // Flattened Monte-Carlo queue: task index ↔ (region, model, block)
-    // by uniform stride, so no task list needs materializing.
-    let n_models = models.len();
-    let n_blocks = cfg.n_recipes.div_ceil(BLOCK);
-    let per_region = n_models * n_blocks;
-    let n_tasks = prepared.len() * per_region;
-    metrics.counter("world.regions").add(prepared.len() as u64);
-    metrics.counter("world.tasks").add(n_tasks as u64);
-    metrics
-        .counter("mc.recipes")
-        .add((prepared.len() * n_models * cfg.n_recipes) as u64);
-    metrics.counter("mc.blocks").add(n_tasks as u64);
-    let block_hist = metrics.histogram("mc.block_us");
-    let mc_guard = metrics.span("world.mc").enter();
-    let block_results = pool::try_run_observed(
-        cfg.n_threads,
-        n_tasks,
-        &pool::PoolObs::new(metrics),
-        McScratch::new,
-        |scratch, t| -> Result<RunningStats, fault::InjectedFault> {
-            fault::probe("world.block", t)?;
-            let timer = block_hist.start();
-            let p = &prepared[t / per_region];
-            let rem = t % per_region;
-            let model = models[rem / n_blocks];
-            let block = rem % n_blocks;
-            let stats = block_stats(
-                &p.cache,
-                &p.sampler,
-                model,
-                p.seed,
-                block,
-                cfg.n_recipes,
-                scratch,
-            );
-            timer.stop();
-            Ok(stats)
-        },
-    )
-    .map_err(|f| StageFailure::from_task("world.block", f).record(metrics))?;
-    mc_guard.stop();
-
-    // Canonical merge: per (region, model), fold blocks in block order.
-    let merge_span = metrics.span("world.merge");
-    let _merge_guard = merge_span.enter();
-    let mut analyses = Vec::with_capacity(prepared.len());
-    for (pi, p) in prepared.iter().enumerate() {
-        let mut comparisons = Vec::with_capacity(n_models);
-        for (mi, &model) in models.iter().enumerate() {
-            let mut total = RunningStats::new();
-            let base = pi * per_region + mi * n_blocks;
-            for stats in &block_results[base..base + n_blocks] {
-                total.merge(stats);
-            }
-            let null = NullEnsemble::from_running(&total).ok_or_else(|| {
-                StageFailure::error(
-                    "world.merge",
-                    pi * n_models + mi,
-                    format!(
-                        "degenerate {model} ensemble for {}: fewer than two sampled recipes",
-                        p.region.code()
-                    ),
-                )
-                .record(metrics)
-            })?;
-            let z = z_score_of_mean(p.observed_mean, &null);
-            comparisons.push(ModelComparison { model, null, z });
-        }
-        analyses.push(CuisineAnalysis {
-            region: p.region,
-            n_recipes: p.n_recipes,
-            n_ingredients: p.n_ingredients,
-            observed_mean: p.observed_mean,
-            comparisons,
-        });
-    }
-    Ok(analyses)
+    let cuisines = recipes
+        .regions()
+        .into_iter()
+        .map(|r| (recipes.cuisine(r), None));
+    let prepared = prepare(flavor, cuisines, cfg, metrics)?;
+    analyze_prepared(&prepared, models, cfg, metrics)
 }
 
 /// Render analyses as a frame: one row per region, `z_<model>` column
@@ -500,6 +435,7 @@ pub fn analyses_to_frame(analyses: &[CuisineAnalysis]) -> Frame {
 mod tests {
     use super::*;
     use culinaria_datagen::{generate_world, WorldConfig};
+    use culinaria_stats::RunningStats;
 
     fn quick_cfg() -> MonteCarloConfig {
         MonteCarloConfig {
@@ -778,6 +714,7 @@ mod tests {
         let solo_try = try_analyze_cuisine_view_observed(
             &world.flavor,
             &cuisine,
+            None,
             &models,
             &cfg,
             &Metrics::disabled(),
@@ -849,8 +786,9 @@ mod tests {
                 ..cfg
             };
             let metrics = Metrics::enabled();
-            let solo = try_analyze_cuisine_view_observed(&db, &italy, &models, &cfg, &metrics)
-                .expect_err("dead id fails the cuisine");
+            let solo =
+                try_analyze_cuisine_view_observed(&db, &italy, None, &models, &cfg, &metrics)
+                    .expect_err("dead id fails the cuisine");
             assert_eq!(solo, expected, "{threads} threads");
             let world = try_analyze_world_view_observed(&db, &store, &models, &cfg, &metrics)
                 .expect_err("dead id fails the world run");

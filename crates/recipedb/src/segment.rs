@@ -402,7 +402,10 @@ impl SegmentedLog {
     /// to write the log, which keeps it a transcript of exactly what
     /// the importer saw — what makes replay ≡ batch hold.
     ///
-    /// Import runs first; appends follow in batch order, each probed at
+    /// A recipe whose record would exceed [`wal::MAX_PAYLOAD`] (a cap the
+    /// decoder enforces) fails the whole batch first, before `store` is
+    /// touched or a byte is written. Import runs next; every record is
+    /// then encoded, and appends follow in batch order, each probed at
     /// `wal.segment.append` with its log-wide record index, so an
     /// append-side failure leaves the directory a valid prefix of the
     /// intended state (records land whole, in order). Under
@@ -410,8 +413,9 @@ impl SegmentedLog {
     /// batch lands.
     ///
     /// # Errors
-    /// Whatever [`Importer::import_batch`] returns, an encode/I/O
-    /// failure (a string over the format's u32 length fields), or an
+    /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) naming the
+    /// batch index of a recipe over the payload cap; whatever
+    /// [`Importer::import_batch`] returns; an encode/I/O failure; or an
     /// injected `wal.segment.*` fault.
     pub fn append_batch(
         &mut self,
@@ -421,18 +425,32 @@ impl SegmentedLog {
         raws: &[RawRecipe],
         n_threads: usize,
     ) -> Result<ImportStats> {
+        for (i, raw) in raws.iter().enumerate() {
+            wal::check_loggable(i, raw)?;
+        }
         let stats = importer.import_batch(db, store, raws, n_threads)?;
         let mut reasons: HashMap<usize, String> = stats
             .failures
             .iter()
             .map(|f| (f.index, f.reason.to_string()))
             .collect();
-        for (i, raw) in raws.iter().enumerate() {
-            let raw = raw.clone();
-            self.push(match reasons.remove(&i) {
-                Some(reason) => WalRecord::Tombstone { raw, reason },
-                None => WalRecord::Recipe(raw),
-            })?;
+        let records: Vec<WalRecord> = raws
+            .iter()
+            .enumerate()
+            .map(|(i, raw)| {
+                let raw = raw.clone();
+                match reasons.remove(&i) {
+                    Some(reason) => WalRecord::Tombstone { raw, reason },
+                    None => WalRecord::Recipe(raw),
+                }
+            })
+            .collect();
+        let frames = records
+            .iter()
+            .map(encode_record)
+            .collect::<Result<Vec<_>>>()?;
+        for (record, frame) in records.into_iter().zip(frames) {
+            self.push(record, &frame)?;
         }
         if self.policy == FsyncPolicy::Batch {
             self.sync()?;
@@ -503,15 +521,14 @@ impl SegmentedLog {
         replay_records(db, importer, prefix, n_threads)
     }
 
-    /// Append one record to the open segment, fsyncing under
+    /// Append one encoded record to the open segment, fsyncing under
     /// [`FsyncPolicy::Always`] and rotating past the size threshold.
-    fn push(&mut self, record: WalRecord) -> Result<()> {
-        let frame = encode_record(&record)?;
+    fn push(&mut self, record: WalRecord, frame: &[u8]) -> Result<()> {
         let seq = self.records.len();
         fault::probe("wal.segment.append", seq)
             .map_err(|e| wal::err(format!("append aborted at record {seq}: {e}")))?;
         self.open
-            .write_all(&frame)
+            .write_all(frame)
             .map_err(|e| iow(format!("append record {seq}"), e))?;
         self.open_len += frame.len() as u64;
         self.records.push(record);
@@ -838,6 +855,71 @@ mod tests {
             .unwrap();
         assert!(!log.dirty);
         log.sync().unwrap(); // no-op when clean
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every file of `dir` with its bytes, by name.
+    fn dir_bytes(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let bytes = fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn batch_over_the_payload_cap_is_refused_before_import_or_write() {
+        // The decoder refuses a payload above `MAX_PAYLOAD`, so logging
+        // one would lose it on reopen, and every record after it.
+        let dir = temp_dir("cap");
+        let db = curated_db();
+        let importer = Importer::from_flavor_db(&db);
+        let mut store = RecipeStore::new();
+        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
+        log.append_batch(&db, &importer, &mut store, &seeded_raws(), 1)
+            .unwrap();
+        let (n_recipes, n_records, before) = (store.n_recipes(), log.len(), dir_bytes(&dir));
+
+        let huge = "x".repeat(wal::MAX_PAYLOAD + 1);
+        // A line-less recipe's payload is its name plus 10 bytes, so this
+        // one fits the cap as a stored recipe, but it is tombstoned ("no
+        // ingredient lines"), and the reason would push it over.
+        let at_cap = "y".repeat(wal::MAX_PAYLOAD - 10);
+        for batch in [
+            [
+                raw("first", &["tomato"]),
+                raw(&huge, &["basil"]),
+                raw("third", &["garlic"]),
+            ],
+            [
+                raw("first", &["tomato"]),
+                raw(&at_cap, &[]),
+                raw("third", &["garlic"]),
+            ],
+        ] {
+            let e = log
+                .append_batch(&db, &importer, &mut store, &batch, 1)
+                .unwrap_err();
+            assert!(matches!(e, crate::RecipeDbError::Wal(_)), "{e}");
+            assert!(e.to_string().contains("recipe 1 of the batch"), "{e}");
+            assert_eq!(store.n_recipes(), n_recipes);
+            assert_eq!(log.len(), n_records);
+            assert_eq!(dir_bytes(&dir), before);
+        }
+
+        drop(log);
+        let back = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
+        assert_eq!(back.len(), n_records);
+        let (replayed, _) = back.replay(&db, &importer, 1).unwrap();
+        assert_eq!(replayed.n_recipes(), n_recipes);
+        for (x, y) in replayed.recipes().zip(store.recipes()) {
+            assert_eq!(x, y);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -124,12 +124,19 @@ pub(crate) fn check_header(bytes: &[u8]) -> Result<()> {
 ///
 /// # Errors
 /// [`RecipeDbError::Wal`] when a string exceeds the format's u32
-/// length fields (the writer checks instead of truncating).
+/// length fields or the payload exceeds [`MAX_PAYLOAD`], which the
+/// decoder would refuse (the writer checks instead of truncating).
 pub(crate) fn encode_record(record: &WalRecord) -> Result<Vec<u8>> {
     let (kind, payload) = match record {
         WalRecord::Recipe(raw) => (KIND_RECIPE, encode_raw(raw, None)?),
         WalRecord::Tombstone { raw, reason } => (KIND_TOMBSTONE, encode_raw(raw, Some(reason))?),
     };
+    if payload.len() > MAX_PAYLOAD {
+        return Err(err(format!(
+            "record payload of {} bytes is above the {MAX_PAYLOAD} cap",
+            payload.len()
+        )));
+    }
     let framed = RECORD_HEADER_LEN + align8(payload.len());
     let mut buf = Vec::with_capacity(framed);
     buf.extend_from_slice(&kind.to_le_bytes());
@@ -304,6 +311,29 @@ fn put_str(buf: &mut Vec<u8>, s: &str) -> Result<()> {
     })?;
     buf.extend_from_slice(&len.to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+/// Room kept in every payload for the reason a tombstone appends. The
+/// importer's rendered reasons are a few dozen bytes plus two counts.
+const REASON_ROOM: usize = 256;
+
+/// Refuse the raw recipe at `index` of a batch when its record could
+/// exceed [`MAX_PAYLOAD`] once logged, stored or tombstoned: the
+/// decoder would refuse the record, and with it every later record of
+/// the segment.
+pub(crate) fn check_loggable(index: usize, raw: &RawRecipe) -> Result<()> {
+    // `encode_raw`'s layout: name, region + source bytes, line count,
+    // lines, then a tombstone's length-prefixed reason.
+    let str_len = |s: &str| 4 + s.len();
+    let lines: usize = raw.ingredient_lines.iter().map(|l| str_len(l)).sum();
+    let worst = str_len(&raw.name) + 2 + 4 + lines + 4 + REASON_ROOM;
+    if worst > MAX_PAYLOAD {
+        return Err(err(format!(
+            "recipe {index} of the batch: a {worst}-byte record \
+             (with room for a tombstone reason) is above the {MAX_PAYLOAD} cap"
+        )));
+    }
     Ok(())
 }
 
@@ -616,6 +646,23 @@ mod tests {
         let empty = WalRecord::Recipe(raw("empty", &[]));
         let e = replay_records(&db, &importer, &[empty], 1).unwrap_err();
         assert!(e.to_string().contains("drift"), "{e}");
+    }
+
+    #[test]
+    fn encoder_refuses_payloads_above_the_cap() {
+        // A line-less recipe's payload is its name plus 10 bytes: the
+        // name's u32 length, the region and source bytes, and the u32
+        // line count.
+        let at_cap = WalRecord::Recipe(raw(&"n".repeat(MAX_PAYLOAD - 10), &[]));
+        let frame = encode_record(&at_cap).unwrap();
+        assert_eq!(frame.len(), RECORD_HEADER_LEN + MAX_PAYLOAD);
+        let mut bytes = header_bytes().to_vec();
+        bytes.extend(frame);
+        assert_eq!(decode(&bytes).unwrap(), [at_cap]);
+
+        let over = WalRecord::Recipe(raw(&"n".repeat(MAX_PAYLOAD - 9), &[]));
+        let e = encode_record(&over).unwrap_err();
+        assert!(e.to_string().contains("above the 16777216 cap"), "{e}");
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
 
 use culinaria_core::pairing::{novel_pairings, CoocTriangle, NovelPairing, OverlapCache};
-use culinaria_core::z_analysis::{region_overlap_cache, try_analyze_cuisine_with_cache_observed};
+use culinaria_core::z_analysis::{region_overlap_cache, try_analyze_cuisine_view_observed};
 use culinaria_core::{
     recipe_pairing_score_view, FlavorViewRef, MonteCarloConfig, NullModel, RecipesViewRef,
 };
@@ -605,10 +605,10 @@ impl<'a> Server<'a> {
             seed: self.cfg.seed,
             n_threads: 1,
         };
-        match try_analyze_cuisine_with_cache_observed(
+        match try_analyze_cuisine_view_observed(
             ep.flavor,
             cuisine,
-            &shard.overlap,
+            Some(&shard.overlap),
             &NullModel::ALL,
             &cfg,
             &self.metrics,

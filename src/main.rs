@@ -166,10 +166,22 @@ fn build_world(args: &Args) -> Result<World, String> {
 /// The Monte-Carlo settings of `--mc` and `--seed`.
 fn mc_config(args: &Args, default_recipes: usize) -> Result<MonteCarloConfig, String> {
     Ok(MonteCarloConfig {
-        n_recipes: args.flag_checked("mc", default_recipes)?,
+        n_recipes: mc_recipes(args, default_recipes)?,
         seed: args.flag_checked("seed", 2018u64)?,
         n_threads: 0,
     })
+}
+
+/// `--mc`: null recipes per model. A null ensemble of fewer than two
+/// recipes has no spread and so no Z-score, so that is a usage error.
+fn mc_recipes(args: &Args, default_recipes: usize) -> Result<usize, String> {
+    let n = args.flag_checked("mc", default_recipes)?;
+    if n < 2 {
+        return Err(format!(
+            "--mc: need at least 2 null recipes per model, got {n}"
+        ));
+    }
+    Ok(n)
 }
 
 /// One malformed block found while parsing the `import` text format.
@@ -633,6 +645,7 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let analysis = match try_analyze_cuisine_view_observed(
                 &world.flavor,
                 &cuisine,
+                None,
                 &NullModel::ALL,
                 &mc,
                 &sink.metrics,
@@ -783,7 +796,7 @@ impl ServeOptions {
             batch_max: args.flag_checked("batch", 32usize)?,
             cache_entries: args.flag_checked("cache-entries", 4096usize)?,
             max_queue: args.flag_checked("max-queue", 256usize)?,
-            mc_recipes: args.flag_checked("mc", 2000usize)?,
+            mc_recipes: mc_recipes(args, 2000)?,
             seed: args.flag_checked("seed", 2018u64)?,
             read_timeout_ms: args.flag_checked("read-timeout", 30_000u64)?,
             write_timeout_ms: args.flag_checked("write-timeout", 30_000u64)?,

@@ -121,6 +121,14 @@ fn every_command_rejects_malformed_flags_before_touching_data() {
         ),
         (&["pairings", "ITA", "--tpo", "3"][..], "--tpo"),
         (&["analyze", "--mc", "2OO"][..], "--mc"),
+        // A null ensemble needs two recipes for a spread, so a Z-score.
+        (&["analyze", "--mc", "0"][..], "--mc"),
+        (&["report", "ITA", "--mc", "1"][..], "--mc"),
+        (
+            &["replay", "--wal", untouched, "--analyze", "--mc", "0"][..],
+            "--mc",
+        ),
+        (&["serve", "--stdio", "--mc", "1"][..], "--mc"),
         (
             &["generate", "--scale", "x", "--out", untouched][..],
             "--scale",

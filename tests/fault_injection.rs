@@ -195,8 +195,11 @@ fn mc_block_faults_are_deterministic_across_threads() {
             );
         }
     }
-    // Sanity: the same configuration without a plan still runs.
-    let clean = run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(2), &off);
+    // Sanity: the same configuration without a plan still runs (under
+    // the plan lock, so a concurrent test's `mc.block` plan cannot fire).
+    let clean = fault::with_plan(FaultPlan::new(), || {
+        run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(2), &off)
+    });
     assert!(clean.unwrap().is_some());
 }
 
@@ -281,6 +284,7 @@ fn cuisine_analysis_propagates_nested_stage_failures() {
         try_analyze_cuisine_view_observed(
             &world.flavor,
             &cuisine,
+            None,
             &[NullModel::Random],
             &mc_cfg(2),
             &Metrics::disabled(),
@@ -485,8 +489,12 @@ fn segment_append_probe_indices_are_log_global() {
     let dir = segment_scratch("append-global");
     let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).expect("open");
     let mut store = RecipeStore::new();
-    log.append_batch(&db, &importer, &mut store, &raws, 2)
-        .expect("first batch appends cleanly");
+    // Under the plan lock, so a concurrent test's `wal.segment.append`
+    // plan cannot fire in this batch.
+    fault::with_plan(FaultPlan::new(), || {
+        log.append_batch(&db, &importer, &mut store, &raws, 2)
+            .expect("first batch appends cleanly")
+    });
     assert_eq!(log.len(), 12);
     let err = fault::with_plan(plan("wal.segment.append", 13, FaultKind::Error), || {
         log.append_batch(&db, &importer, &mut store, &raws, 2)
