@@ -71,12 +71,13 @@ pub fn to_snapshot(store: &RecipeStore) -> Result<Bytes> {
 }
 
 /// Export the store as CSV: `recipe_id,name,region,source,ingredients`
-/// with ingredient ids `;`-joined.
+/// with ingredient ids `;`-joined. A name holding a comma, quote or line
+/// break is quoted, so every recipe stays one record.
 pub fn to_csv(store: &RecipeStore) -> String {
     let mut out = String::from("recipe_id,name,region,source,ingredients\n");
     for r in store.recipes() {
         let ings: Vec<String> = r.ingredients().iter().map(|i| i.0.to_string()).collect();
-        let name = if r.name.contains(',') || r.name.contains('"') {
+        let name = if r.name.contains([',', '"', '\n', '\r']) {
             format!("\"{}\"", r.name.replace('"', "\"\""))
         } else {
             r.name.clone()

@@ -11,8 +11,8 @@
 //!   pairing regime (uniform vs contrasting);
 //! * [`recipe`] — recipes as unordered ingredient sets (exactly the
 //!   abstraction the food-pairing analysis consumes);
-//! * [`store`] — the indexed store: per-region partitions and an
-//!   inverted ingredient → recipes index;
+//! * [`store`] — the append-only store: recipes in shared sealed
+//!   chunks (a clone is a cheap snapshot) and per-region partitions;
 //! * [`cuisine`] — a borrowed per-region view with ingredient sets,
 //!   frequency tables and size distributions;
 //! * [`import`] — the raw-text import pipeline: ingredient phrases →

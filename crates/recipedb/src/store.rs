@@ -1,6 +1,7 @@
-//! The indexed recipe store.
+//! The recipe store.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use culinaria_flavordb::IngredientId;
 
@@ -9,8 +10,23 @@ use crate::error::{RecipeDbError, Result};
 use crate::recipe::{Recipe, RecipeId, Source};
 use crate::region::Region;
 
-/// The recipe store: append-only recipes with per-region partitions and
-/// an inverted ingredient → recipes index, both maintained on insert.
+/// Recipes per sealed chunk. A clone copies up to one chunk of recipes
+/// beside 4 bytes of region ids per recipe; at 256 that chunk is small
+/// next to the id lists of a store of thousands of recipes.
+const CHUNK: usize = 256;
+
+/// The recipe store: append-only recipes with per-region partitions,
+/// maintained on insert.
+///
+/// Recipe `i` lives in chunk `i / 256`. Every full chunk is sealed into
+/// an immutable `Arc<[Recipe]>`; only the newest, open chunk (fewer
+/// than 256 recipes) is a growable `Vec`. A clone therefore shares the
+/// sealed chunks with its original and copies only the chunk pointers,
+/// the open chunk and the per-region id lists — a store kept per data
+/// generation costs its region ids plus one chunk, not every recipe
+/// again. There is no ingredient index: the ingredient queries
+/// ([`RecipeStore::recipes_with_ingredient`],
+/// [`RecipeStore::global_frequencies`]) scan the recipes.
 ///
 /// ```
 /// use culinaria_flavordb::IngredientId;
@@ -28,11 +44,38 @@ use crate::region::Region;
 /// assert_eq!(store.n_region_recipes(Region::Italy), 1);
 /// assert_eq!(store.recipes_with_ingredient(IngredientId(1)).len(), 1);
 /// ```
+///
+/// A clone is a snapshot: later inserts into the original do not show
+/// in it.
+///
+/// ```
+/// use culinaria_flavordb::IngredientId;
+/// use culinaria_recipedb::{RecipeStore, Region, Source};
+///
+/// let mut store = RecipeStore::new();
+/// for i in 0..300 {
+///     let name = format!("stew {i}");
+///     store
+///         .add_recipe(&name, Region::France, Source::Synthetic, vec![IngredientId(i)])
+///         .unwrap();
+/// }
+/// let snapshot = store.clone();
+/// store
+///     .add_recipe("soup", Region::France, Source::Synthetic, vec![IngredientId(7)])
+///     .unwrap();
+/// assert_eq!(snapshot.n_recipes(), 300);
+/// assert_eq!(snapshot.n_region_recipes(Region::France), 300);
+/// assert_eq!(store.n_recipes(), 301);
+/// assert_eq!(snapshot.recipes_with_ingredient(IngredientId(7)).len(), 1);
+/// assert_eq!(store.recipes_with_ingredient(IngredientId(7)).len(), 2);
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct RecipeStore {
-    recipes: Vec<Recipe>,
+    /// Full chunks of exactly [`CHUNK`] recipes, shared between clones.
+    sealed: Vec<Arc<[Recipe]>>,
+    /// The newest recipes, always fewer than [`CHUNK`].
+    open: Vec<Recipe>,
     by_region: [Vec<RecipeId>; 22],
-    inverted: HashMap<IngredientId, Vec<RecipeId>>,
 }
 
 impl RecipeStore {
@@ -42,9 +85,11 @@ impl RecipeStore {
     }
 
     /// Reserve capacity for `additional` more recipes (batch importers
-    /// know their insert count up front).
+    /// know their insert count up front). Each chunk after the first is
+    /// allocated at full size when the one before it seals, so this
+    /// sizes the open chunk only.
     pub fn reserve(&mut self, additional: usize) {
-        self.recipes.reserve(additional);
+        self.open.reserve(additional.min(CHUNK - self.open.len()));
     }
 
     /// Insert a recipe. The ingredient list is deduplicated; an empty
@@ -60,31 +105,36 @@ impl RecipeStore {
         if ingredients.is_empty() {
             return Err(RecipeDbError::EmptyRecipe(name.to_owned()));
         }
-        let id = RecipeId(self.recipes.len() as u32);
+        let id = RecipeId(self.n_recipes() as u32);
         let recipe = Recipe::new(id, name.to_owned(), region, source, ingredients);
-        for &ing in recipe.ingredients() {
-            self.inverted.entry(ing).or_default().push(id);
-        }
         self.by_region[region.index()].push(id);
-        self.recipes.push(recipe);
+        self.open.push(recipe);
+        if self.open.len() == CHUNK {
+            let full = std::mem::replace(&mut self.open, Vec::with_capacity(CHUNK));
+            self.sealed.push(full.into());
+        }
         Ok(id)
     }
 
     /// Number of recipes.
     pub fn n_recipes(&self) -> usize {
-        self.recipes.len()
+        self.sealed.len() * CHUNK + self.open.len()
     }
 
     /// Look up a recipe by id.
     pub fn recipe(&self, id: RecipeId) -> Result<&Recipe> {
-        self.recipes
-            .get(id.index())
-            .ok_or(RecipeDbError::UnknownRecipe(id.0))
+        let i = id.index();
+        match self.sealed.get(i / CHUNK) {
+            Some(chunk) => Some(&chunk[i % CHUNK]),
+            // `i / CHUNK >= sealed.len()`, so the subtraction cannot wrap.
+            None => self.open.get(i - self.sealed.len() * CHUNK),
+        }
+        .ok_or(RecipeDbError::UnknownRecipe(id.0))
     }
 
     /// Iterate over all recipes in insertion order.
     pub fn recipes(&self) -> impl Iterator<Item = &Recipe> {
-        self.recipes.iter()
+        self.sealed.iter().flat_map(|c| c.iter()).chain(&self.open)
     }
 
     /// Recipe ids attributed to a region.
@@ -110,7 +160,7 @@ impl RecipeStore {
     pub fn cuisine(&self, region: Region) -> Cuisine<'_> {
         let recipes: Vec<&Recipe> = self.by_region[region.index()]
             .iter()
-            .map(|&id| &self.recipes[id.index()])
+            .map(|&id| self.recipe(id).expect("region lists hold only stored ids"))
             .collect();
         Cuisine::new(region, recipes)
     }
@@ -118,26 +168,33 @@ impl RecipeStore {
     /// A pooled "WORLD" view over every recipe in the store (the paper's
     /// aggregate row). Region is reported as the provided label region.
     pub fn world_cuisine(&self) -> Vec<&Recipe> {
-        self.recipes.iter().collect()
+        self.recipes().collect()
     }
 
-    /// Recipes containing an ingredient, via the inverted index.
-    pub fn recipes_with_ingredient(&self, id: IngredientId) -> &[RecipeId] {
-        self.inverted.get(&id).map_or(&[], Vec::as_slice)
+    /// Recipes containing an ingredient, in id order, from one scan
+    /// over the store.
+    pub fn recipes_with_ingredient(&self, id: IngredientId) -> Vec<RecipeId> {
+        self.recipes()
+            .filter(|r| r.contains(id))
+            .map(|r| r.id)
+            .collect()
     }
 
     /// Number of distinct ingredients used anywhere in the store.
     pub fn n_distinct_ingredients(&self) -> usize {
-        self.inverted.len()
+        self.global_frequencies().len()
     }
 
     /// Global ingredient usage counts (ingredient → number of recipes
-    /// that use it).
+    /// that use it), from one scan over the store.
     pub fn global_frequencies(&self) -> HashMap<IngredientId, u64> {
-        self.inverted
-            .iter()
-            .map(|(&ing, ids)| (ing, ids.len() as u64))
-            .collect()
+        let mut freq = HashMap::new();
+        for r in self.recipes() {
+            for &ing in r.ingredients() {
+                *freq.entry(ing).or_insert(0) += 1;
+            }
+        }
+        freq
     }
 }
 

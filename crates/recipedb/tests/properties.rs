@@ -1,5 +1,8 @@
 //! Property-based tests of recipe-store invariants and CRDB2 artifact
-//! round-trips.
+//! round-trips, and a model test of the chunked store against a plain
+//! list of recipes.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -8,7 +11,7 @@ use culinaria_flavordb::IngredientId;
 use culinaria_recipedb::artifact::{self, AlignedBytes};
 use culinaria_recipedb::import::{Importer, RawRecipe};
 use culinaria_recipedb::{
-    io, Recipe, RecipeArtifactBuilder, RecipeId, RecipeStore, Region, Source,
+    io, Recipe, RecipeArtifactBuilder, RecipeDbError, RecipeId, RecipeStore, Region, Source,
 };
 
 /// Strategy: raw recipes over a mix of resolvable phrases (curated-db
@@ -48,29 +51,135 @@ fn arb_raw_recipes() -> impl Strategy<Value = Vec<RawRecipe>> {
     })
 }
 
-/// Strategy: a store with 0..40 random recipes over 30 ingredients.
-fn arb_store() -> impl Strategy<Value = RecipeStore> {
-    let recipe = (
+/// One drawn recipe: region index, source index and ingredient ids
+/// over 30 ingredients (repeats allowed; the store drops them).
+type RecipeSpec = (usize, usize, Vec<u32>);
+
+fn arb_recipe() -> impl Strategy<Value = RecipeSpec> {
+    (
         0usize..22,
         0usize..5,
         proptest::collection::vec(0u32..30, 1..12),
-    );
-    proptest::collection::vec(recipe, 0..40).prop_map(|specs| {
+    )
+}
+
+/// Add drawn recipes `store.n_recipes()..to`, recipe `i` as `recipe-{i}`.
+fn grow(store: &mut RecipeStore, specs: &[RecipeSpec], to: usize) {
+    for (i, (region_idx, source_idx, ings)) in
+        specs.iter().enumerate().take(to).skip(store.n_recipes())
+    {
+        store
+            .add_recipe(
+                &format!("recipe-{i}"),
+                Region::from_index(*region_idx).expect("index < 22"),
+                Source::from_index(*source_idx).expect("index < 5"),
+                ings.iter().copied().map(IngredientId).collect(),
+            )
+            .expect("non-empty ingredient list");
+    }
+}
+
+/// Strategy: a store with 0..40 random recipes over 30 ingredients.
+fn arb_store() -> impl Strategy<Value = RecipeStore> {
+    proptest::collection::vec(arb_recipe(), 0..40).prop_map(|specs| {
         let mut store = RecipeStore::new();
-        for (i, (region_idx, source_idx, ings)) in specs.into_iter().enumerate() {
-            let region = Region::from_index(region_idx).expect("index < 22");
-            let source = Source::from_index(source_idx).expect("index < 5");
-            store
-                .add_recipe(
-                    &format!("recipe-{i}"),
-                    region,
-                    source,
-                    ings.into_iter().map(IngredientId).collect(),
-                )
-                .expect("non-empty ingredient list");
-        }
+        grow(&mut store, &specs, specs.len());
         store
     })
+}
+
+/// Recipes per sealed store chunk.
+const CHUNK: usize = 256;
+
+/// Strategy: a store size `n` of 0..=3·256+40 that often sits on a
+/// chunk seal, a clone point at or below it, and `n + 2·256` recipes:
+/// enough to grow the store two more chunks past `n`.
+fn arb_chunked() -> impl Strategy<Value = (usize, usize, Vec<RecipeSpec>)> {
+    const SEALS: &[usize] = &[CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1];
+    (0usize..SEALS.len() + 2, 0usize..=3 * CHUNK + 40)
+        .prop_map(|(pick, random)| SEALS.get(pick).copied().unwrap_or(random))
+        .prop_flat_map(|n| {
+            (
+                Just(n),
+                0usize..=n,
+                proptest::collection::vec(arb_recipe(), n + 2 * CHUNK),
+            )
+        })
+}
+
+/// A recipe as a plain value: what the store must read back.
+#[derive(Debug, Clone, PartialEq)]
+struct Plain {
+    id: RecipeId,
+    name: String,
+    region: Region,
+    source: Source,
+    ingredients: Vec<IngredientId>,
+}
+
+impl Plain {
+    fn of(r: &Recipe) -> Plain {
+        Plain {
+            id: r.id,
+            name: r.name.clone(),
+            region: r.region,
+            source: r.source,
+            ingredients: r.ingredients().to_vec(),
+        }
+    }
+
+    fn drawn(i: usize, (region_idx, source_idx, ings): &RecipeSpec) -> Plain {
+        let mut ingredients: Vec<IngredientId> = ings.iter().copied().map(IngredientId).collect();
+        ingredients.sort_unstable();
+        ingredients.dedup();
+        Plain {
+            id: RecipeId(i as u32),
+            name: format!("recipe-{i}"),
+            region: Region::from_index(*region_idx).expect("index < 22"),
+            source: Source::from_index(*source_idx).expect("index < 5"),
+            ingredients,
+        }
+    }
+}
+
+/// Every read of `store` agrees with the plain reference list.
+fn check_model(store: &RecipeStore, plain: &[Plain]) -> TestCaseResult {
+    let n = plain.len();
+    prop_assert_eq!(store.n_recipes(), n);
+    for want in plain {
+        prop_assert_eq!(&Plain::of(store.recipe(want.id).expect("live id")), want);
+    }
+    for past in [n, n + CHUNK] {
+        prop_assert!(
+            matches!(store.recipe(RecipeId(past as u32)), Err(RecipeDbError::UnknownRecipe(id)) if id as usize == past),
+            "id {past} of a {n}-recipe store"
+        );
+    }
+    let listed: Vec<Plain> = store.recipes().map(Plain::of).collect();
+    prop_assert_eq!(&listed[..], plain);
+    for region in Region::ALL {
+        let want: Vec<Plain> = plain
+            .iter()
+            .filter(|p| p.region == region)
+            .cloned()
+            .collect();
+        let ids: Vec<RecipeId> = want.iter().map(|p| p.id).collect();
+        prop_assert_eq!(store.region_recipe_ids(region), &ids[..]);
+        let cuisine: Vec<Plain> = store
+            .cuisine(region)
+            .recipes()
+            .iter()
+            .map(|r| Plain::of(r))
+            .collect();
+        prop_assert_eq!(cuisine, want);
+    }
+    let mut freq: HashMap<IngredientId, u64> = HashMap::new();
+    for ing in plain.iter().flat_map(|p| &p.ingredients) {
+        *freq.entry(*ing).or_insert(0) += 1;
+    }
+    prop_assert_eq!(store.n_distinct_ingredients(), freq.len());
+    prop_assert_eq!(store.global_frequencies(), freq);
+    Ok(())
 }
 
 proptest! {
@@ -91,7 +200,7 @@ proptest! {
         for (&ing, &count) in &freq {
             let postings = store.recipes_with_ingredient(ing);
             prop_assert_eq!(postings.len() as u64, count);
-            for &rid in postings {
+            for &rid in &postings {
                 prop_assert!(store.recipe(rid).expect("live id").contains(ing));
             }
         }
@@ -183,5 +292,31 @@ proptest! {
         for (k, r) in store.recipes().enumerate() {
             prop_assert_eq!(r.id, RecipeId(k as u32));
         }
+    }
+
+    #[test]
+    fn chunked_store_matches_plain_reference(case in arb_chunked()) {
+        let (n, at, specs) = case;
+        let plain: Vec<Plain> = specs.iter().enumerate().map(|(i, s)| Plain::drawn(i, s)).collect();
+        let mut store = RecipeStore::new();
+        grow(&mut store, &specs, at);
+        let snapshot = store.clone();
+        grow(&mut store, &specs, n);
+        check_model(&store, &plain[..n])?;
+        grow(&mut store, &specs, specs.len());
+        check_model(&store, &plain)?;
+        // Two seals later the clone still reads, and encodes, exactly
+        // like a store that only ever held the prefix.
+        check_model(&snapshot, &plain[..at])?;
+        let mut prefix = RecipeStore::new();
+        grow(&mut prefix, &specs, at);
+        prop_assert_eq!(
+            io::to_snapshot(&snapshot).expect("encodes"),
+            io::to_snapshot(&prefix).expect("encodes")
+        );
+        prop_assert_eq!(
+            RecipeArtifactBuilder::new(&snapshot).build().expect("encodes"),
+            RecipeArtifactBuilder::new(&prefix).build().expect("encodes")
+        );
     }
 }

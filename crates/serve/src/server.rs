@@ -351,12 +351,20 @@ impl<'a> Server<'a> {
     pub fn ingest_swap(&self, flavor: FlavorViewRef<'a>, recipes: RecipesViewRef<'a>) -> u64 {
         let mut epoch = self.epoch.write().unwrap_or_else(|p| p.into_inner());
         let generation = epoch.generation + 1;
-        *epoch = Arc::new(Epoch::new(generation, flavor, recipes));
+        let superseded = std::mem::replace(
+            &mut *epoch,
+            Arc::new(Epoch::new(generation, flavor, recipes)),
+        );
         // Still under the epoch lock: no batch can snapshot the new
         // epoch before the cache has moved to its generation.
         if let Some(cache) = self.cache.as_ref() {
             lock_unpoisoned(cache).set_generation(generation);
         }
+        drop(epoch);
+        // Freeing the old shards, triangle and SCORE context can take
+        // milliseconds; doing it after the guard is gone keeps every
+        // batch's `current()` from waiting on it.
+        drop(superseded);
         generation
     }
 

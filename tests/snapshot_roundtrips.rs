@@ -3,18 +3,22 @@
 //! flips never panic, misaligned buffers and wrong magic/version
 //! rejected, rebuilds byte-identical, identical worlds encoded to
 //! identical bytes, and borrowed analyses bit-identical to owned ones
-//! at every thread count. Also: the CSV export loads as a table.
+//! at every thread count. Also: the CSV export loads as a table, names
+//! with commas, quotes and line breaks included.
 
 use proptest::prelude::*;
 
 use culinaria::analysis::z_analysis::analyze_world_view;
 use culinaria::analysis::{FlavorViewRef, MonteCarloConfig, NullModel, RecipesViewRef};
 use culinaria::datagen::{generate_world, World, WorldConfig};
+use culinaria::flavordb::IngredientId;
 use culinaria::flavordb::{
     artifact as flavor_artifact, AlignedBytes, ArtifactError, FlavorArtifactBuilder,
 };
-use culinaria::recipedb::Region;
-use culinaria::recipedb::{artifact as recipe_artifact, io as recipe_io, RecipeArtifactBuilder};
+use culinaria::recipedb::{
+    artifact as recipe_artifact, io as recipe_io, RecipeArtifactBuilder, RecipeStore, Region,
+    Source,
+};
 
 fn tiny_world() -> World {
     generate_world(&WorldConfig::tiny())
@@ -52,6 +56,31 @@ fn recipe_csv_export_is_loadable_tabular() {
         let code = v.as_str().expect("region column is strings");
         assert!(code.parse::<Region>().is_ok(), "bad region code {code}");
     }
+}
+
+#[test]
+fn recipe_csv_export_quotes_names_with_line_breaks() {
+    let names = ["a\nb", "c\r\nd", "e,f", "g\"h"];
+    let mut store = RecipeStore::new();
+    for (i, name) in names.iter().enumerate() {
+        store
+            .add_recipe(
+                name,
+                Region::Italy,
+                Source::Synthetic,
+                vec![IngredientId(i as u32)],
+            )
+            .expect("non-empty ingredient list");
+    }
+    let frame = culinaria::tabular::Frame::from_csv_str(&recipe_io::to_csv(&store))
+        .expect("own CSV parses");
+    assert_eq!(frame.n_rows(), names.len());
+    let column = frame.column("name").expect("column exists");
+    let read: Vec<String> = column
+        .iter_values()
+        .map(|v| v.as_str().expect("name column is strings").to_owned())
+        .collect();
+    assert_eq!(read, names);
 }
 
 type RejectsFn = fn(&[u8]) -> bool;
