@@ -145,16 +145,16 @@ fn main() {
             .expect("overlap section");
         n_sections += 1;
     }
-    let flavor_art = AlignedBytes::from_vec(builder.build().expect("v2 flavor"));
+    let flavor_art = AlignedBytes::from_vec(builder.build().expect("flavor artifact builds"));
     let flavor_art_bare = AlignedBytes::from_vec(
         FlavorArtifactBuilder::new(&world.flavor)
             .build()
-            .expect("v2 bare"),
+            .expect("bare flavor artifact builds"),
     );
     let recipe_art = AlignedBytes::from_vec(
         RecipeArtifactBuilder::new(&world.recipes)
             .build()
-            .expect("v2 recipes"),
+            .expect("recipe artifact builds"),
     );
     eprintln!(
         "serialized: {} + {} B ({} overlap sections)",
@@ -165,16 +165,16 @@ fn main() {
 
     // ---- open time: validate-and-borrow, both databases -----------
     let open_ms = time_min_ms(64, || {
-        let db = flavor_artifact::open(flavor_art.as_slice()).expect("open v2");
-        let store = recipe_artifact::open(recipe_art.as_slice()).expect("open v2");
+        let db = flavor_artifact::open(flavor_art.as_slice()).expect("artifact opens");
+        let store = recipe_artifact::open(recipe_art.as_slice()).expect("artifact opens");
         (db.n_ingredients(), store.n_recipes())
     });
     eprintln!("open: borrow {open_ms:.4} ms");
 
     // ---- first-query latency: section reuse vs kernel build -------
-    let fview = flavor_artifact::open(flavor_art.as_slice()).expect("open v2");
-    let fview_bare = flavor_artifact::open(flavor_art_bare.as_slice()).expect("open v2");
-    let rview = recipe_artifact::open(recipe_art.as_slice()).expect("open v2");
+    let fview = flavor_artifact::open(flavor_art.as_slice()).expect("artifact opens");
+    let fview_bare = flavor_artifact::open(flavor_art_bare.as_slice()).expect("artifact opens");
+    let rview = recipe_artifact::open(recipe_art.as_slice()).expect("artifact opens");
     let largest = rview
         .regions()
         .into_iter()

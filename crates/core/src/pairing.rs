@@ -26,9 +26,8 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use culinaria_flavordb::{
-    kernel, FlavorDb, FlavorDbError, IngredientId, MoleculeId, MoleculeUniverse,
-};
+use culinaria_flavordb::profile::shared_sorted;
+use culinaria_flavordb::{kernel, FlavorDb, FlavorDbError, IngredientId, MoleculeUniverse};
 use culinaria_obs::Metrics;
 use culinaria_recipedb::{Cuisine, Region};
 use culinaria_stats::{fault, pool, tile};
@@ -83,9 +82,9 @@ pub fn recipe_pairing_score(db: &FlavorDb, ingredients: &[IngredientId]) -> f64 
 /// works for owned databases and zero-copy artifacts alike, and returns
 /// `None` (instead of panicking) when an id is dead — the right shape
 /// for serving externally-supplied ingredient sets. Profiles are stored
-/// sorted in both representations, so the two-pointer intersection
-/// counts match [`FlavorProfile::shared_count`] exactly and the score
-/// is bit-identical to the owned path (and to
+/// sorted in both representations and counted by the same
+/// [`shared_sorted`] walk as [`FlavorProfile::shared_count`], so the
+/// score is bit-identical to the owned path (and to
 /// [`OverlapCache::score_ids`] when every id is in the cache's pool).
 ///
 /// [`FlavorProfile::shared_count`]: culinaria_flavordb::FlavorProfile::shared_count
@@ -108,24 +107,6 @@ pub fn recipe_pairing_score_view(
         }
     }
     Some((2.0 * total as f64) / (n as f64 * (n as f64 - 1.0)))
-}
-
-/// Two-pointer intersection size of two sorted molecule slices — the
-/// same merge walk as `FlavorProfile::shared_count`.
-fn shared_sorted(a: &[MoleculeId], b: &[MoleculeId]) -> usize {
-    let (mut i, mut j, mut shared) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                shared += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    shared
 }
 
 /// Quantity-weighted flavor sharing — the §V extension "how to

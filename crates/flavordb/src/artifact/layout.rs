@@ -15,12 +15,14 @@
 //! rejected structurally.
 //!
 //! Payload numbers are little-endian. Readers reinterpret aligned
-//! section bytes as `&[u64]`/`&[u32]` in place, which is why
+//! section bytes as `&[u32]` id runs in place, which is why
 //! [`open requirements`](Sections::parse) include a little-endian host
 //! and an 8-byte-aligned base pointer ([`AlignedBytes`] provides one
 //! for buffers loaded from disk).
 
 use std::fmt;
+
+use crate::ids::IngredientId;
 
 /// Size of one section-table entry in bytes.
 pub const SECTION_ENTRY_BYTES: usize = 24;
@@ -29,7 +31,7 @@ pub const SECTION_ENTRY_BYTES: usize = 24;
 pub const HEADER_BYTES: usize = 16;
 
 /// Maximum number of section kinds any artifact defines (CFDB2 uses
-/// 12); bounds the fixed-size section map so parsing stays
+/// 11); bounds the fixed-size section map so parsing stays
 /// allocation-free.
 pub const MAX_SECTION_KINDS: usize = 16;
 
@@ -52,8 +54,9 @@ pub enum ArtifactError {
         /// Version this reader supports.
         expect: u32,
     },
-    /// The buffer's base pointer is not 8-byte aligned (borrowed
-    /// `&[u64]` views would be unsound).
+    /// The buffer's base pointer is not 8-byte aligned, so the
+    /// sections would not sit on the 8-byte boundaries the grammar
+    /// promises (and borrowed `&[u32]` views could be unsound).
     Misaligned,
     /// The host is big-endian; in-place reinterpretation of the
     /// little-endian payload would read scrambled numbers.
@@ -189,6 +192,29 @@ pub fn cast_u32s(bytes: &[u8]) -> Result<&[u32], ArtifactError> {
     // SAFETY: aligned, whole u32s within one allocation, no invalid
     // patterns for u32.
     Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), bytes.len() / 4) })
+}
+
+/// Reinterpret a validated `&[u32]` as ids (`repr(transparent)`).
+#[inline]
+pub fn as_ingredient_ids(ids: &[u32]) -> &[IngredientId] {
+    // SAFETY: IngredientId is repr(transparent) over u32, so the
+    // slices have identical layout.
+    unsafe { std::slice::from_raw_parts(ids.as_ptr().cast::<IngredientId>(), ids.len()) }
+}
+
+/// `n` as a `u32` count field, or [`ArtifactError::TooLarge`] naming
+/// `what`.
+#[inline]
+pub fn count_u32(n: usize, what: &str) -> Result<u32, ArtifactError> {
+    u32::try_from(n).map_err(|_| ArtifactError::TooLarge(format!("{what} count {n} exceeds u32")))
+}
+
+/// Append `values` to a section payload as little-endian `u32`s.
+#[inline]
+pub fn push_u32s(out: &mut Vec<u8>, values: &[u32]) {
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// Read a little-endian `u32` at `off`, or 0 when out of range.
@@ -340,6 +366,29 @@ impl<'a> Sections<'a> {
             .copied()
             .unwrap_or((0, 0));
         self.buf.get(off..off + len).unwrap_or(&[])
+    }
+
+    /// The bytes of section `kind`, which must hold exactly `n` records
+    /// of `per` bytes each, as the META counts declare; `what` names
+    /// the section in the error.
+    pub fn check_len(
+        &self,
+        kind: u32,
+        per: usize,
+        n: usize,
+        what: &str,
+    ) -> Result<&'a [u8], ArtifactError> {
+        let bytes = self.bytes(kind as usize);
+        let need = per
+            .checked_mul(n)
+            .ok_or_else(|| ArtifactError::TooLarge(format!("{what} section size overflows")))?;
+        if bytes.len() != need {
+            return Err(ArtifactError::Corrupt(format!(
+                "{what} section is {} bytes, counts require {need}",
+                bytes.len()
+            )));
+        }
+        Ok(bytes)
     }
 }
 

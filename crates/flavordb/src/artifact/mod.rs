@@ -7,11 +7,9 @@
 //! little-endian buffer whose sections are already in the shapes the
 //! hot paths consume —
 //!
-//! * packed **bit planes** (one per ingredient slot, sized to the full
-//!   molecule universe, bit position = global molecule id) borrowable
-//!   as `&[u64]` straight into [`crate::kernel`];
-//! * sorted **profile id** runs borrowable as `&[MoleculeId]`
-//!   (`repr(transparent)` over `u32`);
+//! * each flavor profile, stored once as a sorted **profile id** run
+//!   borrowable as `&[MoleculeId]` (`repr(transparent)` over `u32`),
+//!   the form every analysis reads;
 //! * all names interned into one UTF-8 **string blob**, referenced by
 //!   `(offset, length)` spans;
 //! * sorted **name** and **synonym** indexes for binary-search lookup
@@ -20,11 +18,11 @@
 //!   their pairwise shared-molecule counts), so a cuisine analysis can
 //!   skip the O(n²·words) AND+popcount sweep entirely.
 //!
-//! [`open`] validates bounds, alignment, counts, sort orders, and
-//! bit-plane/profile agreement once, then [`BorrowedFlavorDb`]
-//! accessors are straight pointer arithmetic: no copies, no
-//! allocation, no panics. See `DESIGN.md` §12 for the byte-level
-//! layout and the validation ledger.
+//! [`open`] validates bounds, alignment, counts, id ranges and sort
+//! orders once, then [`BorrowedFlavorDb`] accessors are straight
+//! pointer arithmetic: no copies, no allocation, no panics. See
+//! `DESIGN.md` §12 for the byte-level layout and the validation
+//! ledger.
 
 pub mod layout;
 
@@ -32,17 +30,18 @@ use crate::category::Category;
 use crate::db::FlavorDb;
 use crate::error::FlavorDbError;
 use crate::ids::{IngredientId, MoleculeId};
-use crate::profile::FlavorProfile;
+use crate::profile::{shared_sorted, FlavorProfile};
 
 use layout::{
-    cast_u32s, cast_u64s, str_span, u32_at, u64_at, ArtifactWriter, Sections, StringTable,
+    as_ingredient_ids, cast_u32s, count_u32, push_u32s, str_span, u32_at, ArtifactWriter, Sections,
+    StringTable,
 };
 pub use layout::{AlignedBytes, ArtifactError};
 
 /// Magic bytes opening every CFDB2 buffer.
 pub const CFDB2_MAGIC: [u8; 8] = *b"CFDB2\x00\x00\x00";
 /// Format version this module writes and reads.
-pub const CFDB2_VERSION: u32 = 2;
+pub const CFDB2_VERSION: u32 = 3;
 
 const K_META: u32 = 1;
 const K_STRINGS: u32 = 2;
@@ -50,15 +49,14 @@ const K_MOLECULES: u32 = 3;
 const K_DESC_SPANS: u32 = 4;
 const K_INGREDIENTS: u32 = 5;
 const K_PROFILE_IDS: u32 = 6;
-const K_BIT_PLANES: u32 = 7;
-const K_SYNONYMS: u32 = 8;
-const K_NAME_INDEX: u32 = 9;
-const K_OVERLAP_INDEX: u32 = 10;
-const K_OVERLAP_POOL: u32 = 11;
-const K_OVERLAP_TRI: u32 = 12;
-const N_KINDS: usize = 12;
+const K_SYNONYMS: u32 = 7;
+const K_NAME_INDEX: u32 = 8;
+const K_OVERLAP_INDEX: u32 = 9;
+const K_OVERLAP_POOL: u32 = 10;
+const K_OVERLAP_TRI: u32 = 11;
+const N_KINDS: usize = 11;
 
-const META_BYTES: usize = 40;
+const META_BYTES: usize = 32;
 const MOL_REC: usize = 16;
 const SPAN_REC: usize = 8;
 const ING_REC: usize = 24;
@@ -69,16 +67,6 @@ const OVL_REC: usize = 24;
 const FLAG_LIVE: u32 = 1;
 /// Ingredient-record flag bit: the ingredient is a compound.
 const FLAG_COMPOUND: u32 = 2;
-
-fn count_u32(n: usize, what: &str) -> Result<u32, ArtifactError> {
-    u32::try_from(n).map_err(|_| ArtifactError::TooLarge(format!("{what} count {n} exceeds u32")))
-}
-
-fn push_u32s(out: &mut Vec<u8>, values: &[u32]) {
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
 
 /// Serializes a [`FlavorDb`] (plus optional precomputed overlap
 /// triangles) into a canonical CFDB2 buffer.
@@ -153,7 +141,6 @@ impl<'a> FlavorArtifactBuilder<'a> {
         let db = self.db;
         let n_molecules = db.n_molecules();
         let n_slots = db.n_ingredient_slots();
-        let universe_words = n_molecules.div_ceil(64);
 
         let mut strings = StringTable::new();
 
@@ -175,11 +162,10 @@ impl<'a> FlavorArtifactBuilder<'a> {
             push_u32s(&mut molecules_sec, &[name_off, name_len, desc_start, count]);
         }
 
-        // Ingredient slots, profile ids, and full-universe bit planes,
-        // in slot order (dead slots are all-zero records/planes).
+        // Ingredient slots and profile ids, in slot order (dead slots
+        // are all-zero records with empty profiles).
         let mut ingredients_sec = Vec::with_capacity(n_slots * ING_REC);
         let mut profile_ids_sec = Vec::new();
-        let mut planes_sec = Vec::with_capacity(n_slots * universe_words * 8);
         let mut n_profile_ids = 0u32;
         let mut n_live = 0usize;
         for slot in 0..n_slots {
@@ -189,13 +175,8 @@ impl<'a> FlavorArtifactBuilder<'a> {
                     n_live += 1;
                     let (name_off, name_len) = strings.intern(&ing.name)?;
                     let prof_start = n_profile_ids;
-                    let mut plane = vec![0u64; universe_words];
                     for &m in ing.profile.molecules() {
                         push_u32s(&mut profile_ids_sec, &[m.0]);
-                        let bit = m.index();
-                        if let Some(word) = plane.get_mut(bit / 64) {
-                            *word |= 1u64 << (bit % 64);
-                        }
                     }
                     n_profile_ids =
                         count_u32(n_profile_ids as usize + ing.profile.len(), "profile id")?;
@@ -212,13 +193,9 @@ impl<'a> FlavorArtifactBuilder<'a> {
                             category,
                         ],
                     );
-                    for w in plane {
-                        planes_sec.extend_from_slice(&w.to_le_bytes());
-                    }
                 }
                 Err(_) => {
                     push_u32s(&mut ingredients_sec, &[0, 0, n_profile_ids, 0, 0, 0]);
-                    planes_sec.extend_from_slice(&vec![0u8; universe_words * 8]);
                 }
             }
         }
@@ -281,11 +258,10 @@ impl<'a> FlavorArtifactBuilder<'a> {
                 count_u32(synonyms.len(), "synonym")?,
                 n_desc_spans,
                 n_profile_ids,
-                count_u32(universe_words, "universe word")?,
                 count_u32(self.overlaps.len(), "overlap")?,
+                0,
             ],
         );
-        meta.extend_from_slice(&0u64.to_le_bytes());
 
         let mut w = ArtifactWriter::new(CFDB2_MAGIC, CFDB2_VERSION);
         w.section(K_META, meta);
@@ -294,7 +270,6 @@ impl<'a> FlavorArtifactBuilder<'a> {
         w.section(K_DESC_SPANS, desc_spans_sec);
         w.section(K_INGREDIENTS, ingredients_sec);
         w.section(K_PROFILE_IDS, profile_ids_sec);
-        w.section(K_BIT_PLANES, planes_sec);
         w.section(K_SYNONYMS, synonyms_sec);
         w.section(K_NAME_INDEX, name_index_sec);
         w.section(K_OVERLAP_INDEX, overlap_index_sec);
@@ -316,7 +291,6 @@ pub struct BorrowedFlavorDb<'a> {
     desc_spans: &'a [u8],
     ingredients: &'a [u8],
     profile_ids: &'a [MoleculeId],
-    planes: &'a [u64],
     synonyms: &'a [u8],
     name_index: &'a [u32],
     overlap_index: &'a [u8],
@@ -325,7 +299,6 @@ pub struct BorrowedFlavorDb<'a> {
     n_molecules: usize,
     n_slots: usize,
     n_live: usize,
-    universe_words: usize,
 }
 
 /// Reinterpret a validated `&[u32]` as ids (`repr(transparent)`).
@@ -333,13 +306,6 @@ fn as_molecule_ids(ids: &[u32]) -> &[MoleculeId] {
     // SAFETY: MoleculeId is repr(transparent) over u32, so the slices
     // have identical layout.
     unsafe { std::slice::from_raw_parts(ids.as_ptr().cast::<MoleculeId>(), ids.len()) }
-}
-
-/// Reinterpret a validated `&[u32]` as ids (`repr(transparent)`).
-fn as_ingredient_ids(ids: &[u32]) -> &[IngredientId] {
-    // SAFETY: IngredientId is repr(transparent) over u32, so the
-    // slices have identical layout.
-    unsafe { std::slice::from_raw_parts(ids.as_ptr().cast::<IngredientId>(), ids.len()) }
 }
 
 /// Validate a CFDB2 buffer and return its zero-copy view.
@@ -363,46 +329,25 @@ pub fn open(buf: &[u8]) -> Result<BorrowedFlavorDb<'_>, ArtifactError> {
     let n_synonyms = u32_at(meta, 12) as usize;
     let n_desc_spans = u32_at(meta, 16) as usize;
     let n_profile_ids = u32_at(meta, 20) as usize;
-    let universe_words = u32_at(meta, 24) as usize;
-    let n_overlaps = u32_at(meta, 28) as usize;
-    if u64_at(meta, 32) != 0 {
+    let n_overlaps = u32_at(meta, 24) as usize;
+    if u32_at(meta, 28) != 0 {
         return Err(ArtifactError::Corrupt(
             "META reserved field set".to_string(),
         ));
     }
-    if universe_words != n_molecules.div_ceil(64) {
-        return Err(ArtifactError::Corrupt(format!(
-            "universe_words {universe_words} does not match {n_molecules} molecules"
-        )));
-    }
-
-    let check_len = |kind: u32, per: usize, n: usize, what: &str| -> Result<&[u8], ArtifactError> {
-        let bytes = sections.bytes(kind as usize);
-        let need = per
-            .checked_mul(n)
-            .ok_or_else(|| ArtifactError::TooLarge(format!("{what} section size overflows")))?;
-        if bytes.len() != need {
-            return Err(ArtifactError::Corrupt(format!(
-                "{what} section is {} bytes, counts require {need}",
-                bytes.len()
-            )));
-        }
-        Ok(bytes)
-    };
 
     let strings = std::str::from_utf8(sections.bytes(K_STRINGS as usize))
         .map_err(|e| ArtifactError::Corrupt(format!("string blob is not UTF-8: {e}")))?;
-    let molecules = check_len(K_MOLECULES, MOL_REC, n_molecules, "MOLECULES")?;
-    let desc_spans = check_len(K_DESC_SPANS, SPAN_REC, n_desc_spans, "DESC_SPANS")?;
-    let ingredients = check_len(K_INGREDIENTS, ING_REC, n_slots, "INGREDIENTS")?;
-    let profile_bytes = check_len(K_PROFILE_IDS, 4, n_profile_ids, "PROFILE_IDS")?;
-    let planes_bytes = check_len(K_BIT_PLANES, 8 * universe_words, n_slots, "BIT_PLANES")?;
-    let synonyms = check_len(K_SYNONYMS, SYN_REC, n_synonyms, "SYNONYMS")?;
-    let name_index_bytes = check_len(K_NAME_INDEX, 4, n_live, "NAME_INDEX")?;
-    let overlap_index = check_len(K_OVERLAP_INDEX, OVL_REC, n_overlaps, "OVERLAP_INDEX")?;
+    let molecules = sections.check_len(K_MOLECULES, MOL_REC, n_molecules, "MOLECULES")?;
+    let desc_spans = sections.check_len(K_DESC_SPANS, SPAN_REC, n_desc_spans, "DESC_SPANS")?;
+    let ingredients = sections.check_len(K_INGREDIENTS, ING_REC, n_slots, "INGREDIENTS")?;
+    let profile_bytes = sections.check_len(K_PROFILE_IDS, 4, n_profile_ids, "PROFILE_IDS")?;
+    let synonyms = sections.check_len(K_SYNONYMS, SYN_REC, n_synonyms, "SYNONYMS")?;
+    let name_index_bytes = sections.check_len(K_NAME_INDEX, 4, n_live, "NAME_INDEX")?;
+    let overlap_index =
+        sections.check_len(K_OVERLAP_INDEX, OVL_REC, n_overlaps, "OVERLAP_INDEX")?;
 
     let profile_ids = as_molecule_ids(cast_u32s(profile_bytes)?);
-    let planes = cast_u64s(planes_bytes)?;
     let name_index = cast_u32s(name_index_bytes)?;
     let overlap_pool = as_ingredient_ids(cast_u32s(sections.bytes(K_OVERLAP_POOL as usize))?);
     let overlap_tri = cast_u32s(sections.bytes(K_OVERLAP_TRI as usize))?;
@@ -447,8 +392,8 @@ pub fn open(buf: &[u8]) -> Result<BorrowedFlavorDb<'_>, ArtifactError> {
         .ok_or_else(|| ArtifactError::Corrupt(format!("descriptor span {i} invalid")))?;
     }
 
-    // Ingredient slots: canonical profile tiling, sorted in-range
-    // profiles, and bit planes that agree with them exactly.
+    // Ingredient slots: canonical profile tiling, strictly sorted
+    // in-range profiles, empty dead slots.
     let mut prof_cursor = 0usize;
     let mut live_seen = 0usize;
     for slot in 0..n_slots {
@@ -475,9 +420,6 @@ pub fn open(buf: &[u8]) -> Result<BorrowedFlavorDb<'_>, ArtifactError> {
                 "ingredient slot {slot} profile overruns PROFILE_IDS"
             )));
         }
-        let plane = planes
-            .get(slot * universe_words..(slot + 1) * universe_words)
-            .unwrap_or(&[]);
         if flags & FLAG_LIVE != 0 {
             live_seen += 1;
             if category >= Category::ALL.len() {
@@ -510,33 +452,11 @@ pub fn open(buf: &[u8]) -> Result<BorrowedFlavorDb<'_>, ArtifactError> {
                     )));
                 }
                 prev = Some(m);
-                let bit = m.index();
-                let word = plane.get(bit / 64).copied().unwrap_or(0);
-                if word >> (bit % 64) & 1 == 0 {
-                    return Err(ArtifactError::Corrupt(format!(
-                        "ingredient slot {slot} bit plane is missing molecule {}",
-                        m.0
-                    )));
-                }
             }
-            // Popcount equality + every profile bit present ⇒ the
-            // plane is exactly the profile (catches any stray bit).
-            if crate::kernel::popcount(plane) as usize != prof_len {
-                return Err(ArtifactError::Corrupt(format!(
-                    "ingredient slot {slot} bit plane popcount disagrees with profile length"
-                )));
-            }
-        } else {
-            if name_off != 0 || name_len != 0 || prof_len != 0 || flags != 0 || category != 0 {
-                return Err(ArtifactError::Corrupt(format!(
-                    "dead ingredient slot {slot} has nonzero fields"
-                )));
-            }
-            if crate::kernel::popcount(plane) != 0 {
-                return Err(ArtifactError::Corrupt(format!(
-                    "dead ingredient slot {slot} has bits in its plane"
-                )));
-            }
+        } else if name_off != 0 || name_len != 0 || prof_len != 0 || flags != 0 || category != 0 {
+            return Err(ArtifactError::Corrupt(format!(
+                "dead ingredient slot {slot} has nonzero fields"
+            )));
         }
     }
     if prof_cursor != n_profile_ids {
@@ -556,7 +476,6 @@ pub fn open(buf: &[u8]) -> Result<BorrowedFlavorDb<'_>, ArtifactError> {
         desc_spans,
         ingredients,
         profile_ids,
-        planes,
         synonyms,
         name_index,
         overlap_index,
@@ -565,7 +484,6 @@ pub fn open(buf: &[u8]) -> Result<BorrowedFlavorDb<'_>, ArtifactError> {
         n_molecules,
         n_slots,
         n_live,
-        universe_words,
     };
 
     // Synonyms: valid spans, strictly name-sorted, in-range targets.
@@ -697,11 +615,6 @@ impl<'a> BorrowedFlavorDb<'a> {
         self.n_live
     }
 
-    /// `u64` words per bit plane (`n_molecules / 64`, rounded up).
-    pub fn universe_words(&self) -> usize {
-        self.universe_words
-    }
-
     /// Name of a molecule, if the id is in range.
     pub fn molecule_name(&self, id: MoleculeId) -> Option<&'a str> {
         if id.index() >= self.n_molecules {
@@ -786,23 +699,10 @@ impl<'a> BorrowedFlavorDb<'a> {
         self.profile_ids.get(start..start + len)
     }
 
-    /// The full-universe bit plane of a slot (zeros for dead slots),
-    /// borrowed from the buffer. Bit position = global molecule id.
-    pub fn plane(&self, id: IngredientId) -> Option<&'a [u64]> {
-        if id.index() >= self.n_slots {
-            return None;
-        }
-        self.planes
-            .get(id.index() * self.universe_words..(id.index() + 1) * self.universe_words)
-    }
-
-    /// Shared-molecule count of two live ingredients: one AND+popcount
-    /// sweep over their borrowed planes.
+    /// Shared-molecule count of two live ingredients: the
+    /// [`shared_sorted`] walk over their borrowed profile runs.
     pub fn shared_count(&self, a: IngredientId, b: IngredientId) -> Option<u64> {
-        if !self.is_live(a) || !self.is_live(b) {
-            return None;
-        }
-        Some(crate::kernel::and_popcount(self.plane(a)?, self.plane(b)?))
+        Some(shared_sorted(self.profile(a)?, self.profile(b)?) as u64)
     }
 
     /// Resolve a (case-insensitive) name — canonical first, then

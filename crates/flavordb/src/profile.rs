@@ -54,24 +54,9 @@ impl FlavorProfile {
         self.molecules.binary_search(&id).is_ok()
     }
 
-    /// Size of the intersection with `other` (sorted-merge walk).
+    /// Size of the intersection with `other` ([`shared_sorted`]).
     pub fn shared_count(&self, other: &FlavorProfile) -> usize {
-        let (a, b) = (&self.molecules, &other.molecules);
-        let mut i = 0;
-        let mut j = 0;
-        let mut shared = 0;
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    shared += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        shared
+        shared_sorted(&self.molecules, &other.molecules)
     }
 
     /// The intersection as a new profile.
@@ -142,6 +127,26 @@ impl FlavorProfile {
             inter as f64 / union as f64
         }
     }
+}
+
+/// Size of the intersection of two sorted, deduplicated molecule-id
+/// runs: one sorted-merge walk, O(|a| + |b|). Owned profiles and the
+/// borrowed runs of a CFDB2 artifact both count shared molecules here.
+#[inline]
+pub fn shared_sorted(a: &[MoleculeId], b: &[MoleculeId]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    shared
 }
 
 /// A dense remap of the molecules occurring in some ingredient pool.

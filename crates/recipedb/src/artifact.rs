@@ -17,7 +17,8 @@
 use std::collections::HashMap;
 
 use culinaria_flavordb::artifact::layout::{
-    cast_u32s, str_span, u32_at, u64_at, ArtifactWriter, Sections, StringTable,
+    as_ingredient_ids, cast_u32s, count_u32, push_u32s, str_span, u32_at, u64_at, ArtifactWriter,
+    Sections, StringTable,
 };
 pub use culinaria_flavordb::artifact::layout::{AlignedBytes, ArtifactError};
 use culinaria_flavordb::IngredientId;
@@ -44,22 +45,6 @@ const META_BYTES: usize = 24;
 const RECIPE_REC: usize = 24;
 const SHARD_REC: usize = 8;
 const N_REGIONS: usize = 22;
-
-fn count_u32(n: usize, what: &str) -> Result<u32, ArtifactError> {
-    u32::try_from(n).map_err(|_| ArtifactError::TooLarge(format!("{what} count {n} exceeds u32")))
-}
-
-fn push_u32s(out: &mut Vec<u8>, values: &[u32]) {
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Reinterpret a validated `&[u32]` as ids (`repr(transparent)`).
-fn as_ingredient_ids(ids: &[u32]) -> &[IngredientId] {
-    // SAFETY: IngredientId is repr(transparent) over u32.
-    unsafe { std::slice::from_raw_parts(ids.as_ptr().cast::<IngredientId>(), ids.len()) }
-}
 
 /// Reinterpret a validated `&[u32]` as ids (`repr(transparent)`).
 fn as_recipe_ids(ids: &[u32]) -> &[RecipeId] {
@@ -189,26 +174,12 @@ pub fn open(buf: &[u8]) -> Result<BorrowedRecipeDb<'_>, ArtifactError> {
         ));
     }
 
-    let check_len = |kind: u32, per: usize, n: usize, what: &str| -> Result<&[u8], ArtifactError> {
-        let bytes = sections.bytes(kind as usize);
-        let need = per
-            .checked_mul(n)
-            .ok_or_else(|| ArtifactError::TooLarge(format!("{what} section size overflows")))?;
-        if bytes.len() != need {
-            return Err(ArtifactError::Corrupt(format!(
-                "{what} section is {} bytes, counts require {need}",
-                bytes.len()
-            )));
-        }
-        Ok(bytes)
-    };
-
     let strings = std::str::from_utf8(sections.bytes(K_STRINGS as usize))
         .map_err(|e| ArtifactError::Corrupt(format!("string blob is not UTF-8: {e}")))?;
-    let recipes = check_len(K_RECIPES, RECIPE_REC, n_recipes, "RECIPES")?;
-    let ids_bytes = check_len(K_INGREDIENT_IDS, 4, n_refs, "INGREDIENT_IDS")?;
-    let shards = check_len(K_REGION_SHARDS, SHARD_REC, N_REGIONS, "REGION_SHARDS")?;
-    let col_bytes = check_len(K_REGION_RECIPES, 4, n_recipes, "REGION_RECIPES")?;
+    let recipes = sections.check_len(K_RECIPES, RECIPE_REC, n_recipes, "RECIPES")?;
+    let ids_bytes = sections.check_len(K_INGREDIENT_IDS, 4, n_refs, "INGREDIENT_IDS")?;
+    let shards = sections.check_len(K_REGION_SHARDS, SHARD_REC, N_REGIONS, "REGION_SHARDS")?;
+    let col_bytes = sections.check_len(K_REGION_RECIPES, 4, n_recipes, "REGION_RECIPES")?;
 
     let id_words = cast_u32s(ids_bytes)?;
     let ingredient_ids = as_ingredient_ids(id_words);

@@ -146,6 +146,15 @@ struct FuzzyEntry {
 
 const DEFAULT_MEMO_CAPACITY: usize = 8192;
 
+/// Maximum n-gram length tried (paper: 6).
+const MAX_NGRAM: usize = 6;
+/// Maximum edit distance for the fuzzy pass; the deletion index is
+/// built for exactly this distance.
+const FUZZY_MAX_DISTANCE: usize = 1;
+/// Minimum token length eligible for fuzzy matching (short tokens
+/// produce too many false positives).
+const FUZZY_MIN_LEN: usize = 5;
+
 /// Reusable per-caller working state for [`AliasResolver::resolve_with`]:
 /// cleaning buffers plus the bounded memo cache for repeated lines.
 ///
@@ -251,13 +260,6 @@ pub struct AliasResolver {
     /// Deletion-neighborhood index: key text and each of its
     /// one-character deletions → entries bucketed there.
     fuzzy_deletions: HashMap<String, Vec<u32>>,
-    /// Maximum n-gram length tried (paper: 6).
-    max_ngram: usize,
-    /// Maximum edit distance for the fuzzy pass.
-    fuzzy_max_distance: usize,
-    /// Minimum token length eligible for fuzzy matching (short tokens
-    /// produce too many false positives).
-    fuzzy_min_len: usize,
 }
 
 impl Default for AliasResolver {
@@ -280,9 +282,6 @@ impl AliasResolver {
             multiword_tokens: HashSet::new(),
             fuzzy_entries: Vec::new(),
             fuzzy_deletions: HashMap::new(),
-            max_ngram: 6,
-            fuzzy_max_distance: 1,
-            fuzzy_min_len: 5,
         }
     }
 
@@ -394,7 +393,7 @@ impl AliasResolver {
             return;
         }
         let key_len = key.chars().count();
-        if key_len < self.fuzzy_min_len {
+        if key_len < FUZZY_MIN_LEN {
             return;
         }
         let idx = self.fuzzy_entries.len() as u32;
@@ -407,18 +406,16 @@ impl AliasResolver {
             .entry(key.to_owned())
             .or_default()
             .push(idx);
-        if self.fuzzy_max_distance >= 1 {
-            let mut seen: HashSet<String> = HashSet::new();
-            for skip in 0..key_len {
-                let mut variant = String::with_capacity(key.len());
-                for (i, ch) in key.chars().enumerate() {
-                    if i != skip {
-                        variant.push(ch);
-                    }
+        let mut seen: HashSet<String> = HashSet::new();
+        for skip in 0..key_len {
+            let mut variant = String::with_capacity(key.len());
+            for (i, ch) in key.chars().enumerate() {
+                if i != skip {
+                    variant.push(ch);
                 }
-                if seen.insert(variant.clone()) {
-                    self.fuzzy_deletions.entry(variant).or_default().push(idx);
-                }
+            }
+            if seen.insert(variant.clone()) {
+                self.fuzzy_deletions.entry(variant).or_default().push(idx);
             }
         }
     }
@@ -468,11 +465,8 @@ impl AliasResolver {
         variant: &mut String,
     ) -> Option<u32> {
         let len = token.chars().count();
-        if len < self.fuzzy_min_len {
+        if len < FUZZY_MIN_LEN {
             return None;
-        }
-        if self.fuzzy_max_distance != 1 {
-            return self.lookup_fuzzy_scan(token, len);
         }
         candidates.clear();
         if let Some(bucket) = self.fuzzy_deletions.get(token) {
@@ -497,29 +491,8 @@ impl AliasResolver {
             if best.is_some_and(|b| (entry.key_len, idx) >= b) {
                 continue;
             }
-            if within_distance(token, &entry.key, self.fuzzy_max_distance) {
+            if within_distance(token, &entry.key, FUZZY_MAX_DISTANCE) {
                 best = Some((entry.key_len, idx));
-            }
-        }
-        best.map(|(_, idx)| self.fuzzy_entries[idx as usize].canonical)
-    }
-
-    /// Fallback for non-default `fuzzy_max_distance` configurations: a
-    /// plain scan in the legacy bucket order (the deletion index is
-    /// built for distance 1 only).
-    fn lookup_fuzzy_scan(&self, token: &str, len: usize) -> Option<u32> {
-        let lo = len.saturating_sub(self.fuzzy_max_distance) as u32;
-        let hi = (len + self.fuzzy_max_distance) as u32;
-        let mut best: Option<(u32, u32)> = None;
-        for (idx, entry) in self.fuzzy_entries.iter().enumerate() {
-            if entry.key_len < lo || entry.key_len > hi {
-                continue;
-            }
-            if best.is_some_and(|b| (entry.key_len, idx as u32) >= b) {
-                continue;
-            }
-            if within_distance(token, &entry.key, self.fuzzy_max_distance) {
-                best = Some((entry.key_len, idx as u32));
             }
         }
         best.map(|(_, idx)| self.fuzzy_entries[idx as usize].canonical)
@@ -619,7 +592,7 @@ impl AliasResolver {
         let mut unresolved = Vec::new();
         let mut pos = 0;
         while pos < n_tokens {
-            let top = self.max_ngram.min(n_tokens - pos);
+            let top = MAX_NGRAM.min(n_tokens - pos);
             // Walk the trie as deep as the ids allow, remembering the
             // deepest terminal: that is exactly the longest n-gram the
             // legacy matcher would have found, with Exact preferred

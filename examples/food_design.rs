@@ -92,10 +92,10 @@ fn load_world(dir: &Path) -> (World, String) {
             Ok((flavor, recipes)) => {
                 return (
                     World { flavor, recipes },
-                    format!("v2 artifacts in {}", dir.display()),
+                    format!("artifacts in {}", dir.display()),
                 );
             }
-            Err(e) => eprintln!("ignoring v2 artifacts: {e}"),
+            Err(e) => eprintln!("ignoring the artifacts: {e}"),
         }
     }
     (

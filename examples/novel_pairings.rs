@@ -91,15 +91,22 @@ fn main() {
         AlignedBytes::read_file(dir.join("flavor.cfdb2")),
         AlignedBytes::read_file(dir.join("recipes.crdb2")),
     ) {
-        if let (Ok(flavor), Ok(recipes)) = (
+        match (
             flavor_artifact::open(fbuf.as_slice()),
             recipe_artifact::open(rbuf.as_slice()),
         ) {
-            println!("opened zero-copy artifacts in {}", dir.display());
-            let cuisine = CuisineView::from(recipes.cuisine(region));
-            let cooc = CoocTriangle::build(&recipes);
-            run(FlavorViewRef::Artifact(&flavor), &cuisine, &cooc);
-            return;
+            (Ok(flavor), Ok(recipes)) => {
+                println!("opened zero-copy artifacts in {}", dir.display());
+                let cuisine = CuisineView::from(recipes.cuisine(region));
+                let cooc = CoocTriangle::build(&recipes);
+                run(FlavorViewRef::Artifact(&flavor), &cuisine, &cooc);
+                return;
+            }
+            (f, r) => {
+                for err in [f.err(), r.err()].into_iter().flatten() {
+                    eprintln!("ignoring the artifacts: {err}");
+                }
+            }
         }
     }
 

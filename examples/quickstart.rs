@@ -85,7 +85,7 @@ fn main() {
             }
             (f, r) => {
                 for err in [f.err(), r.err()].into_iter().flatten() {
-                    eprintln!("ignoring v2 artifact: {err}");
+                    eprintln!("ignoring the artifacts: {err}");
                 }
             }
         }

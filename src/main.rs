@@ -44,7 +44,7 @@ use culinaria::analysis::z_analysis::{
 use culinaria::analysis::{FlavorViewRef, RecipesViewRef};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
 use culinaria::datagen::{generate_world, World, WorldConfig};
-use culinaria::flavordb::{AlignedBytes, FlavorArtifactBuilder};
+use culinaria::flavordb::{AlignedBytes, ArtifactError, FlavorArtifactBuilder};
 use culinaria::obs::Metrics;
 use culinaria::recipedb::import::{Importer, RawRecipe};
 use culinaria::recipedb::segment::MANIFEST;
@@ -852,6 +852,19 @@ fn read_serve_data(dir: &str) -> Result<(AlignedBytes, AlignedBytes), String> {
     Ok((read(&flavor)?, read(&recipes)?))
 }
 
+/// Why serve cannot open `dir/file`. A file of another format version
+/// (or with another magic) was written by another build, and the fix is
+/// to regenerate the dataset; anything else is a corrupt file.
+fn open_error(dir: &str, file: &str, e: &ArtifactError) -> String {
+    match e {
+        ArtifactError::BadVersion { .. } | ArtifactError::BadMagic => format!(
+            "{dir}/{file} comes from another build ({e}); \
+             regenerate the dataset with `culinaria generate --out {dir}`"
+        ),
+        _ => format!("{dir}/{file}: {e}"),
+    }
+}
+
 /// Open the artifacts and run the server until the transport drains.
 fn run_serve(opts: &ServeOptions) -> ExitCode {
     let (fbuf, rbuf) = match read_serve_data(&opts.data_dir) {
@@ -864,14 +877,14 @@ fn run_serve(opts: &ServeOptions) -> ExitCode {
     let flavor = match culinaria::flavordb::artifact::open(fbuf.as_slice()) {
         Ok(f) => f,
         Err(e) => {
-            eprintln!("serve: corrupt flavor artifact: {e}");
+            eprintln!("serve: {}", open_error(&opts.data_dir, "flavor.cfdb2", &e));
             return ExitCode::FAILURE;
         }
     };
     let recipes = match culinaria::recipedb::artifact::open(rbuf.as_slice()) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("serve: corrupt recipe artifact: {e}");
+            eprintln!("serve: {}", open_error(&opts.data_dir, "recipes.crdb2", &e));
             return ExitCode::FAILURE;
         }
     };

@@ -241,6 +241,31 @@ fn serve_refuses_to_start_without_a_dataset() {
 }
 
 #[test]
+fn serve_names_the_fix_for_a_dataset_of_another_format_version() {
+    let dir = std::env::temp_dir().join(format!("culinaria-serve-oldver-{}", std::process::id()));
+    let dir_str = dir.to_str().expect("utf-8 temp path");
+    let (ok, stdout, _) = run(&["generate", "--scale", "0.01", "--out", dir_str]);
+    assert!(ok, "generate failed: {stdout}");
+    for file in ["flavor.cfdb2", "recipes.crdb2"] {
+        let path = dir.join(file);
+        let original = std::fs::read(&path).expect("readable");
+        // Bytes 8..12 hold the little-endian format version.
+        let mut old = original.clone();
+        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &old).expect("writable");
+        let (code, stderr) = run_code(&["serve", "--stdio", "--data", dir_str]);
+        assert_eq!(code, Some(1), "{file}: stderr: {stderr}");
+        assert!(stderr.contains(file), "{file}: stderr: {stderr}");
+        assert!(
+            stderr.contains("culinaria generate"),
+            "{file}: stderr: {stderr}"
+        );
+        std::fs::write(&path, &original).expect("writable");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn serve_stdio_answers_framed_queries_over_artifacts() {
     use std::io::Write;
 

@@ -41,6 +41,35 @@ fn tiny_artifacts() -> (Vec<u8>, Vec<u8>) {
     (flavor, recipes)
 }
 
+/// FNV-1a 64, spelled out so the pinned digests do not depend on
+/// `DefaultHasher`, whose algorithm is not stable across Rust releases.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins both formats' bytes across commits, where
+/// `artifact_rebuild_is_byte_identical` only checks one process. A
+/// change that means to alter a format bumps its version and
+/// re-records its digest; any other change leaves both untouched.
+#[test]
+fn artifact_bytes_are_pinned() {
+    let (flavor, recipes) = tiny_artifacts();
+    for (what, buf, expected) in [
+        ("CFDB2", &flavor, 0x6505_7c5e_6e07_8731),
+        ("CRDB2", &recipes, 0xa2f3_4910_4dd9_30b1),
+    ] {
+        let got = fnv1a(buf);
+        assert_eq!(
+            got,
+            expected,
+            "{what} bytes changed: {} bytes, digest {got:#018x}",
+            buf.len()
+        );
+    }
+}
+
 #[test]
 fn recipe_csv_export_is_loadable_tabular() {
     let world = generate_world(&WorldConfig::tiny());
