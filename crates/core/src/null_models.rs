@@ -127,8 +127,6 @@ impl SampleScratch {
 pub struct CuisineSampler {
     /// Pool size (distinct ingredients in the cuisine).
     n_pool: usize,
-    /// Observed recipe sizes (≥ 2 only), resampled uniformly.
-    sizes: Vec<u32>,
     /// Frequency sampler over pool positions.
     freq: WeightedAliasSampler,
     /// Pool positions per category.
@@ -136,9 +134,14 @@ pub struct CuisineSampler {
     /// Frequency sampler within each category (None when the category
     /// is absent from the pool).
     freq_by_category: Vec<Option<WeightedAliasSampler>>,
-    /// Per observed recipe, the category of each of its ingredients —
-    /// the "category composition" templates.
-    templates: Vec<Vec<Category>>,
+    /// Per observed recipe (size ≥ 2 only), the category of each of its
+    /// ingredients — the "category composition" templates — laid end to
+    /// end in recipe order.
+    template_cats: Vec<Category>,
+    /// End offset of each template in `template_cats`. A template's
+    /// length is its recipe's size, so this also holds the observed
+    /// sizes the Random and Frequency models resample uniformly.
+    template_ends: Vec<u32>,
 }
 
 impl CuisineSampler {
@@ -190,30 +193,31 @@ impl CuisineSampler {
             })
             .collect();
 
-        let mut sizes = Vec::new();
-        let mut templates = Vec::new();
+        let mut template_cats = Vec::new();
+        let mut template_ends = Vec::new();
         for ings in cuisine.recipe_ingredient_lists() {
             if ings.len() < 2 {
                 continue;
             }
-            sizes.push(ings.len() as u32);
-            let cats: Vec<Category> = ings
-                .iter()
-                .map(|&id| view.category(id).expect("live ingredient"))
-                .collect();
-            templates.push(cats);
+            template_cats.extend(
+                ings.iter()
+                    .map(|&id| view.category(id).expect("live ingredient")),
+            );
+            let end = u32::try_from(template_cats.len())
+                .expect("a cuisine holds fewer than 2^32 ingredient uses");
+            template_ends.push(end);
         }
-        if sizes.is_empty() {
+        if template_ends.is_empty() {
             return None;
         }
 
         Some(CuisineSampler {
             n_pool: pool.len(),
-            sizes,
             freq,
             by_category,
             freq_by_category,
-            templates,
+            template_cats,
+            template_ends,
         })
     }
 
@@ -224,7 +228,23 @@ impl CuisineSampler {
 
     /// Number of size/template records (observed recipes of size ≥ 2).
     pub fn n_templates(&self) -> usize {
-        self.templates.len()
+        self.template_ends.len()
+    }
+
+    /// The category template of observed recipe `t` (size ≥ 2 only).
+    fn template(&self, t: usize) -> &[Category] {
+        let start = if t == 0 {
+            0
+        } else {
+            self.template_ends[t - 1] as usize
+        };
+        &self.template_cats[start..self.template_ends[t] as usize]
+    }
+
+    /// A uniformly resampled observed recipe size: one RNG draw, like a
+    /// template draw.
+    fn draw_size<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        self.template(rng.random_range(0..self.n_templates())).len()
     }
 
     /// Draw a distinct position via `draw`, rejecting already-chosen
@@ -285,8 +305,7 @@ impl CuisineSampler {
         scratch.begin(self.n_pool);
         match model {
             NullModel::Random | NullModel::Frequency => {
-                let size = self.sizes[rng.random_range(0..self.sizes.len())] as usize;
-                let size = size.min(self.n_pool);
+                let size = self.draw_size(rng).min(self.n_pool);
                 while out.len() < size {
                     let next = match model {
                         NullModel::Random => self.draw_distinct_masked(scratch, rng, |r| {
@@ -306,7 +325,7 @@ impl CuisineSampler {
                 }
             }
             NullModel::Category | NullModel::FrequencyCategory => {
-                let template = &self.templates[rng.random_range(0..self.templates.len())];
+                let template = self.template(rng.random_range(0..self.n_templates()));
                 for &cat in template {
                     let members = &self.by_category[cat.index()];
                     let next = if members.is_empty() {
@@ -353,8 +372,7 @@ impl CuisineSampler {
     pub fn generate<R: Rng + ?Sized>(&self, model: NullModel, rng: &mut R) -> Vec<u32> {
         match model {
             NullModel::Random | NullModel::Frequency => {
-                let size = self.sizes[rng.random_range(0..self.sizes.len())] as usize;
-                let size = size.min(self.n_pool);
+                let size = self.draw_size(rng).min(self.n_pool);
                 let mut chosen: Vec<u32> = Vec::with_capacity(size);
                 while chosen.len() < size {
                     let next = match model {
@@ -370,7 +388,7 @@ impl CuisineSampler {
                 chosen
             }
             NullModel::Category | NullModel::FrequencyCategory => {
-                let template = &self.templates[rng.random_range(0..self.templates.len())];
+                let template = self.template(rng.random_range(0..self.n_templates()));
                 let mut chosen: Vec<u32> = Vec::with_capacity(template.len());
                 for &cat in template {
                     let members = &self.by_category[cat.index()];

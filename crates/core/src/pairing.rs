@@ -173,14 +173,36 @@ pub fn mean_cuisine_score(db: &FlavorDb, cuisine: &Cuisine<'_>) -> f64 {
 ///
 /// The pool is a cuisine's distinct ingredient set mapped to dense
 /// *local* indices `0..len`; overlaps are stored in a packed upper
-/// triangle of `u32`.
+/// triangle of `u16`. A cell counts at most the shorter profile's
+/// molecules, so the builds refuse a pool profile longer than
+/// `u16::MAX` (65,535) molecules and no cell can overflow.
 #[derive(Debug, Clone)]
 pub struct OverlapCache {
     pool: Vec<IngredientId>,
     local: HashMap<IngredientId, u32>,
     /// Packed strict upper triangle, row-major: entry (i, j), i < j, at
     /// `i*(2n−i−1)/2 + (j−i−1)`.
-    tri: Vec<u32>,
+    tri: Vec<u16>,
+}
+
+/// The longest flavor profile an [`OverlapCache`] pool may hold: every
+/// cell is a `u16`, and an overlap never exceeds either profile's
+/// length.
+const MAX_PROFILE_MOLECULES: usize = u16::MAX as usize;
+
+/// The failure for pool entry `index` (ingredient `id`) whose profile
+/// of `len` molecules is longer than a `u16` cell can count.
+fn profile_too_long(
+    stage: &'static str,
+    index: usize,
+    id: IngredientId,
+    len: usize,
+) -> StageFailure {
+    let message = format!(
+        "ingredient id {} has {len} molecules; overlap cells count at most {MAX_PROFILE_MOLECULES}",
+        id.index()
+    );
+    StageFailure::error(stage, index, message)
 }
 
 impl OverlapCache {
@@ -210,7 +232,8 @@ impl OverlapCache {
     /// cache does not depend on whether `metrics` is enabled.
     ///
     /// A pool entry whose ingredient id is dead (removed or out of
-    /// range) fails at stage `overlap.pack`; a failing tile fails at
+    /// range), or whose profile is longer than `u16::MAX` molecules,
+    /// fails at stage `overlap.pack`; a failing tile fails at
     /// `overlap.tile` (the index is a band-major tile index, see
     /// [`culinaria_stats::tile`]). Either way the `error.<stage>`
     /// counter is bumped and the lowest failing index is reported,
@@ -251,6 +274,9 @@ impl OverlapCache {
                 StageFailure::error("overlap.pack", i, e.to_string()).record(metrics)
             })?;
             match view.profile_molecules(id) {
+                Ok(p) if p.len() > MAX_PROFILE_MOLECULES => {
+                    return Err(profile_too_long("overlap.pack", i, id, p.len()).record(metrics))
+                }
                 Ok(p) => profiles.push(p),
                 Err(e) => return Err(dead_pool_id(i, id, e).record(metrics)),
             }
@@ -279,7 +305,7 @@ impl OverlapCache {
             tiles.len(),
             &pool::PoolObs::new(metrics),
             || (),
-            |_, t| -> Result<Vec<u32>, fault::InjectedFault> {
+            |_, t| -> Result<Vec<u16>, fault::InjectedFault> {
                 fault::probe("overlap.tile", t)?;
                 let (rows, cols) = tiles.tile_bounds(t);
                 let mut cells = Vec::with_capacity(tiles.cell_count(t));
@@ -287,7 +313,8 @@ impl OverlapCache {
                     let row_bits = &bits[i * words..][..words];
                     for j in cols.start.max(i + 1)..cols.end {
                         let col_bits = &bits[j * words..][..words];
-                        cells.push(kernel::and_popcount(row_bits, col_bits) as u32);
+                        // Packing capped every profile, so this fits.
+                        cells.push(kernel::and_popcount(row_bits, col_bits) as u16);
                     }
                 }
                 Ok(cells)
@@ -299,7 +326,7 @@ impl OverlapCache {
         // Scatter each tile's row-major cells back into the packed
         // triangle. Destinations are disjoint and position-derived, so
         // the merged bytes do not depend on tile geometry or order.
-        let mut tri = vec![0u32; n * n.saturating_sub(1) / 2];
+        let mut tri = vec![0u16; n * n.saturating_sub(1) / 2];
         let row_base = |i: usize| i * (2 * n - i - 1) / 2;
         for (t, cells) in results.into_iter().enumerate() {
             let (rows, cols) = tiles.tile_bounds(t);
@@ -334,7 +361,7 @@ impl OverlapCache {
     /// Sections are produced by [`OverlapCache::tri`] on a cache built
     /// by this same code, so a reassembled cache is byte-for-byte the
     /// cache that was serialized.
-    pub fn from_parts(pool: &[IngredientId], tri: Vec<u32>) -> Option<OverlapCache> {
+    pub fn from_parts(pool: &[IngredientId], tri: Vec<u16>) -> Option<OverlapCache> {
         let n = pool.len();
         if tri.len() != n * n.saturating_sub(1) / 2 {
             return None;
@@ -353,7 +380,7 @@ impl OverlapCache {
 
     /// The packed strict upper triangle, row-major (the serialized form
     /// of the cache; see [`OverlapCache::from_parts`]).
-    pub fn tri(&self) -> &[u32] {
+    pub fn tri(&self) -> &[u16] {
         &self.tri
     }
 
@@ -372,6 +399,9 @@ impl OverlapCache {
     /// are popcounted in, so the result is **bit-identical to a cold
     /// [`OverlapCache::build`] over `pool`** while doing O(new·total)
     /// intersection work instead of O(total²).
+    ///
+    /// A grown-pool profile longer than `u16::MAX` molecules fails at
+    /// stage `overlap.extend`, at its index in `pool`.
     pub fn extend<'a>(
         &self,
         view: impl Into<FlavorViewRef<'a>>,
@@ -397,13 +427,13 @@ impl OverlapCache {
         if kept == m {
             // Nothing new: the grown pool is a permutation of the old
             // one, so every cell is a copy.
-            let mut tri = vec![0u32; m * m.saturating_sub(1) / 2];
+            let mut tri = vec![0u16; m * m.saturating_sub(1) / 2];
             let row_base = |i: usize| i * (2 * m - i - 1) / 2;
             for i in 0..m {
                 for j in (i + 1)..m {
                     // `kept == m` means every position mapped.
                     if let (Some(a), Some(b)) = (old[i], old[j]) {
-                        tri[row_base(i) + (j - i - 1)] = self.overlap(a, b);
+                        tri[row_base(i) + (j - i - 1)] = self.cell(a, b);
                     }
                 }
             }
@@ -419,6 +449,9 @@ impl OverlapCache {
         let mut profiles: Vec<&[culinaria_flavordb::MoleculeId]> = Vec::with_capacity(m);
         for (i, &id) in pool.iter().enumerate() {
             match view.profile_molecules(id) {
+                Ok(p) if p.len() > MAX_PROFILE_MOLECULES => {
+                    return Err(profile_too_long("overlap.extend", i, id, p.len()))
+                }
                 Ok(p) => profiles.push(p),
                 Err(e) => {
                     return Err(StageFailure::error(
@@ -436,14 +469,15 @@ impl OverlapCache {
             bits.extend_from_slice(universe.pack_ids(p).words());
         }
 
-        let mut tri = vec![0u32; m * m.saturating_sub(1) / 2];
+        let mut tri = vec![0u16; m * m.saturating_sub(1) / 2];
         let row_base = |i: usize| i * (2 * m - i - 1) / 2;
         for i in 0..m {
             let row_bits = &bits[i * words..][..words];
             for j in (i + 1)..m {
                 let cell = match (old[i], old[j]) {
-                    (Some(a), Some(b)) => self.overlap(a, b),
-                    _ => kernel::and_popcount(row_bits, &bits[j * words..][..words]) as u32,
+                    (Some(a), Some(b)) => self.cell(a, b),
+                    // Capped profiles above: the count fits a cell.
+                    _ => kernel::and_popcount(row_bits, &bits[j * words..][..words]) as u16,
                 };
                 tri[row_base(i) + (j - i - 1)] = cell;
             }
@@ -495,6 +529,12 @@ impl OverlapCache {
     /// 0 (a recipe never pairs an ingredient with itself).
     #[inline]
     pub fn overlap(&self, i: u32, j: u32) -> u32 {
+        u32::from(self.cell(i, j))
+    }
+
+    /// The stored cell behind [`OverlapCache::overlap`].
+    #[inline]
+    fn cell(&self, i: u32, j: u32) -> u16 {
         if i == j {
             return 0;
         }
@@ -710,17 +750,26 @@ fn novelty_order(a: &NovelPairing, b: &NovelPairing) -> Ordering {
 /// novelty descending with ties in `(i, j)` order. Co-occurrence comes
 /// from `cooc`; a pool id the triangle does not hold counts 0.
 ///
-/// Only the top `k` are sorted: a linear selection cuts the pairs to
-/// them first.
+/// The candidate buffer holds at most `2k` pairs: whenever it fills, a
+/// linear selection cuts it back to its top `k`, and from then on a
+/// pair ranked after the k-th kept pair is skipped unpushed. The
+/// ranking is a strict total order (`(i, j)` breaks every novelty tie),
+/// so the cuts and skips keep exactly the pairs a selection over every
+/// pair would keep. Only the final top `k` are sorted.
 pub fn novel_pairings(cache: &OverlapCache, cooc: &CoocTriangle, k: usize) -> Vec<NovelPairing> {
     if k == 0 {
         return Vec::new();
     }
     // Each pool id's triangle position, looked up once per call.
     let pos: Vec<Option<usize>> = cache.pool().iter().map(|&id| cooc.position(id)).collect();
-    let mut out = Vec::new();
-    for i in 0..cache.len() {
-        for j in (i + 1)..cache.len() {
+    let n = cache.len();
+    let limit = k.saturating_mul(2);
+    let mut out = Vec::with_capacity(limit.min(n * n.saturating_sub(1) / 2));
+    // The k-th pair kept by the last cut: a pair ranked after it already
+    // has k pairs ahead of it, so it can never reach the top k.
+    let mut cutoff: Option<NovelPairing> = None;
+    for i in 0..n {
+        for j in (i + 1)..n {
             let overlap = cache.overlap(i as u32, j as u32);
             if overlap == 0 {
                 continue;
@@ -729,21 +778,30 @@ pub fn novel_pairings(cache: &OverlapCache, cooc: &CoocTriangle, k: usize) -> Ve
                 (Some(p), Some(q)) if p != q => cooc.tri[cooc.index(p, q)],
                 _ => 0,
             };
-            out.push(NovelPairing {
+            let pairing = NovelPairing {
                 novelty: f64::from(overlap) / (1.0 + f64::from(used)),
                 overlap,
                 cooc: used,
                 i: i as u32,
                 j: j as u32,
-            });
+            };
+            if cutoff.is_some_and(|c| novelty_order(&pairing, &c).is_gt()) {
+                continue;
+            }
+            out.push(pairing);
+            if out.len() == limit {
+                out.select_nth_unstable_by(k - 1, novelty_order);
+                out.truncate(k);
+                cutoff = Some(out[k - 1]);
+            }
         }
     }
     if k < out.len() {
         out.select_nth_unstable_by(k - 1, novelty_order);
         out.truncate(k);
-        // Callers cache the result: hold k pairs, not every pair.
-        out.shrink_to_fit();
     }
+    // Callers cache the result: hold the pairs, not the buffer.
+    out.shrink_to_fit();
     out.sort_unstable_by(novelty_order);
     out
 }
@@ -1065,6 +1123,38 @@ mod tests {
             OverlapCache::build(&db, &ids, 2, &metrics).expect_err("dead id fails the pack stage");
         assert_eq!(failure.index, 2);
         assert_eq!(metrics.snapshot().counter("error.overlap.pack"), Some(1));
+    }
+
+    #[test]
+    fn cells_hold_the_profile_cap_and_longer_profiles_fail() {
+        use culinaria_flavordb::MoleculeId;
+        let cap = usize::from(u16::MAX);
+        let mut db = FlavorDb::new();
+        db.add_anonymous_molecules(cap + 1);
+        let run = |n: usize| (0..n as u32).map(MoleculeId).collect::<Vec<_>>();
+        let a = db.add_ingredient("a", Category::Herb, run(cap)).unwrap();
+        let b = db.add_ingredient("b", Category::Herb, run(cap)).unwrap();
+        let small = db.add_ingredient("s", Category::Spice, run(3)).unwrap();
+        let long = db
+            .add_ingredient("l", Category::Meat, run(cap + 1))
+            .unwrap();
+
+        // Two profiles sharing exactly 65,535 molecules fit one cell.
+        let cache = build(&db, &[a, b, small], 2);
+        assert_eq!(cache.overlap(0, 1), 65_535);
+        assert_eq!(cache.overlap(0, 2), 3);
+
+        // One molecule more fails the pack stage at the profile's pool
+        // index, naming the limit, before any cell is computed.
+        let failure = OverlapCache::build(&db, &[a, small, long], 2, &Metrics::disabled())
+            .expect_err("a 65,536-molecule profile fails");
+        assert_eq!((failure.stage, failure.index), ("overlap.pack", 2));
+        assert!(failure.to_string().contains("65535"), "{failure}");
+        let failure = cache
+            .extend(&db, &[a, b, small, long])
+            .expect_err("a 65,536-molecule profile fails");
+        assert_eq!((failure.stage, failure.index), ("overlap.extend", 3));
+        assert!(failure.to_string().contains("65535"), "{failure}");
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl<'a> FlavorViewRef<'a> {
     /// stored in the artifact under `label` (normally a region code).
     /// Always `None` for owned databases — only migrated CFDB2 buffers
     /// carry sections.
-    pub fn overlap_section(self, label: &str) -> Option<(&'a [IngredientId], &'a [u32])> {
+    pub fn overlap_section(self, label: &str) -> Option<(&'a [IngredientId], &'a [u16])> {
         match self {
             FlavorViewRef::Owned(_) => None,
             FlavorViewRef::Artifact(b) => b.overlap(label),

@@ -12,7 +12,7 @@ use culinaria_core::pairing::{
 };
 use culinaria_core::RecipesViewRef;
 use culinaria_flavordb::generator::{generate_flavor_db, GeneratorConfig};
-use culinaria_flavordb::{FlavorDb, IngredientId};
+use culinaria_flavordb::{Category, FlavorDb, IngredientId, MoleculeId};
 use culinaria_obs::Metrics;
 use culinaria_recipedb::artifact::{self, AlignedBytes};
 use culinaria_recipedb::{RecipeArtifactBuilder, RecipeStore, Region, Source};
@@ -107,6 +107,32 @@ fn stable_sorted_pairings(store: &RecipeStore, cache: &OverlapCache) -> Vec<Nove
     }
     all.sort_by(|a, b| b.novelty.total_cmp(&a.novelty));
     all
+}
+
+/// Strategy: 120–139 flavor profiles over a 12-molecule universe plus
+/// recipes over the first 120 ingredients. Most pairs overlap, by 1–12
+/// molecules, and co-occurrence counts stay small, so novelty values
+/// repeat and rankings tie. Profiles come shortest first, so overlaps
+/// grow along the `(i, j)` scan and later pairs keep outranking the
+/// pairs `novel_pairings` has kept: its bounded buffer refills and is
+/// cut again and again instead of once.
+fn arb_tie_heavy() -> impl Strategy<Value = (Vec<Vec<MoleculeId>>, Vec<Vec<IngredientId>>)> {
+    (
+        proptest::collection::vec(
+            proptest::collection::btree_set(0u32..12, 1..13)
+                .prop_map(|s| s.into_iter().map(MoleculeId).collect::<Vec<_>>()),
+            120..140,
+        )
+        .prop_map(|mut profiles| {
+            profiles.sort_by_key(Vec::len);
+            profiles
+        }),
+        proptest::collection::vec(
+            proptest::collection::btree_set(0u32..120, 2..6)
+                .prop_map(|s| s.into_iter().map(IngredientId).collect::<Vec<_>>()),
+            0..60,
+        ),
+    )
 }
 
 /// A ranking as exact bits, so a float compares by identity.
@@ -297,6 +323,38 @@ proptest! {
         for c in &contributions {
             prop_assert!(c.percent_change.is_finite(), "{}: {}", c.name, c.percent_change);
             prop_assert!(c.n_recipes >= 1);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `novel_pairings` cuts its candidate buffer back to `k` pairs each
+    /// time it holds `2k`; the ranking must still equal a full sort of
+    /// every overlapping pair, ties included.
+    #[test]
+    fn bounded_novel_pairings_match_a_full_sort(world in arb_tie_heavy()) {
+        let (profiles, recipes) = world;
+        let mut db = FlavorDb::new();
+        db.add_anonymous_molecules(12);
+        let pool: Vec<IngredientId> = profiles
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| db.add_ingredient(&format!("i{i}"), Category::Herb, p).expect("valid profile"))
+            .collect();
+        let store = build_store(&recipes);
+        let cache = OverlapCache::build(&db, &pool, 1, &Metrics::disabled()).expect("live pool");
+        let cooc = CoocTriangle::build(&store);
+        let all = stable_sorted_pairings(&store, &cache);
+        // The first 2,000 overlapping pairs fill k = 1000's buffer, and
+        // the growing overlaps refill it: over this test's 24 cases the
+        // buffer is cut 4–6 times for k = 1000 and 11–12 times for k ≤ 7.
+        prop_assert!(all.len() >= 4_000, "{} overlapping pairs", all.len());
+        prop_assert!(all.windows(2).any(|w| w[0].novelty == w[1].novelty), "no ties");
+        for k in [1, 2, 7, 1000, all.len() + 1] {
+            let got = novel_pairings(&cache, &cooc, k);
+            prop_assert_eq!(bits(&got), bits(&all[..k.min(all.len())]), "k = {}", k);
         }
     }
 }

@@ -15,7 +15,8 @@
 //! rejected structurally.
 //!
 //! Payload numbers are little-endian. Readers reinterpret aligned
-//! section bytes as `&[u32]` id runs in place, which is why
+//! section bytes as `&[u32]` id runs (and CFDB2's `&[u16]` overlap
+//! cells) in place, which is why
 //! [`open requirements`](Sections::parse) include a little-endian host
 //! and an 8-byte-aligned base pointer ([`AlignedBytes`] provides one
 //! for buffers loaded from disk).
@@ -148,34 +149,12 @@ pub fn align8(n: usize) -> usize {
     n.div_ceil(8) * 8
 }
 
-/// Reinterpret section bytes as a `&[u64]` without copying.
-///
-/// Errors unless the slice is 8-byte aligned with a length that is a
-/// multiple of 8 — both hold for any section of a buffer that passed
-/// [`Sections::parse`], because section offsets are 8-aligned and the
-/// caller sizes sections in whole words.
-pub fn cast_u64s(bytes: &[u8]) -> Result<&[u64], ArtifactError> {
-    if bytes.is_empty() {
-        return Ok(&[]);
-    }
-    if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<u64>()) {
-        return Err(ArtifactError::Misaligned);
-    }
-    if !bytes.len().is_multiple_of(8) {
-        return Err(ArtifactError::Corrupt(format!(
-            "u64 section length {} is not a multiple of 8",
-            bytes.len()
-        )));
-    }
-    // SAFETY: the pointer is aligned for u64, the length covers
-    // `len / 8` whole u64s inside one allocation, and u64 tolerates
-    // any byte pattern. Endianness was checked at open.
-    Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u64>(), bytes.len() / 8) })
-}
-
 /// Reinterpret section bytes as a `&[u32]` without copying.
 ///
-/// Same contract as [`cast_u64s`] with 4-byte granularity.
+/// Errors unless the slice is 4-byte aligned with a length that is a
+/// multiple of 4 — both hold for any section of a buffer that passed
+/// [`Sections::parse`], because section offsets are 8-aligned and the
+/// caller sizes sections in whole `u32`s.
 pub fn cast_u32s(bytes: &[u8]) -> Result<&[u32], ArtifactError> {
     if bytes.is_empty() {
         return Ok(&[]);
@@ -189,9 +168,31 @@ pub fn cast_u32s(bytes: &[u8]) -> Result<&[u32], ArtifactError> {
             bytes.len()
         )));
     }
-    // SAFETY: aligned, whole u32s within one allocation, no invalid
-    // patterns for u32.
+    // SAFETY: the pointer is aligned for u32, the length covers
+    // `len / 4` whole u32s inside one allocation, and u32 tolerates
+    // any byte pattern. Endianness was checked at open.
     Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u32>(), bytes.len() / 4) })
+}
+
+/// Reinterpret section bytes as a `&[u16]` without copying.
+///
+/// Same contract as [`cast_u32s`] with 2-byte granularity.
+pub fn cast_u16s(bytes: &[u8]) -> Result<&[u16], ArtifactError> {
+    if bytes.is_empty() {
+        return Ok(&[]);
+    }
+    if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<u16>()) {
+        return Err(ArtifactError::Misaligned);
+    }
+    if !bytes.len().is_multiple_of(2) {
+        return Err(ArtifactError::Corrupt(format!(
+            "u16 section length {} is not a multiple of 2",
+            bytes.len()
+        )));
+    }
+    // SAFETY: aligned, whole u16s within one allocation, no invalid
+    // patterns for u16.
+    Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u16>(), bytes.len() / 2) })
 }
 
 /// Reinterpret a validated `&[u32]` as ids (`repr(transparent)`).
@@ -468,21 +469,23 @@ impl ArtifactWriter {
 ///
 /// Interning order is the caller's insertion order, so a builder that
 /// interns in a deterministic order produces a byte-identical blob on
-/// every run.
+/// every run. The map is keyed by the interned strings themselves,
+/// borrowed for `'a`, so each distinct string is copied once: into the
+/// blob.
 #[derive(Debug, Default)]
-pub struct StringTable {
+pub struct StringTable<'a> {
     blob: Vec<u8>,
-    seen: std::collections::HashMap<String, (u32, u32)>,
+    seen: std::collections::HashMap<&'a str, (u32, u32)>,
 }
 
-impl StringTable {
+impl<'a> StringTable<'a> {
     /// A fresh, empty table.
-    pub fn new() -> StringTable {
+    pub fn new() -> StringTable<'a> {
         StringTable::default()
     }
 
     /// Intern `s`, returning its `(offset, length)` span.
-    pub fn intern(&mut self, s: &str) -> Result<(u32, u32), ArtifactError> {
+    pub fn intern(&mut self, s: &'a str) -> Result<(u32, u32), ArtifactError> {
         if let Some(&span) = self.seen.get(s) {
             return Ok(span);
         }
@@ -491,7 +494,7 @@ impl StringTable {
         let len = u32::try_from(s.len())
             .map_err(|_| ArtifactError::TooLarge(format!("string of {} bytes", s.len())))?;
         self.blob.extend_from_slice(s.as_bytes());
-        self.seen.insert(s.to_owned(), (off, len));
+        self.seen.insert(s, (off, len));
         Ok((off, len))
     }
 
@@ -594,10 +597,11 @@ mod tests {
     #[test]
     fn casts_check_alignment_and_granularity() {
         let buf = AlignedBytes::from_slice(&[0u8; 16]);
-        assert!(cast_u64s(buf.as_slice()).is_ok());
-        assert!(cast_u64s(&buf.as_slice()[4..]).is_err());
-        assert!(cast_u64s(&buf.as_slice()[..12]).is_err());
+        assert!(cast_u16s(buf.as_slice()).is_ok());
+        assert!(cast_u16s(&buf.as_slice()[1..]).is_err());
+        assert!(cast_u16s(&buf.as_slice()[..11]).is_err());
+        assert_eq!(cast_u16s(&buf.as_slice()[2..8]).expect("aligned").len(), 3);
         assert!(cast_u32s(&buf.as_slice()[..12]).is_ok());
-        assert_eq!(cast_u64s(&[]).expect("empty ok"), &[] as &[u64]);
+        assert_eq!(cast_u16s(&[]).expect("empty ok"), &[] as &[u16]);
     }
 }

@@ -15,8 +15,9 @@
 //! * sorted **name** and **synonym** indexes for binary-search lookup
 //!   without a hash map;
 //! * optional precomputed **overlap triangles** (labelled pools with
-//!   their pairwise shared-molecule counts), so a cuisine analysis can
-//!   skip the O(n²·words) AND+popcount sweep entirely.
+//!   their pairwise shared-molecule counts as `u16` cells, the width
+//!   `OverlapCache` holds), so a cuisine analysis can skip the
+//!   O(n²·words) AND+popcount sweep entirely.
 //!
 //! [`open`] validates bounds, alignment, counts, id ranges and sort
 //! orders once, then [`BorrowedFlavorDb`] accessors are straight
@@ -33,15 +34,15 @@ use crate::ids::{IngredientId, MoleculeId};
 use crate::profile::{shared_sorted, FlavorProfile};
 
 use layout::{
-    as_ingredient_ids, cast_u32s, count_u32, push_u32s, str_span, u32_at, ArtifactWriter, Sections,
-    StringTable,
+    as_ingredient_ids, cast_u16s, cast_u32s, count_u32, push_u32s, str_span, u32_at,
+    ArtifactWriter, Sections, StringTable,
 };
 pub use layout::{AlignedBytes, ArtifactError};
 
 /// Magic bytes opening every CFDB2 buffer.
 pub const CFDB2_MAGIC: [u8; 8] = *b"CFDB2\x00\x00\x00";
 /// Format version this module writes and reads.
-pub const CFDB2_VERSION: u32 = 3;
+pub const CFDB2_VERSION: u32 = 4;
 
 const K_META: u32 = 1;
 const K_STRINGS: u32 = 2;
@@ -78,7 +79,7 @@ const FLAG_COMPOUND: u32 = 2;
 #[derive(Debug)]
 pub struct FlavorArtifactBuilder<'a> {
     db: &'a FlavorDb,
-    overlaps: Vec<(String, Vec<IngredientId>, Vec<u32>)>,
+    overlaps: Vec<(String, Vec<IngredientId>, Vec<u16>)>,
 }
 
 impl<'a> FlavorArtifactBuilder<'a> {
@@ -93,13 +94,13 @@ impl<'a> FlavorArtifactBuilder<'a> {
     /// Attach a precomputed overlap triangle under `label` (typically
     /// a region code): `pool` is the strictly sorted ingredient pool
     /// and `tri` its upper-triangle pairwise shared-molecule counts in
-    /// the same row-major order `OverlapCache` uses
+    /// the same row-major order and `u16` width `OverlapCache` uses
     /// (`tri.len() == pool.len()·(pool.len()−1)/2`).
     pub fn add_overlap(
         &mut self,
         label: &str,
         pool: &[IngredientId],
-        tri: &[u32],
+        tri: &[u16],
     ) -> Result<(), ArtifactError> {
         if label.is_empty() {
             return Err(ArtifactError::Corrupt(
@@ -224,7 +225,7 @@ impl<'a> FlavorArtifactBuilder<'a> {
 
         // Overlap sections sorted by label; pools and triangles tile
         // their flat arrays in index order.
-        let mut overlaps: Vec<&(String, Vec<IngredientId>, Vec<u32>)> =
+        let mut overlaps: Vec<&(String, Vec<IngredientId>, Vec<u16>)> =
             self.overlaps.iter().collect();
         overlaps.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut overlap_index_sec = Vec::with_capacity(overlaps.len() * OVL_REC);
@@ -243,7 +244,9 @@ impl<'a> FlavorArtifactBuilder<'a> {
             for id in pool {
                 push_u32s(&mut overlap_pool_sec, &[id.0]);
             }
-            push_u32s(&mut overlap_tri_sec, tri);
+            for cell in tri {
+                overlap_tri_sec.extend_from_slice(&cell.to_le_bytes());
+            }
             pool_cursor = count_u32(pool_cursor as usize + pool.len(), "overlap pool")?;
             tri_cursor = count_u32(tri_cursor as usize + tri.len(), "overlap triangle")?;
         }
@@ -295,7 +298,7 @@ pub struct BorrowedFlavorDb<'a> {
     name_index: &'a [u32],
     overlap_index: &'a [u8],
     overlap_pool: &'a [IngredientId],
-    overlap_tri: &'a [u32],
+    overlap_tri: &'a [u16],
     n_molecules: usize,
     n_slots: usize,
     n_live: usize,
@@ -350,7 +353,7 @@ pub fn open(buf: &[u8]) -> Result<BorrowedFlavorDb<'_>, ArtifactError> {
     let profile_ids = as_molecule_ids(cast_u32s(profile_bytes)?);
     let name_index = cast_u32s(name_index_bytes)?;
     let overlap_pool = as_ingredient_ids(cast_u32s(sections.bytes(K_OVERLAP_POOL as usize))?);
-    let overlap_tri = cast_u32s(sections.bytes(K_OVERLAP_TRI as usize))?;
+    let overlap_tri = cast_u16s(sections.bytes(K_OVERLAP_TRI as usize))?;
 
     // Molecule records: valid name spans, canonical descriptor tiling.
     let mut desc_cursor = 0usize;
@@ -780,7 +783,7 @@ impl<'a> BorrowedFlavorDb<'a> {
     /// The precomputed overlap section under `label`: the sorted
     /// ingredient pool and its upper-triangle pairwise counts, both
     /// borrowed from the buffer.
-    pub fn overlap(&self, label: &str) -> Option<(&'a [IngredientId], &'a [u32])> {
+    pub fn overlap(&self, label: &str) -> Option<(&'a [IngredientId], &'a [u16])> {
         let n = self.n_overlaps();
         let mut lo = 0usize;
         let mut hi = n;
@@ -943,7 +946,7 @@ mod tests {
     fn overlap_sections_roundtrip() {
         let db = curated_db();
         let ids: Vec<IngredientId> = db.ingredient_ids().take(4).collect();
-        let tri = vec![1u32, 2, 3, 4, 5, 6];
+        let tri = vec![1u16, 2, 3, 4, 5, 6];
         let mut b = FlavorArtifactBuilder::new(&db);
         b.add_overlap("NorthAmerican", &ids, &tri).expect("valid");
         b.add_overlap("Italian", &ids[..2], &[9]).expect("valid");

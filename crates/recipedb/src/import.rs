@@ -54,6 +54,11 @@ use crate::recipe::{RecipeId, Source};
 use crate::region::Region;
 use crate::store::RecipeStore;
 
+/// The leading-quantity parser that [`Importer::resolve_line_weighted`]
+/// splits a line with ("2 cups flour" → 480 ml of "flour"), so callers
+/// outside this crate split lines by the same rule.
+pub use culinaria_text::quantity::parse_quantity;
+
 /// A raw scraped recipe before aliasing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawRecipe {
@@ -314,7 +319,7 @@ impl Importer {
         db: &FlavorDb,
         line: &str,
     ) -> (Vec<(IngredientId, f64)>, Vec<String>) {
-        use culinaria_text::quantity::{parse_quantity, Unit};
+        use culinaria_text::quantity::Unit;
         let (grams, rest) = match parse_quantity(line) {
             Some(q) => {
                 let grams = match q.unit {

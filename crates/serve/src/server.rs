@@ -57,7 +57,7 @@ use culinaria_core::{
 };
 use culinaria_flavordb::{FlavorDb, IngredientId};
 use culinaria_obs::{Counter, Gauge, Histogram, Metrics};
-use culinaria_recipedb::import::Importer;
+use culinaria_recipedb::import::{parse_quantity, Importer};
 use culinaria_recipedb::Region;
 use culinaria_stats::{fault, pool};
 
@@ -170,11 +170,14 @@ struct ScoreCtx<'a> {
 
 /// Resolve free-text ingredient lines into a normalized id set:
 /// the importer's alias resolution first, then an exact
-/// (case-insensitive) database-name fallback per line — generated
-/// worlds use `name-category` ingredient names that phrase
-/// normalization would otherwise split apart. Returns the sorted,
-/// deduplicated ids and how many lines resolved to at least one
-/// ingredient. Public so offline parity checks reuse the exact rule.
+/// (case-insensitive) database-name fallback per line, tried on the
+/// whole line and then on what follows its leading quantity
+/// ([`parse_quantity`], so `2 syn-113-beverage` finds
+/// `syn-113-beverage`) — generated worlds use `name-category`
+/// ingredient names that phrase normalization would otherwise split
+/// apart. Returns the sorted, deduplicated ids and how many lines
+/// resolved to at least one ingredient. Public so offline parity
+/// checks reuse the exact rule.
 pub fn resolve_score_lines(
     importer: &Importer,
     db: &FlavorDb,
@@ -185,9 +188,10 @@ pub fn resolve_score_lines(
     for line in lines {
         let (mut got, _unresolved) = importer.resolve_line(db, line);
         if got.is_empty() {
-            if let Some(id) = db.ingredient_by_name(line.trim()) {
-                got.push(id);
-            }
+            let exact = db
+                .ingredient_by_name(line.trim())
+                .or_else(|| parse_quantity(line).and_then(|q| db.ingredient_by_name(&q.rest)));
+            got.extend(exact);
         }
         if !got.is_empty() {
             resolved_lines += 1;

@@ -471,6 +471,28 @@ fn score_matches_offline_import_and_score() {
 }
 
 #[test]
+fn score_reads_a_quantity_before_a_generated_name() {
+    let world = tiny_world();
+    let server = server_over(&world, ServeConfig::default());
+    let (region, ids) = probe(&world);
+    // Generated names (`syn-NNN-category`) carry a digit run, so alias
+    // resolution splits them and only the exact-name lookup finds them.
+    let name = &world.flavor.ingredient(ids[0]).unwrap().name;
+    assert!(name.starts_with("syn-"), "{name}");
+    for line in [format!("2 {name}"), format!("1 cup {name}")] {
+        let served = server.handle(
+            6,
+            &Request::Score {
+                region,
+                lines: vec![line.clone()],
+            },
+        );
+        let expected = protocol::score_body(1, 1, 1, 0.0);
+        assert!(served.contains(&expected), "{line}: {served}");
+    }
+}
+
+#[test]
 fn cache_hits_and_eviction_counters_over_a_connection() {
     let world = tiny_world();
     let cfg = ServeConfig {
