@@ -25,7 +25,7 @@ const PHRASES: &[&str] = &[
     "2 tablespoons coriander seeds, toasted and crushed",
 ];
 
-fn bench_aliasing(c: &mut Criterion) {
+fn bench_resolution(c: &mut Criterion) {
     let db = curated_db();
     let importer = Importer::from_flavor_db(&db);
     let mut resolver = AliasResolver::new();
@@ -102,5 +102,5 @@ fn bench_aliasing(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_aliasing);
+criterion_group!(benches, bench_resolution);
 criterion_main!(benches);

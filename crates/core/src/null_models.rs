@@ -346,13 +346,14 @@ impl CuisineSampler {
                                 })
                             }
                         };
-                        let exhausted = members.iter().all(|&m| scratch.contains(m));
-                        match within {
-                            Some(c) if !exhausted || !scratch.contains(c) => Some(c),
-                            _ => self.draw_distinct_masked(scratch, rng, |r| {
+                        // `within` never repeats a drawn position, so only
+                        // an exhausted pool reaches the uniform draw, which
+                        // consumes the RNG as `generate`'s does.
+                        within.or_else(|| {
+                            self.draw_distinct_masked(scratch, rng, |r| {
                                 r.random_range(0..self.n_pool) as u32
-                            }),
-                        }
+                            })
+                        })
                     };
                     match next {
                         Some(c) => {

@@ -424,24 +424,6 @@ impl OverlapCache {
                 ),
             ));
         }
-        if kept == m {
-            // Nothing new: the grown pool is a permutation of the old
-            // one, so every cell is a copy.
-            let mut tri = vec![0u16; m * m.saturating_sub(1) / 2];
-            let row_base = |i: usize| i * (2 * m - i - 1) / 2;
-            for i in 0..m {
-                for j in (i + 1)..m {
-                    // `kept == m` means every position mapped.
-                    if let (Some(a), Some(b)) = (old[i], old[j]) {
-                        tri[row_base(i) + (j - i - 1)] = self.cell(a, b);
-                    }
-                }
-            }
-            return OverlapCache::from_parts(pool, tri).ok_or_else(|| {
-                StageFailure::error("overlap.extend", 0, "triangle/pool size mismatch")
-            });
-        }
-
         // Pack every profile once (new cells pair new ingredients with
         // arbitrary rows). The universe only needs to *cover* the
         // profiles — counts are exact either way — so building it from

@@ -17,7 +17,7 @@
 //! Each is implemented three times:
 //!
 //! 1. [`scalar`] — the frozen one-word-at-a-time reference walk, kept
-//!    as the parity oracle for tests and the `bench_kernel` microbench;
+//!    as the parity oracle for tests;
 //! 2. a portable 4-lane unrolled path (`chunks_exact(4)` with four
 //!    independent accumulators, scalar tail) that breaks the popcount
 //!    dependency chain so the compiler can keep four counts in flight;
@@ -30,16 +30,16 @@
 //! The public entry points dispatch at runtime via
 //! `is_x86_feature_detected!` (the result is cached by `std`, so the
 //! check is a load-and-branch, amortized to nothing over a
-//! multi-kiloword sweep), and fall back to [`scalar`] below
-//! [`SCALAR_BELOW_WORDS`] words, where the 4-lane setup never reaches
-//! its chunked loop and is pure overhead (`bench_kernel` measured the
-//! widened path at 0.72× scalar on 1-word operands; the un-thresholded
-//! [`widened`] module stays available so the crossover remains
-//! measurable). All variants are bit-exact with [`scalar`] for every
-//! input length, including ragged tails and zero-length slices;
+//! multi-kiloword sweep), and fall back to [`scalar`] below two words,
+//! where the 4-lane setup never reaches its chunked loop and is pure
+//! overhead (a since-retired microbenchmark measured the widened path
+//! at 0.72–0.86× scalar on 1-word operands; its last numbers are in
+//! EXPERIMENTS.md). All variants are bit-exact with [`scalar`] for
+//! every input length, including ragged tails and zero-length slices;
 //! `crates/flavordb/tests/properties.rs` and the unit tests below pin
 //! that equivalence at the tail boundaries 0, 1, 3, 4, 5, 7 and 8
-//! words.
+//! words, and the unit tests pin the un-thresholded widened paths
+//! below the cutoff too.
 //!
 //! When `a` and `b` have different lengths, all operations truncate to
 //! the shorter slice (mirroring `Iterator::zip`); `and_store_popcount`
@@ -48,7 +48,7 @@
 /// One-word-at-a-time reference implementations.
 ///
 /// These are the semantics the widened paths must reproduce bit for
-/// bit; tests and `bench_kernel` call them directly.
+/// bit; tests call them directly.
 pub mod scalar {
     /// `Σ popcount(a[i] & b[i])` over the common prefix of `a` and `b`.
     #[inline]
@@ -226,19 +226,18 @@ fn have_popcnt() -> bool {
 ///
 /// One-word operands pay the lane setup for a loop that never runs
 /// (64-bit operands measured 0.86× scalar on the widened path), but
-/// from two words up the widened walk already wins — `bench_kernel`
-/// sweeps the crossover region word by word and records the measured
-/// crossover in `BENCH_kernel.json`; this cutoff matches it.
-pub const SCALAR_BELOW_WORDS: usize = 2;
+/// from two words up the widened walk already wins: the retired
+/// word-by-word crossover sweep (historical numbers in EXPERIMENTS.md)
+/// found the crossover at two words, and this cutoff matches it.
+const SCALAR_BELOW_WORDS: usize = 2;
 
 /// The dispatched lane-widened paths *without* the short-input scalar
 /// cutoff.
 ///
 /// Semantically identical to the public entry points; only the
-/// small-operand performance differs. `bench_kernel` times these
-/// against [`scalar`] to locate the crossover that justifies
-/// [`SCALAR_BELOW_WORDS`].
-pub mod widened {
+/// small-operand performance differs. The entry points call these at
+/// and above [`SCALAR_BELOW_WORDS`]; the tests call them below it too.
+mod widened {
     /// `Σ popcount(a[i] & b[i])` over the common prefix, always widened.
     #[inline]
     pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
@@ -284,8 +283,8 @@ pub mod widened {
     }
 }
 
-/// `Σ popcount(a[i] & b[i])` over the common prefix: scalar below
-/// [`SCALAR_BELOW_WORDS`] words, lane-widened above.
+/// `Σ popcount(a[i] & b[i])` over the common prefix: scalar below two
+/// words, lane-widened from two up.
 #[inline]
 pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     if a.len().min(b.len()) < SCALAR_BELOW_WORDS {
@@ -294,8 +293,8 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     widened::and_popcount(a, b)
 }
 
-/// `Σ popcount(a[i])`: scalar below [`SCALAR_BELOW_WORDS`] words,
-/// lane-widened above.
+/// `Σ popcount(a[i])`: scalar below two words, lane-widened from two
+/// up.
 #[inline]
 pub fn popcount(a: &[u64]) -> u64 {
     if a.len() < SCALAR_BELOW_WORDS {
@@ -305,7 +304,7 @@ pub fn popcount(a: &[u64]) -> u64 {
 }
 
 /// `dst = a & b`, returning the popcount of the result: scalar below
-/// [`SCALAR_BELOW_WORDS`] words, lane-widened above.
+/// two words, lane-widened from two up.
 ///
 /// Truncates to the shortest of the three slices.
 #[inline]
@@ -317,8 +316,8 @@ pub fn and_store_popcount(dst: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
 }
 
 /// `dst = src` copy, returning the popcount of the copied prefix
-/// (truncated to the shorter slice): scalar below
-/// [`SCALAR_BELOW_WORDS`] words, lane-widened above.
+/// (truncated to the shorter slice): scalar below two words,
+/// lane-widened from two up.
 #[inline]
 pub fn copy_popcount(dst: &mut [u64], src: &[u64]) -> u64 {
     if dst.len().min(src.len()) < SCALAR_BELOW_WORDS {

@@ -106,7 +106,8 @@ impl fmt::Display for ImportMode {
 
 /// Smallest batch worth fanning out: below this the pool's thread
 /// spin-up and claim-cursor traffic cost more than the resolution work
-/// (the `bench_alias` import microbench is the evidence).
+/// (measured by a since-retired import microbenchmark; DESIGN.md §11.3
+/// keeps its numbers).
 pub const SERIAL_BATCH_MIN: usize = 64;
 
 /// Statistics of one import run.

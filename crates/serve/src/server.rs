@@ -136,7 +136,6 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 pub struct RegionShard {
     region: Region,
-    pool: Vec<IngredientId>,
     overlap: OverlapCache,
     /// Mean observed ⟨N_s⟩ of the cuisine (None for a scoreless one).
     mean: OnceLock<Option<f64>>,
@@ -403,7 +402,6 @@ impl<'a> Server<'a> {
         self.obs.shard_builds.add(1);
         Ok(Some(Arc::new(RegionShard {
             region,
-            pool,
             overlap,
             mean: OnceLock::new(),
             candidates: OnceLock::new(),
@@ -651,7 +649,7 @@ impl<'a> Server<'a> {
         for c in candidates.iter().take(k) {
             let name = |local: u32| {
                 ep.flavor
-                    .ingredient_name(shard.pool[local as usize])
+                    .ingredient_name(shard.overlap.pool()[local as usize])
                     .unwrap_or("?")
                     .to_string()
             };
@@ -786,14 +784,18 @@ impl<'a> Server<'a> {
         let write_seq = AtomicU64::new(0);
         let mut reader = DeadlineReader::new(reader, &self.cfg, shutdown, &dead);
 
-        let write_payload = |payload: &str| -> io::Result<()> {
+        // The one writer of both sides: one probe index, one lock and
+        // one flush per call.
+        let write_payloads = |payloads: &[String]| -> io::Result<()> {
             fault::probe(
                 "serve.write",
                 write_seq.fetch_add(1, Ordering::Relaxed) as usize,
             )
             .map_err(io::Error::other)?;
             let mut w = lock_unpoisoned(&writer);
-            write_frame(&mut *w, payload.as_bytes())?;
+            for payload in payloads {
+                write_frame(&mut *w, payload.as_bytes())?;
+            }
             w.flush()
         };
 
@@ -804,19 +806,7 @@ impl<'a> Server<'a> {
                     self.obs.queue_depth.set(queue.depth() as i64);
                     let payloads = self.handle_batch(&batch);
                     served.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    let wrote = (|| -> io::Result<()> {
-                        fault::probe(
-                            "serve.write",
-                            write_seq.fetch_add(1, Ordering::Relaxed) as usize,
-                        )
-                        .map_err(io::Error::other)?;
-                        let mut w = lock_unpoisoned(&writer);
-                        for payload in &payloads {
-                            write_frame(&mut *w, payload.as_bytes())?;
-                        }
-                        w.flush()
-                    })();
-                    if let Err(e) = wrote {
+                    if let Err(e) = write_payloads(&payloads) {
                         dead.store(true, Ordering::SeqCst);
                         return Err(e);
                     }
@@ -839,7 +829,7 @@ impl<'a> Server<'a> {
                                 Push::Shed(depth) => {
                                     shed.fetch_add(1, Ordering::Relaxed);
                                     self.obs.busy.add(1);
-                                    if let Err(e) = write_payload(&encode_busy(id, depth)) {
+                                    if let Err(e) = write_payloads(&[encode_busy(id, depth)]) {
                                         break Err(e);
                                     }
                                 }
@@ -850,7 +840,7 @@ impl<'a> Server<'a> {
                         }
                         Err((id, e)) => {
                             proto_errors.fetch_add(1, Ordering::Relaxed);
-                            if let Err(e) = write_payload(&encode_err(id, &e)) {
+                            if let Err(e) = write_payloads(&[encode_err(id, &e)]) {
                                 break Err(e);
                             }
                         }
@@ -876,7 +866,7 @@ impl<'a> Server<'a> {
                                 "read-timeout",
                                 "frame not completed within the read deadline",
                             );
-                            let _ = write_payload(&encode_err(0, &e));
+                            let _ = write_payloads(&[encode_err(0, &e)]);
                             break Ok(());
                         }
                         None => break Err(e),
@@ -886,7 +876,7 @@ impl<'a> Server<'a> {
                         // the byte stream is no longer trustworthy.
                         proto_errors.fetch_add(1, Ordering::Relaxed);
                         let e = ProtoError::new("bad-frame", frame_err.to_string());
-                        let _ = write_payload(&encode_err(0, &e));
+                        let _ = write_payloads(&[encode_err(0, &e)]);
                         break Ok(());
                     }
                 }

@@ -143,7 +143,7 @@ mod registry {
     static ACTIVE: AtomicBool = AtomicBool::new(false);
     static PLAN: RwLock<Option<FaultPlan>> = RwLock::new(None);
     /// Serializes tests that install global plans (see [`with_plan`]).
-    static GUARD: Mutex<()> = Mutex::new(());
+    pub(super) static GUARD: Mutex<()> = Mutex::new(());
 
     /// Install `plan` process-wide; subsequent probes consult it.
     pub fn install(plan: FaultPlan) {
@@ -198,10 +198,12 @@ mod registry {
         }
     }
 
-    /// Filter the panic hook so intentional `"injected panic at …"`
+    /// Filter the panic hook so the probe's own `"injected panic at …"`
     /// payloads (raised inside worker threads during fault tests) do
     /// not spray backtraces into test output. Installed once; every
-    /// other panic still reaches the previous hook.
+    /// other panic still reaches the previous hook, including one whose
+    /// message only quotes an injected fault (a failed assert, or a
+    /// panicking wrapper around an injected error).
     pub fn silence_injected_panics() {
         static HOOK: Once = Once::new();
         HOOK.call_once(|| {
@@ -213,7 +215,7 @@ mod registry {
                     .map(|s| (*s).to_string())
                     .or_else(|| info.payload().downcast_ref::<String>().cloned())
                     .unwrap_or_default();
-                if !msg.contains("injected") {
+                if !msg.starts_with("injected panic at ") {
                     prev(info);
                 }
             }));
@@ -291,6 +293,27 @@ mod tests {
     mod live {
         use super::super::*;
 
+        /// The plan lock, for checks that must not see another test's
+        /// plan: outside it, any test's `with_plan` may install one.
+        fn plan_lock() -> std::sync::MutexGuard<'static, ()> {
+            registry::GUARD.lock().unwrap_or_else(|p| p.into_inner())
+        }
+
+        #[test]
+        fn with_plan_clears_the_plan_on_exit() {
+            silence_injected_panics();
+            let plan = FaultPlan::new().fail("world.block", 1, FaultKind::Panic);
+            with_plan(plan.clone(), || assert!(active()));
+            {
+                let _lock = plan_lock();
+                assert!(!active(), "plan left active after a normal exit");
+            }
+            let caught = std::panic::catch_unwind(|| with_plan(plan, || probe("world.block", 1)));
+            assert!(caught.is_err(), "the planted panic fires");
+            let _lock = plan_lock();
+            assert!(!active(), "plan left active after a panic");
+        }
+
         #[test]
         fn probe_fires_only_under_an_installed_plan() {
             let plan = FaultPlan::new().fail("mc.block", 2, FaultKind::Error);
@@ -306,6 +329,7 @@ mod tests {
                 );
                 assert_eq!(probe("other", 2), Ok(()));
             });
+            let _lock = plan_lock();
             assert!(!active());
             assert_eq!(probe("mc.block", 2), Ok(()));
         }

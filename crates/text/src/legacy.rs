@@ -5,8 +5,9 @@
 //! `join(" ")` and probes a `HashMap<String, _>` per candidate, and its
 //! fuzzy pass scans length-adjacent buckets running Damerau–Levenshtein
 //! against every key. It is deliberately **unoptimized and frozen**:
-//! `bench_alias` times the trie resolver against it, and a property
-//! test plus the harness's corpus sweep assert the two produce
+//! the `aliasing` criterion bench times the trie resolver against it,
+//! and a property test plus a sweep of the curated lexicon
+//! (`crates/recipedb/tests/alias_parity.rs`) assert the two produce
 //! byte-identical [`Resolution`]s. Do not "improve" this module — its
 //! value is being the independently-written specification.
 

@@ -13,8 +13,10 @@
 //!    network edges, single-cuisine runs for the flattened world queue).
 //!
 //! `fault::with_plan` serializes plan installation behind a global
-//! lock, so these tests are safe under the default parallel test
-//! runner.
+//! lock, and every step below that reaches a probe runs inside one:
+//! the faulted step under its plan, set-up and reference runs under an
+//! empty plan. So no test's plan can fire in another test's step, and
+//! the suite is safe under the default parallel test runner.
 
 #![cfg(feature = "fault-injection")]
 
@@ -108,7 +110,6 @@ fn empty_plan_leaves_every_stage_bit_identical() {
             }
         }
     });
-    assert!(!fault::active());
 }
 
 #[test]
@@ -178,7 +179,9 @@ fn mc_block_faults_are_deterministic_across_threads() {
     let world = tiny_world();
     let cuisine = world.recipes.cuisine(Region::Italy);
     let sampler = CuisineSampler::build(&world.flavor, &cuisine).unwrap();
-    let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
+    let cache = fault::with_plan(FaultPlan::new(), || {
+        OverlapCache::for_cuisine(&world.flavor, &cuisine)
+    });
     let off = Metrics::disabled();
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
@@ -231,7 +234,7 @@ fn ktuple_block_faults_are_deterministic_across_threads() {
     }
     // Transparent when no fault matches the stage.
     let clean = fault::with_plan(plan("unrelated.stage", 0, FaultKind::Error), || run(2));
-    assert_eq!(clean, run(2));
+    assert_eq!(clean, fault::with_plan(FaultPlan::new(), || run(2)));
 }
 
 #[test]
@@ -300,7 +303,9 @@ fn engine_failures_bump_error_counters() {
     let world = tiny_world();
     let cuisine = world.recipes.cuisine(Region::Italy);
     let sampler = CuisineSampler::build(&world.flavor, &cuisine).unwrap();
-    let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
+    let cache = fault::with_plan(FaultPlan::new(), || {
+        OverlapCache::for_cuisine(&world.flavor, &cuisine)
+    });
     let metrics = Metrics::enabled();
     fault::with_plan(plan("mc.block", 0, FaultKind::Error), || {
         let failure =
@@ -434,28 +439,31 @@ fn segment_scratch(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Reopen `dir` (plan cleared) and check the surviving prefix replays
-/// bit-identically to a cold batch import of the same raws.
+/// Reopen `dir` under an empty plan and check the surviving prefix
+/// replays bit-identically to a cold batch import of the same raws.
 fn assert_recovered_prefix_replays(dir: &std::path::Path, raws: &[RawRecipe]) {
     let db = culinaria::flavordb::curated::curated_db();
     let importer = Importer::from_flavor_db(&db);
-    let log = SegmentedLog::open(dir, FsyncPolicy::Off, 0).expect("reopen after fault");
-    let n = log.len();
-    assert!(n <= raws.len(), "recovered log invented records");
-    let mut cold = RecipeStore::new();
-    let cold_stats = importer
-        .import_batch(&db, &mut cold, &raws[..n], 1)
-        .expect("cold import");
-    let cold_bytes = culinaria::recipedb::io::to_snapshot(&cold).expect("cold snapshot");
-    for threads in THREAD_COUNTS {
-        let (store, stats) = log.replay(&db, &importer, threads).expect("prefix replays");
-        assert_eq!(stats, cold_stats, "stats diverged at {threads} threads");
-        assert_eq!(
-            culinaria::recipedb::io::to_snapshot(&store).expect("replay snapshot"),
-            cold_bytes,
-            "store bytes diverged at {threads} threads"
-        );
-    }
+    // Import and replay probe `import.recipe`.
+    fault::with_plan(FaultPlan::new(), || {
+        let log = SegmentedLog::open(dir, FsyncPolicy::Off, 0).expect("reopen after fault");
+        let n = log.len();
+        assert!(n <= raws.len(), "recovered log invented records");
+        let mut cold = RecipeStore::new();
+        let cold_stats = importer
+            .import_batch(&db, &mut cold, &raws[..n], 1)
+            .expect("cold import");
+        let cold_bytes = culinaria::recipedb::io::to_snapshot(&cold).expect("cold snapshot");
+        for threads in THREAD_COUNTS {
+            let (store, stats) = log.replay(&db, &importer, threads).expect("prefix replays");
+            assert_eq!(stats, cold_stats, "stats diverged at {threads} threads");
+            assert_eq!(
+                culinaria::recipedb::io::to_snapshot(&store).expect("replay snapshot"),
+                cold_bytes,
+                "store bytes diverged at {threads} threads"
+            );
+        }
+    });
 }
 
 #[test]
