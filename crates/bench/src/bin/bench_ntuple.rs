@@ -10,14 +10,17 @@
 //! * **Monte-Carlo ensembles** — the Random-model null per cuisine,
 //!   both paths consuming identical block-seeded PRNG streams.
 //!
-//! Parity is asserted to the bit on every score and every ensemble,
-//! and the pooled ensembles are re-run — and now *timed* — on 1, 2, 4
-//! and 8 threads, producing a `scaling` curve with a parity flag at
-//! every point. The summary lands in `BENCH_ntuple.json`.
+//! Both paths run on one thread, so each `speedup` compares serial
+//! with serial. Parity is asserted to the bit on every score and every
+//! ensemble, and the pooled ensembles are re-run — and timed — on 1, 2,
+//! 4 and 8 threads, producing a `scaling` curve with a parity flag at
+//! every point. The summary lands in `BENCH_ntuple.json`, stamped with
+//! the CPU model (the first `model name` in `/proc/cpuinfo`), the
+//! available cores and the commit (`git rev-parse --short HEAD` of the
+//! working directory); a stamp it cannot read is `"unknown"`.
 //!
 //! Knobs: `CULINARIA_SCALE` (default 0.1), `CULINARIA_NTUPLE_MC`
 //! (default 10000), `CULINARIA_SEED` (default 2018),
-//! `CULINARIA_THREADS` (default 0 = available parallelism),
 //! `CULINARIA_BENCH_OUT` (default `BENCH_ntuple.json`).
 
 use std::time::Instant;
@@ -32,7 +35,6 @@ use culinaria_core::null_models::{CuisineSampler, NullModel};
 use culinaria_datagen::{generate_world, WorldConfig};
 use culinaria_obs::Metrics;
 use culinaria_recipedb::Region;
-use culinaria_stats::pool;
 use culinaria_stats::rng::{derive_seed, derive_seed_labeled};
 use culinaria_stats::{NullEnsemble, RunningStats};
 
@@ -66,6 +68,37 @@ fn baseline_ktuple_ensemble(
     NullEnsemble::from_running(&total)
 }
 
+/// The kernel's thread count for the headline timings: the frozen
+/// baseline is serial, so the kernel is too.
+const HEADLINE_THREADS: usize = 1;
+
+/// The first `model name` in `/proc/cpuinfo`, or `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .filter_map(|line| line.split_once(':'))
+                .find(|(key, _)| key.trim() == "model name")
+                .map(|(_, name)| name.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// `git rev-parse --short HEAD` in the working directory, or
+/// `"unknown"`.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|hash| hash.trim().to_string())
+        .filter(|hash| !hash.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Timings of one order k, both paths.
 struct KReport {
     k: usize,
@@ -90,7 +123,6 @@ impl KReport {
 fn main() {
     let scale: f64 = env_or("CULINARIA_SCALE", 0.1);
     let seed: u64 = env_or("CULINARIA_SEED", 2018);
-    let n_threads: usize = env_or("CULINARIA_THREADS", 0);
     let n_mc: usize = env_or("CULINARIA_NTUPLE_MC", 10_000);
     let out_path: String = env_or("CULINARIA_BENCH_OUT", "BENCH_ntuple.json".to_string());
     let mut world_cfg = WorldConfig::paper();
@@ -130,7 +162,7 @@ fn main() {
             .collect();
         let baseline_observed_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        // Observed sweep: bitset kernel on the pool.
+        // Observed sweep: bitset kernel, serial.
         let t = Instant::now();
         let optimized_obs: Vec<f64> = regions
             .iter()
@@ -139,7 +171,7 @@ fn main() {
                     &world.flavor,
                     &world.recipes.cuisine(*region),
                     k,
-                    n_threads,
+                    HEADLINE_THREADS,
                 )
             })
             .collect();
@@ -170,11 +202,8 @@ fn main() {
             .collect();
         let baseline_mc_ms = t.elapsed().as_secs_f64() * 1e3;
 
-        // Monte-Carlo: pooled kernel ensembles.
-        eprintln!(
-            "k={k}: kernel Monte-Carlo on {} threads",
-            pool::effective_threads(n_threads)
-        );
+        // Monte-Carlo: kernel ensembles, serial.
+        eprintln!("k={k}: kernel Monte-Carlo, {n_mc} recipes x {n_regions} regions");
         let t = Instant::now();
         let optimized_mc: Vec<Option<NullEnsemble>> = regions
             .iter()
@@ -184,7 +213,7 @@ fn main() {
                 let cfg = MonteCarloConfig {
                     n_recipes: n_mc,
                     seed: *rseed,
-                    n_threads,
+                    n_threads: HEADLINE_THREADS,
                 };
                 ktuple_null_ensemble(
                     &scorer,
@@ -309,12 +338,13 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"ntuple_kway_kernel\",\n  \"n_regions\": {n_regions},\n  \
          \"n_recipes_per_ensemble\": {n_mc},\n  \"recipe_scale\": {scale},\n  \
-         \"seed\": {seed},\n  \"n_threads_requested\": {n_threads},\n  \
-         \"n_threads_effective\": {eff},\n  \"available_cores\": {cores},\n\
+         \"seed\": {seed},\n  \"cpu_model\": \"{cpu}\",\n  \
+         \"available_cores\": {cores},\n  \"commit\": \"{commit}\",\n\
          {per_k},\n  \"scaling\": [\n{scaling}\n  ],\n  \
          \"thread_counts_checked\": [1, 2, 4, 8],\n  \
          \"parity\": \"bit-identical\"\n}}\n",
-        eff = pool::effective_threads(n_threads),
+        cpu = cpu_model(),
+        commit = commit(),
         cores = std::thread::available_parallelism().map_or(1, |n| n.get()),
         per_k = per_k.join(",\n"),
         scaling = scaling.join(",\n"),

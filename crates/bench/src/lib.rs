@@ -37,12 +37,11 @@
 //!   command line, which takes precedence over the variable.
 //!
 //! Every harness reads its numeric knobs, these and `bench_ntuple`'s
-//! own (`CULINARIA_NTUPLE_MC`, `CULINARIA_THREADS`,
-//! `CULINARIA_BENCH_OUT`), through [`env_or`]. An unset knob
-//! takes its default. A set knob that does not parse is an error, as a
-//! malformed CLI flag is: `CULINARIA_SCALE=0.0l` prints
-//! `error: CULINARIA_SCALE: cannot parse "0.0l"` and exits with code 2
-//! instead of running at the default.
+//! own (`CULINARIA_NTUPLE_MC`, `CULINARIA_BENCH_OUT`), through
+//! [`env_or`]. An unset knob takes its default. A set knob that does
+//! not parse is an error, as a malformed CLI flag is:
+//! `CULINARIA_SCALE=0.0l` prints `error: CULINARIA_SCALE: cannot parse
+//! "0.0l"` and exits with code 2 instead of running at the default.
 
 use culinaria_core::MonteCarloConfig;
 use culinaria_datagen::{generate_world, World, WorldConfig};

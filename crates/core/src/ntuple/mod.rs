@@ -84,11 +84,11 @@ impl KTupleKernel {
             .iter()
             .map(|&id| view.profile_molecules(id).expect("live ingredient"))
             .collect();
-        let universe = MoleculeUniverse::build_from_slices(profiles.iter().copied());
+        let universe = MoleculeUniverse::build(profiles.iter().copied());
         let words = universe.words();
         let mut bits = Vec::with_capacity(pool.len() * words);
         for p in &profiles {
-            bits.extend_from_slice(universe.pack_ids(p).words());
+            bits.extend_from_slice(universe.pack(p).words());
         }
         let local = pool
             .iter()

@@ -281,13 +281,13 @@ impl OverlapCache {
                 Err(e) => return Err(dead_pool_id(i, id, e).record(metrics)),
             }
         }
-        let universe = MoleculeUniverse::build_from_slices(profiles.iter().copied());
+        let universe = MoleculeUniverse::build(profiles.iter().copied());
         let words = universe.words();
         // One flat row-major matrix: row i at `i*words..(i+1)*words`.
         // Tiles slice strips out of it without chasing Vec pointers.
         let mut bits: Vec<u64> = Vec::with_capacity(n * words);
         for p in &profiles {
-            bits.extend_from_slice(universe.pack_ids(p).words());
+            bits.extend_from_slice(universe.pack(p).words());
         }
         pack_guard.stop();
 
@@ -444,11 +444,11 @@ impl OverlapCache {
                 }
             }
         }
-        let universe = MoleculeUniverse::build_from_slices(profiles.iter().copied());
+        let universe = MoleculeUniverse::build(profiles.iter().copied());
         let words = universe.words();
         let mut bits: Vec<u64> = Vec::with_capacity(m * words);
         for p in &profiles {
-            bits.extend_from_slice(universe.pack_ids(p).words());
+            bits.extend_from_slice(universe.pack(p).words());
         }
 
         let mut tri = vec![0u16; m * m.saturating_sub(1) / 2];
@@ -1199,11 +1199,11 @@ mod tests {
             [99u32].into_iter().collect(),
             [0u32, 64, 130].into_iter().collect(),
         ];
-        let universe = MoleculeUniverse::build(profiles.iter());
+        let universe = MoleculeUniverse::build(profiles.iter().map(FlavorProfile::molecules));
         let words = universe.words();
         let mut bits = Vec::new();
         for p in &profiles {
-            bits.extend_from_slice(universe.pack(p).words());
+            bits.extend_from_slice(universe.pack(p.molecules()).words());
         }
         let members: Vec<u32> = (0..profiles.len() as u32).collect();
         let mut scratch = IntersectScratch::new();

@@ -209,9 +209,11 @@ impl RegionGen {
             .iter()
             .map(|&id| &flavor.ingredient(id).expect("live id").profile)
             .collect();
-        let universe = MoleculeUniverse::build(chosen_profiles.iter().copied());
-        let chosen_bits: Vec<BitProfile> =
-            chosen_profiles.iter().map(|p| universe.pack(p)).collect();
+        let universe = MoleculeUniverse::build(chosen_profiles.iter().map(|p| p.molecules()));
+        let chosen_bits: Vec<BitProfile> = chosen_profiles
+            .iter()
+            .map(|p| universe.pack(p.molecules()))
+            .collect();
 
         // Similarity-aware popularity ranking. Base order follows the
         // category-preference weight (Fig 2 meets Fig 3b), but the
@@ -692,8 +694,9 @@ mod tests {
                 popularity_similarity_bias: alpha,
                 ..WorldConfig::tiny()
             };
-            let universe = MoleculeUniverse::build(&profiles);
-            let bits: Vec<BitProfile> = profiles.iter().map(|p| universe.pack(p)).collect();
+            let universe = MoleculeUniverse::build(profiles.iter().map(FlavorProfile::molecules));
+            let bits: Vec<BitProfile> =
+                profiles.iter().map(|p| universe.pack(p.molecules())).collect();
             let refs: Vec<&FlavorProfile> = profiles.iter().collect();
             prop_assert_eq!(
                 similarity_aware_ranking(&cfg, positive, &weights, &bits),

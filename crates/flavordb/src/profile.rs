@@ -164,18 +164,10 @@ pub struct MoleculeUniverse {
 }
 
 impl MoleculeUniverse {
-    /// Collect the universe of every molecule in `profiles`.
-    pub fn build<'a>(profiles: impl IntoIterator<Item = &'a FlavorProfile>) -> MoleculeUniverse {
-        MoleculeUniverse::build_from_slices(profiles.into_iter().map(|p| p.molecules()))
-    }
-
-    /// Collect the universe from raw sorted-id slices — the borrowed
-    /// twin of [`MoleculeUniverse::build`], used when profiles live in
-    /// a zero-copy artifact instead of owned [`FlavorProfile`]s. The
-    /// result is identical for the same id multisets.
-    pub fn build_from_slices<'a>(
-        profiles: impl IntoIterator<Item = &'a [MoleculeId]>,
-    ) -> MoleculeUniverse {
+    /// Collect the universe of every molecule in `profiles`, given as
+    /// sorted-id slices: an owned [`FlavorProfile::molecules`] or a run
+    /// borrowed from a zero-copy artifact.
+    pub fn build<'a>(profiles: impl IntoIterator<Item = &'a [MoleculeId]>) -> MoleculeUniverse {
         let mut molecules: Vec<MoleculeId> = Vec::new();
         for p in profiles {
             molecules.extend_from_slice(p);
@@ -205,16 +197,11 @@ impl MoleculeUniverse {
         self.molecules.binary_search(&id).ok()
     }
 
-    /// Pack a profile into bit words over this universe. Molecules
-    /// outside the universe are dropped — callers build the universe
-    /// from the same pool they pack, so nothing is lost in practice.
-    pub fn pack(&self, profile: &FlavorProfile) -> BitProfile {
-        self.pack_ids(&profile.molecules)
-    }
-
-    /// Pack a raw id slice — the borrowed twin of
-    /// [`MoleculeUniverse::pack`], bit-identical for the same ids.
-    pub fn pack_ids(&self, molecules: &[MoleculeId]) -> BitProfile {
+    /// Pack a profile's molecule ids into bit words over this universe.
+    /// Molecules outside the universe are dropped — callers build the
+    /// universe from the same pool they pack, so nothing is lost in
+    /// practice.
+    pub fn pack(&self, molecules: &[MoleculeId]) -> BitProfile {
         let mut words = vec![0u64; self.words()];
         for &m in molecules {
             if let Some(bit) = self.bit_of(m) {
@@ -350,7 +337,7 @@ mod tests {
     #[test]
     fn universe_collects_sorted_distinct() {
         let ps = [profile(&[9, 1]), profile(&[1, 70]), profile(&[200])];
-        let u = MoleculeUniverse::build(ps.iter());
+        let u = MoleculeUniverse::build(ps.iter().map(FlavorProfile::molecules));
         assert_eq!(u.len(), 4);
         assert_eq!(u.words(), 1);
         assert_eq!(u.bit_of(MoleculeId(1)), Some(0));
@@ -365,8 +352,12 @@ mod tests {
         let a = profile(&[0, 63, 64, 65, 127, 128, 250, 300]);
         let b = profile(&[1, 63, 65, 128, 129, 300]);
         let c = profile(&[2, 4, 6]);
-        let u = MoleculeUniverse::build([&a, &b, &c]);
-        let (ba, bb, bc) = (u.pack(&a), u.pack(&b), u.pack(&c));
+        let u = MoleculeUniverse::build([a.molecules(), b.molecules(), c.molecules()]);
+        let (ba, bb, bc) = (
+            u.pack(a.molecules()),
+            u.pack(b.molecules()),
+            u.pack(c.molecules()),
+        );
         assert_eq!(ba.shared_count(&bb), a.shared_count(&b));
         assert_eq!(ba.shared_count(&bc), a.shared_count(&c));
         assert_eq!(bb.shared_count(&bc), b.shared_count(&c));
@@ -377,28 +368,17 @@ mod tests {
     #[test]
     fn pack_drops_out_of_universe_molecules() {
         let base = profile(&[1, 2, 3]);
-        let u = MoleculeUniverse::build([&base]);
-        let packed = u.pack(&profile(&[2, 3, 99]));
+        let u = MoleculeUniverse::build([base.molecules()]);
+        let packed = u.pack(profile(&[2, 3, 99]).molecules());
         assert_eq!(packed.count_ones(), 2);
-        assert_eq!(packed.shared_count(&u.pack(&base)), 2);
-    }
-
-    #[test]
-    fn slice_twins_match_owned_paths() {
-        let ps = [profile(&[9, 1]), profile(&[1, 70]), profile(&[200])];
-        let owned = MoleculeUniverse::build(ps.iter());
-        let borrowed = MoleculeUniverse::build_from_slices(ps.iter().map(FlavorProfile::molecules));
-        assert_eq!(owned.molecules, borrowed.molecules);
-        for p in &ps {
-            assert_eq!(owned.pack(p), borrowed.pack_ids(p.molecules()));
-        }
+        assert_eq!(packed.shared_count(&u.pack(base.molecules())), 2);
     }
 
     #[test]
     fn empty_universe_and_profiles() {
-        let u = MoleculeUniverse::build(std::iter::empty::<&FlavorProfile>());
+        let u = MoleculeUniverse::build(std::iter::empty::<&[MoleculeId]>());
         assert_eq!(u.words(), 0);
-        let e = u.pack(&FlavorProfile::empty());
+        let e = u.pack(FlavorProfile::empty().molecules());
         assert_eq!(e.count_ones(), 0);
         assert_eq!(e.shared_count(&e), 0);
     }

@@ -51,9 +51,14 @@ proptest! {
         // the lane-widened packed AND+popcount must agree with the
         // frozen sorted-merge walk at any universe width (ids up to
         // 600 → up to 10 words, crossing the 4-word lane boundary).
-        let universe = MoleculeUniverse::build([&a, &b].into_iter().chain(extra.iter()));
-        let pa = universe.pack(&a);
-        let pb = universe.pack(&b);
+        let universe = MoleculeUniverse::build(
+            [&a, &b]
+                .into_iter()
+                .chain(extra.iter())
+                .map(FlavorProfile::molecules),
+        );
+        let pa = universe.pack(a.molecules());
+        let pb = universe.pack(b.molecules());
         prop_assert_eq!(pa.shared_count(&pb), a.shared_count(&b));
         prop_assert_eq!(pb.shared_count(&pa), a.shared_count(&b));
         prop_assert_eq!(pa.count_ones(), a.len());

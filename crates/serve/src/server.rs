@@ -799,20 +799,25 @@ impl<'a> Server<'a> {
             w.flush()
         };
 
+        // The batcher runs under the connection thread's fault plan, so
+        // `serve.write` fires for batch replies too.
+        let plan = fault::current();
         let result: io::Result<()> = std::thread::scope(|scope| {
-            let batcher = scope.spawn(|| -> io::Result<()> {
-                let mut batch: Vec<(u64, Request)> = Vec::new();
-                while queue.drain_batch(self.cfg.batch_max, &mut batch) {
-                    self.obs.queue_depth.set(queue.depth() as i64);
-                    let payloads = self.handle_batch(&batch);
-                    served.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    if let Err(e) = write_payloads(&payloads) {
-                        dead.store(true, Ordering::SeqCst);
-                        return Err(e);
+            let batcher = scope.spawn(|| {
+                fault::inherit(plan, || -> io::Result<()> {
+                    let mut batch: Vec<(u64, Request)> = Vec::new();
+                    while queue.drain_batch(self.cfg.batch_max, &mut batch) {
+                        self.obs.queue_depth.set(queue.depth() as i64);
+                        let payloads = self.handle_batch(&batch);
+                        served.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                        if let Err(e) = write_payloads(&payloads) {
+                            dead.store(true, Ordering::SeqCst);
+                            return Err(e);
+                        }
+                        batch.clear();
                     }
-                    batch.clear();
-                }
-                Ok(())
+                    Ok(())
+                })
             });
 
             let read_result: io::Result<()> = loop {

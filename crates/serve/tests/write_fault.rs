@@ -1,12 +1,9 @@
-//! The `serve.write` fault probe (`--features fault-injection`).
+//! The `serve.write` fault probe.
 //!
-//! A fault plan is process-wide and the probe's index counts writes per
-//! connection, so while the plan is armed any other connection in the
-//! process would lose its first reply and wait for it forever. This
-//! test therefore has a test binary to itself: Cargo runs integration
-//! test binaries one at a time.
-
-#![cfg(feature = "fault-injection")]
+//! The probe's index counts writes per connection, and a fault plan
+//! belongs to the thread that installs it: `serve_one` hands the test
+//! thread's plan to the connection thread it starts, whose batcher
+//! inherits it in turn. Connections served anywhere else never see it.
 
 use std::io;
 use std::os::unix::net::UnixStream;
@@ -17,8 +14,9 @@ use culinaria_obs::Metrics;
 use culinaria_serve::{arm, Client, ConnStats, ServeConfig, Server};
 use culinaria_stats::fault::{self, FaultKind, FaultPlan};
 
-/// Serve one armed connection while `f` drives its client; returns what
-/// `serve_connection` returned once `f` has dropped the client.
+/// Serve one armed connection, under the caller's fault plan, while `f`
+/// drives its client; returns what `serve_connection` returned once `f`
+/// has dropped the client.
 fn serve_one<F>(server: &Server<'_>, f: F) -> io::Result<ConnStats>
 where
     F: FnOnce(Client<UnixStream>),
@@ -27,7 +25,9 @@ where
     arm(&server_side, server.config()).expect("arm");
     std::thread::scope(|scope| {
         let reader = server_side.try_clone().expect("clone");
-        let handle = scope.spawn(move || server.serve_connection(reader, server_side));
+        let plan = fault::current();
+        let handle = scope
+            .spawn(move || fault::inherit(plan, || server.serve_connection(reader, server_side)));
         f(Client::new(client_side));
         handle.join().expect("server thread")
     })
@@ -60,7 +60,7 @@ fn injected_write_fault_kills_the_connection_not_the_server() {
         },
     );
     assert!(failed.is_err(), "injected write fault must surface");
-    // A fresh connection (plan cleared) serves normally.
+    // A fresh connection outside the plan serves normally.
     let stats = serve_one(&server, |mut client| {
         assert_eq!(client.call(1, "PING").unwrap(), "OK pong");
     })

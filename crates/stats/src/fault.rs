@@ -2,27 +2,28 @@
 //!
 //! A [`FaultPlan`] is a list of "fail task `index` of stage `stage`
 //! with a panic | an error" rules. Pipeline stages call
-//! [`probe`]`(stage, index)` at the top of each task; when the
-//! `fault-injection` cargo feature is enabled and a plan is installed,
-//! a matching rule fires deterministically — either returning an
-//! [`InjectedFault`] error or panicking with a stable message. With the
-//! feature disabled (the default, including all release builds),
-//! [`probe`] is a `#[inline(always)]` constant `Ok(())` and the whole
-//! mechanism compiles away.
+//! [`probe`]`(stage, index)` at the top of each task; when the calling
+//! thread runs under a plan with a matching rule, the rule fires
+//! deterministically — either returning an [`InjectedFault`] error or
+//! panicking with a stable message. Everywhere else [`probe`] returns
+//! `Ok(())`.
+//!
+//! A plan belongs to the thread that installs it, for the length of
+//! one closure ([`with_plan`]). The threads a run starts on that
+//! thread's behalf carry it along through [`current`] and [`inherit`]:
+//! [`crate::pool`] hands the caller's plan to each worker it starts,
+//! and serve's batcher takes its connection thread's. No other thread
+//! ever sees it, so tests that install plans need no lock and run in
+//! parallel, and a process that never installs one reads an empty
+//! thread-local at each probe (about 3 ns; DESIGN.md §10.4).
 //!
 //! Plans can be written explicitly ([`FaultPlan::fail`]) or generated
 //! from a seed ([`FaultPlan::seeded`]) so randomized sweeps are
-//! replayable. The plan registry is process-global (the probes live
-//! deep inside worker threads, far from any place a handle could be
-//! threaded through), so tests that install plans must serialize —
-//! `with_plan` (feature-gated like the registry) does the
-//! install/run/clear dance under a global lock.
-//!
-//! The types themselves are always compiled so test code can construct
-//! plans without feature gymnastics; only the registry and the live
-//! probe are gated.
+//! replayable.
 
+use std::cell::RefCell;
 use std::fmt;
+use std::sync::Once;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -134,104 +135,74 @@ impl fmt::Display for InjectedFault {
 
 impl std::error::Error for InjectedFault {}
 
-#[cfg(feature = "fault-injection")]
-mod registry {
-    use super::{FaultKind, FaultPlan, InjectedFault};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Mutex, Once, RwLock};
+thread_local! {
+    /// The calling thread's plan (see module docs).
+    static PLAN: RefCell<Option<FaultPlan>> = const { RefCell::new(None) };
+}
 
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    static PLAN: RwLock<Option<FaultPlan>> = RwLock::new(None);
-    /// Serializes tests that install global plans (see [`with_plan`]).
-    pub(super) static GUARD: Mutex<()> = Mutex::new(());
+/// The calling thread's plan, for a thread it starts to [`inherit`].
+pub fn current() -> Option<FaultPlan> {
+    PLAN.with_borrow(Clone::clone)
+}
 
-    /// Install `plan` process-wide; subsequent probes consult it.
-    pub fn install(plan: FaultPlan) {
-        let mut slot = PLAN.write().unwrap_or_else(|p| p.into_inner());
-        ACTIVE.store(!plan.is_empty(), Ordering::Release);
-        *slot = Some(plan);
-    }
-
-    /// Remove any installed plan; probes become inert again.
-    pub fn clear() {
-        let mut slot = PLAN.write().unwrap_or_else(|p| p.into_inner());
-        ACTIVE.store(false, Ordering::Release);
-        *slot = None;
-    }
-
-    /// True when a non-empty plan is installed.
-    pub fn active() -> bool {
-        ACTIVE.load(Ordering::Acquire)
-    }
-
-    /// Run `f` with `plan` installed, clearing it afterwards (also on
-    /// panic) and holding a global lock so concurrent tests cannot see
-    /// each other's plans.
-    pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
-        let _guard = GUARD.lock().unwrap_or_else(|p| p.into_inner());
-        struct Clear;
-        impl Drop for Clear {
-            fn drop(&mut self) {
-                super::registry::clear();
-            }
-        }
-        let _clear = Clear;
-        install(plan);
-        f()
-    }
-
-    /// The live probe: fire the matching rule, if any.
-    pub fn probe(stage: &str, index: usize) -> Result<(), InjectedFault> {
-        if !ACTIVE.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let slot = PLAN.read().unwrap_or_else(|p| p.into_inner());
-        let Some(kind) = slot.as_ref().and_then(|p| p.lookup(stage, index)) else {
-            return Ok(());
-        };
-        match kind {
-            FaultKind::Panic => panic!("injected panic at {stage}[{index}]"),
-            FaultKind::Error => Err(InjectedFault {
-                stage: stage.to_string(),
-                index,
-            }),
+/// Run `f` with `plan` as the calling thread's plan (`None`: no plan),
+/// restoring the previous one afterwards, also on panic.
+pub fn inherit<R>(plan: Option<FaultPlan>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<FaultPlan>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PLAN.set(self.0.take());
         }
     }
+    let _restore = Restore(PLAN.replace(plan));
+    f()
+}
 
-    /// Filter the panic hook so the probe's own `"injected panic at …"`
-    /// payloads (raised inside worker threads during fault tests) do
-    /// not spray backtraces into test output. Installed once; every
-    /// other panic still reaches the previous hook, including one whose
-    /// message only quotes an injected fault (a failed assert, or a
-    /// panicking wrapper around an injected error).
-    pub fn silence_injected_panics() {
-        static HOOK: Once = Once::new();
-        HOOK.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let msg = info
-                    .payload()
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| info.payload().downcast_ref::<String>().cloned())
-                    .unwrap_or_default();
-                if !msg.starts_with("injected panic at ") {
-                    prev(info);
-                }
-            }));
-        });
+/// Run `f` with `plan` installed on the calling thread (see
+/// [`inherit`]).
+pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
+    inherit(Some(plan), f)
+}
+
+/// True when the calling thread runs under a non-empty plan.
+pub fn active() -> bool {
+    PLAN.with_borrow(|plan| plan.as_ref().is_some_and(|p| !p.is_empty()))
+}
+
+/// Fire the calling thread's rule for `(stage, index)`, if it has one.
+pub fn probe(stage: &str, index: usize) -> Result<(), InjectedFault> {
+    match PLAN.with_borrow(|plan| plan.as_ref().and_then(|p| p.lookup(stage, index))) {
+        None => Ok(()),
+        Some(FaultKind::Panic) => panic!("injected panic at {stage}[{index}]"),
+        Some(FaultKind::Error) => Err(InjectedFault {
+            stage: stage.to_string(),
+            index,
+        }),
     }
 }
 
-#[cfg(feature = "fault-injection")]
-pub use registry::{active, clear, install, probe, silence_injected_panics, with_plan};
-
-/// Inert probe: with the `fault-injection` feature disabled this is a
-/// constant `Ok(())` the optimizer deletes.
-#[cfg(not(feature = "fault-injection"))]
-#[inline(always)]
-pub fn probe(_stage: &str, _index: usize) -> Result<(), InjectedFault> {
-    Ok(())
+/// Filter the panic hook so the probe's own `"injected panic at …"`
+/// payloads (raised inside worker threads during fault tests) do not
+/// spray backtraces into test output. Installed once; every other
+/// panic still reaches the previous hook, including one whose message
+/// only quotes an injected fault (a failed assert, or a panicking
+/// wrapper around an injected error).
+pub fn silence_injected_panics() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let msg = info
+                .payload()
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| info.payload().downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            if !msg.starts_with("injected panic at ") {
+                prev(info);
+            }
+        }));
+    });
 }
 
 #[cfg(test)]
@@ -283,34 +254,26 @@ mod tests {
         assert_eq!(fault.to_string(), "injected fault at mc.block[12]");
     }
 
-    #[cfg(not(feature = "fault-injection"))]
     #[test]
     fn probe_is_inert_without_the_feature() {
+        // No plan was ever installed on this thread.
+        assert!(!active());
+        assert_eq!(current(), None);
         assert_eq!(probe("mc.block", 0), Ok(()));
     }
 
-    #[cfg(feature = "fault-injection")]
     mod live {
         use super::super::*;
-
-        /// The plan lock, for checks that must not see another test's
-        /// plan: outside it, any test's `with_plan` may install one.
-        fn plan_lock() -> std::sync::MutexGuard<'static, ()> {
-            registry::GUARD.lock().unwrap_or_else(|p| p.into_inner())
-        }
+        use std::sync::Barrier;
 
         #[test]
         fn with_plan_clears_the_plan_on_exit() {
             silence_injected_panics();
             let plan = FaultPlan::new().fail("world.block", 1, FaultKind::Panic);
             with_plan(plan.clone(), || assert!(active()));
-            {
-                let _lock = plan_lock();
-                assert!(!active(), "plan left active after a normal exit");
-            }
+            assert!(!active(), "plan left active after a normal exit");
             let caught = std::panic::catch_unwind(|| with_plan(plan, || probe("world.block", 1)));
             assert!(caught.is_err(), "the planted panic fires");
-            let _lock = plan_lock();
             assert!(!active(), "plan left active after a panic");
         }
 
@@ -329,7 +292,6 @@ mod tests {
                 );
                 assert_eq!(probe("other", 2), Ok(()));
             });
-            let _lock = plan_lock();
             assert!(!active());
             assert_eq!(probe("mc.block", 2), Ok(()));
         }
@@ -347,6 +309,39 @@ mod tests {
                 .cloned()
                 .expect("string payload");
             assert_eq!(msg, "injected panic at overlap.tile[4]");
+        }
+
+        #[test]
+        fn threads_with_different_plans_see_only_their_own() {
+            // Both threads probe both stages while both plans are
+            // installed: each fires only its own rule.
+            let barrier = Barrier::new(2);
+            let probe_both = |mine: &str, theirs: &str| {
+                with_plan(FaultPlan::new().fail(mine, 0, FaultKind::Error), || {
+                    barrier.wait();
+                    let seen = (probe(mine, 0).is_err(), probe(theirs, 0).is_err());
+                    barrier.wait();
+                    seen
+                })
+            };
+            std::thread::scope(|scope| {
+                let a = scope.spawn(|| probe_both("a.stage", "b.stage"));
+                let b = scope.spawn(|| probe_both("b.stage", "a.stage"));
+                assert_eq!(a.join().unwrap(), (true, false));
+                assert_eq!(b.join().unwrap(), (true, false));
+            });
+            assert!(!active(), "the spawning thread never had a plan");
+        }
+
+        #[test]
+        fn inherit_restores_the_outer_plan() {
+            let plan = FaultPlan::new().fail("mc.block", 0, FaultKind::Error);
+            with_plan(plan.clone(), || {
+                assert_eq!(current(), Some(plan.clone()));
+                inherit(None, || assert_eq!(probe("mc.block", 0), Ok(())));
+                assert!(probe("mc.block", 0).is_err(), "outer plan restored");
+            });
+            assert_eq!(current(), None);
         }
     }
 }

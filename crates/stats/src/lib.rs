@@ -29,8 +29,8 @@
 //! * [`pool`] — shared worker pool with a deterministic, statically
 //!   indexed task queue (results always in task order) and a fallible
 //!   [`pool::try_run_observed`] entry point with panic isolation
-//! * [`fault`] — deterministic fault-injection plans (probes are live
-//!   only under the `fault-injection` cargo feature)
+//! * [`fault`] — deterministic fault-injection plans, scoped to the
+//!   thread that installs them and the pool workers its runs start
 //! * [`tile`] — cache-blocking geometry for triangular pair sweeps
 //!   (thread-count-independent, so tiled merges stay deterministic)
 

@@ -51,6 +51,8 @@ use std::time::Instant;
 
 use culinaria_obs::{Counter, Gauge, Histogram, Metrics};
 
+use crate::fault;
+
 /// Resolve a requested thread count: `0` means "use the machine",
 /// anything else is taken literally (callers cap by task count).
 pub fn effective_threads(requested: usize) -> usize {
@@ -339,55 +341,61 @@ where
         let failure = &failure;
         let init = &init;
         let task = &task;
-        for _ in 0..n_threads {
-            scope.spawn(move || {
-                // One clock read per worker per run — nothing per task.
-                let started = obs.is_enabled().then(Instant::now);
-                let mut claimed = 0u64;
-                let mut state = init();
-                loop {
-                    // The poison check gates *new* claims only; the
-                    // task that set it (and any already in flight on
-                    // other workers) has run to completion.
-                    if poisoned.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_tasks {
-                        break;
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| task(&mut state, i)));
-                    claimed += 1;
-                    let kind = match outcome {
-                        Ok(Ok(value)) => {
-                            // SAFETY: `i` came from the shared cursor,
-                            // so this worker is its unique writer.
-                            unsafe { slots.write(i, value) };
-                            continue;
-                        }
-                        Ok(Err(e)) => FailureKind::Failed(e),
-                        Err(payload) => FailureKind::Panicked(panic_message(payload)),
-                    };
-                    poisoned.store(true, Ordering::Relaxed);
-                    let mut slot = failure.lock().unwrap_or_else(|p| p.into_inner());
-                    // Lowest index wins: the cursor is monotonic, so
-                    // every index below any failing one was claimed and
-                    // ran; keeping the minimum makes the reported
-                    // failure schedule-independent.
-                    let keep = match &*slot {
-                        Some(prev) => i < prev.index,
-                        None => true,
-                    };
-                    if keep {
-                        *slot = Some(TaskFailure { index: i, kind });
-                    }
+        let worker = move || {
+            // One clock read per worker per run — nothing per task.
+            let started = obs.is_enabled().then(Instant::now);
+            let mut claimed = 0u64;
+            let mut state = init();
+            loop {
+                // The poison check gates *new* claims only; the
+                // task that set it (and any already in flight on
+                // other workers) has run to completion.
+                if poisoned.load(Ordering::Relaxed) {
                     break;
                 }
-                if let Some(started) = started {
-                    obs.worker_busy.record_duration(started.elapsed());
-                    obs.worker_tasks.record(claimed);
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n_tasks {
+                    break;
                 }
-            });
+                let outcome = catch_unwind(AssertUnwindSafe(|| task(&mut state, i)));
+                claimed += 1;
+                let kind = match outcome {
+                    Ok(Ok(value)) => {
+                        // SAFETY: `i` came from the shared cursor,
+                        // so this worker is its unique writer.
+                        unsafe { slots.write(i, value) };
+                        continue;
+                    }
+                    Ok(Err(e)) => FailureKind::Failed(e),
+                    Err(payload) => FailureKind::Panicked(panic_message(payload)),
+                };
+                poisoned.store(true, Ordering::Relaxed);
+                let mut slot = failure.lock().unwrap_or_else(|p| p.into_inner());
+                // Lowest index wins: the cursor is monotonic, so
+                // every index below any failing one was claimed and
+                // ran; keeping the minimum makes the reported
+                // failure schedule-independent.
+                let keep = match &*slot {
+                    Some(prev) => i < prev.index,
+                    None => true,
+                };
+                if keep {
+                    *slot = Some(TaskFailure { index: i, kind });
+                }
+                break;
+            }
+            if let Some(started) = started {
+                obs.worker_busy.record_duration(started.elapsed());
+                obs.worker_tasks.record(claimed);
+            }
+        };
+        // Each worker runs under the caller's fault plan, so a plan
+        // reaches the tasks of the runs started on its thread, and no
+        // others.
+        let plan = fault::current();
+        for _ in 0..n_threads {
+            let plan = plan.clone();
+            scope.spawn(move || fault::inherit(plan, worker));
         }
     });
     match failure.into_inner().unwrap_or_else(|p| p.into_inner()) {

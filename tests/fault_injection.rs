@@ -1,4 +1,4 @@
-//! Cross-crate fault-injection suite (`--features fault-injection`).
+//! Cross-crate fault-injection suite.
 //!
 //! Uses the deterministic [`culinaria::stats::fault`] harness to inject
 //! error- and panic-shaped faults at every pipeline stage — overlap
@@ -12,13 +12,11 @@
 //!    independent reference (sorted-merge overlaps, non-zero cells as
 //!    network edges, single-cuisine runs for the flattened world queue).
 //!
-//! `fault::with_plan` serializes plan installation behind a global
-//! lock, and every step below that reaches a probe runs inside one:
-//! the faulted step under its plan, set-up and reference runs under an
-//! empty plan. So no test's plan can fire in another test's step, and
-//! the suite is safe under the default parallel test runner.
-
-#![cfg(feature = "fault-injection")]
+//! A plan installed by `fault::with_plan` belongs to the test's own
+//! thread and the pool workers its runs start, so set-up and reference
+//! runs outside it see no plan, and no test's plan can fire in another
+//! test: the suite is safe under the default parallel test runner
+//! (`plans_never_cross_threads` checks exactly that).
 
 use culinaria::analysis::monte_carlo::run_null_model;
 use culinaria::analysis::network::FlavorNetwork;
@@ -35,6 +33,7 @@ use culinaria::recipedb::import::{
 };
 use culinaria::recipedb::{RecipeDbError, RecipeStore, Region, Source};
 use culinaria::stats::fault::{self, FaultKind, FaultPlan};
+use std::sync::Barrier;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -179,9 +178,7 @@ fn mc_block_faults_are_deterministic_across_threads() {
     let world = tiny_world();
     let cuisine = world.recipes.cuisine(Region::Italy);
     let sampler = CuisineSampler::build(&world.flavor, &cuisine).unwrap();
-    let cache = fault::with_plan(FaultPlan::new(), || {
-        OverlapCache::for_cuisine(&world.flavor, &cuisine)
-    });
+    let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
     let off = Metrics::disabled();
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
@@ -198,12 +195,44 @@ fn mc_block_faults_are_deterministic_across_threads() {
             );
         }
     }
-    // Sanity: the same configuration without a plan still runs (under
-    // the plan lock, so a concurrent test's `mc.block` plan cannot fire).
-    let clean = fault::with_plan(FaultPlan::new(), || {
-        run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(2), &off)
-    });
+    // Sanity: the same configuration without a plan still runs.
+    let clean = run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(2), &off);
     assert!(clean.unwrap().is_some());
+}
+
+#[test]
+fn plans_never_cross_threads() {
+    let world = tiny_world();
+    let cuisine = world.recipes.cuisine(Region::Italy);
+    let sampler = CuisineSampler::build(&world.flavor, &cuisine).unwrap();
+    let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
+    let off = Metrics::disabled();
+    let run = || run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(2), &off);
+    // A holds its plan from the first barrier to the second; B runs the
+    // same ensemble, with no plan, in between.
+    let barrier = Barrier::new(2);
+    std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            fault::with_plan(plan("mc.block", 2, FaultKind::Error), || {
+                barrier.wait();
+                let faulted = run();
+                barrier.wait();
+                faulted
+            })
+        });
+        let b = scope.spawn(|| {
+            barrier.wait();
+            let clean = run();
+            barrier.wait();
+            clean
+        });
+        assert_eq!(
+            a.join().unwrap().unwrap_err(),
+            StageFailure::error("mc.block", 2, "injected fault at mc.block[2]")
+        );
+        let clean = b.join().unwrap().expect("A's plan fired on B's thread");
+        assert!(clean.is_some());
+    });
 }
 
 #[test]
@@ -234,7 +263,7 @@ fn ktuple_block_faults_are_deterministic_across_threads() {
     }
     // Transparent when no fault matches the stage.
     let clean = fault::with_plan(plan("unrelated.stage", 0, FaultKind::Error), || run(2));
-    assert_eq!(clean, fault::with_plan(FaultPlan::new(), || run(2)));
+    assert_eq!(clean, run(2));
 }
 
 #[test]
@@ -303,9 +332,7 @@ fn engine_failures_bump_error_counters() {
     let world = tiny_world();
     let cuisine = world.recipes.cuisine(Region::Italy);
     let sampler = CuisineSampler::build(&world.flavor, &cuisine).unwrap();
-    let cache = fault::with_plan(FaultPlan::new(), || {
-        OverlapCache::for_cuisine(&world.flavor, &cuisine)
-    });
+    let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
     let metrics = Metrics::enabled();
     fault::with_plan(plan("mc.block", 0, FaultKind::Error), || {
         let failure =
@@ -439,31 +466,28 @@ fn segment_scratch(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Reopen `dir` under an empty plan and check the surviving prefix
+/// Reopen `dir` outside any plan and check the surviving prefix
 /// replays bit-identically to a cold batch import of the same raws.
 fn assert_recovered_prefix_replays(dir: &std::path::Path, raws: &[RawRecipe]) {
     let db = culinaria::flavordb::curated::curated_db();
     let importer = Importer::from_flavor_db(&db);
-    // Import and replay probe `import.recipe`.
-    fault::with_plan(FaultPlan::new(), || {
-        let log = SegmentedLog::open(dir, FsyncPolicy::Off, 0).expect("reopen after fault");
-        let n = log.len();
-        assert!(n <= raws.len(), "recovered log invented records");
-        let mut cold = RecipeStore::new();
-        let cold_stats = importer
-            .import_batch(&db, &mut cold, &raws[..n], 1)
-            .expect("cold import");
-        let cold_bytes = culinaria::recipedb::io::to_snapshot(&cold).expect("cold snapshot");
-        for threads in THREAD_COUNTS {
-            let (store, stats) = log.replay(&db, &importer, threads).expect("prefix replays");
-            assert_eq!(stats, cold_stats, "stats diverged at {threads} threads");
-            assert_eq!(
-                culinaria::recipedb::io::to_snapshot(&store).expect("replay snapshot"),
-                cold_bytes,
-                "store bytes diverged at {threads} threads"
-            );
-        }
-    });
+    let log = SegmentedLog::open(dir, FsyncPolicy::Off, 0).expect("reopen after fault");
+    let n = log.len();
+    assert!(n <= raws.len(), "recovered log invented records");
+    let mut cold = RecipeStore::new();
+    let cold_stats = importer
+        .import_batch(&db, &mut cold, &raws[..n], 1)
+        .expect("cold import");
+    let cold_bytes = culinaria::recipedb::io::to_snapshot(&cold).expect("cold snapshot");
+    for threads in THREAD_COUNTS {
+        let (store, stats) = log.replay(&db, &importer, threads).expect("prefix replays");
+        assert_eq!(stats, cold_stats, "stats diverged at {threads} threads");
+        assert_eq!(
+            culinaria::recipedb::io::to_snapshot(&store).expect("replay snapshot"),
+            cold_bytes,
+            "store bytes diverged at {threads} threads"
+        );
+    }
 }
 
 #[test]
@@ -497,12 +521,8 @@ fn segment_append_probe_indices_are_log_global() {
     let dir = segment_scratch("append-global");
     let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).expect("open");
     let mut store = RecipeStore::new();
-    // Under the plan lock, so a concurrent test's `wal.segment.append`
-    // plan cannot fire in this batch.
-    fault::with_plan(FaultPlan::new(), || {
-        log.append_batch(&db, &importer, &mut store, &raws, 2)
-            .expect("first batch appends cleanly")
-    });
+    log.append_batch(&db, &importer, &mut store, &raws, 2)
+        .expect("first batch appends cleanly");
     assert_eq!(log.len(), 12);
     let err = fault::with_plan(plan("wal.segment.append", 13, FaultKind::Error), || {
         log.append_batch(&db, &importer, &mut store, &raws, 2)
