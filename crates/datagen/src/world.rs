@@ -1,11 +1,14 @@
 //! World generation: flavor universe + Table-1-calibrated recipe corpus.
 
+use std::cmp::Reverse;
+
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use culinaria_flavordb::generator::generate_flavor_db;
 use culinaria_flavordb::{BitProfile, FlavorDb, IngredientId, MoleculeUniverse};
 use culinaria_recipedb::{RecipeStore, Region, Source};
+use culinaria_stats::pool;
 use culinaria_stats::rng::derive_seed_labeled;
 use culinaria_stats::WeightedAliasSampler;
 
@@ -321,26 +324,62 @@ impl RegionGen {
 
 /// Generate a complete world from a configuration. Deterministic in
 /// `cfg.seed`; per-region streams are independent, so changing one
-/// region's count does not perturb another's recipes.
+/// region's count does not perturb another's recipes. The regions are
+/// drawn in parallel on every core, and the world is bit-identical for
+/// any core count.
 ///
 /// # Panics
 /// If `cfg.recipe_scale` is negative or not finite.
 pub fn generate_world(cfg: &WorldConfig) -> World {
+    generate_world_on(cfg, 0)
+}
+
+/// [`generate_world`] on `n_threads` pool workers (`0`: every core).
+///
+/// Each region is one pool task: it builds its [`RegionGen`] and draws
+/// its recipes and sources from the region's own stream. The largest
+/// regions are claimed first, so the biggest task does not start last.
+/// The caller then inserts every region's recipes in [`Region::ALL`]
+/// order, so names, ids and bytes match a serial run.
+fn generate_world_on(cfg: &WorldConfig, n_threads: usize) -> World {
     assert!(
         cfg.recipe_scale.is_finite() && cfg.recipe_scale >= 0.0,
         "recipe_scale must be finite and non-negative"
     );
     let flavor = generate_flavor_db(&cfg.flavor);
-    let mut recipes = RecipeStore::new();
+    // (recipe count, region), largest first.
+    let mut claims: Vec<(usize, Region)> = Region::ALL
+        .into_iter()
+        .map(|region| {
+            let target = (region.paper_recipe_count() as f64 * cfg.recipe_scale).round() as usize;
+            (target.max(cfg.min_region_recipes), region)
+        })
+        .collect();
+    claims.sort_unstable_by_key(|&(target, _)| Reverse(target));
+    let mut drawn = pool::run(
+        n_threads,
+        claims.len(),
+        || (),
+        |_, t| {
+            let (target, region) = claims[t];
+            let mut rng = StdRng::seed_from_u64(derive_seed_labeled(cfg.seed, region.code()));
+            let gen = RegionGen::build(cfg, &flavor, region, &mut rng);
+            (0..target)
+                .map(|_| {
+                    let ingredients = gen.generate_recipe(cfg, &mut rng);
+                    (ingredients, sample_source(region, &mut rng))
+                })
+                .collect::<Vec<_>>()
+        },
+    );
 
+    let mut recipes = RecipeStore::new();
     for region in Region::ALL {
-        let mut rng = StdRng::seed_from_u64(derive_seed_labeled(cfg.seed, region.code()));
-        let gen = RegionGen::build(cfg, &flavor, region, &mut rng);
-        let target = ((region.paper_recipe_count() as f64 * cfg.recipe_scale).round() as usize)
-            .max(cfg.min_region_recipes);
-        for k in 0..target {
-            let ingredients = gen.generate_recipe(cfg, &mut rng);
-            let source = sample_source(region, &mut rng);
+        let t = claims
+            .iter()
+            .position(|&(_, claimed)| claimed == region)
+            .expect("every region is claimed");
+        for (k, (ingredients, source)) in std::mem::take(&mut drawn[t]).into_iter().enumerate() {
             recipes
                 .add_recipe(
                     &format!("{}-{:05}", region.code(), k),
@@ -467,6 +506,32 @@ mod tests {
             .zip(c.recipes.recipes())
             .all(|(x, y)| x.ingredients() == y.ingredients());
         assert!(!identical, "different seeds must differ");
+    }
+
+    #[test]
+    fn worlds_are_identical_at_any_thread_count() {
+        for base in [
+            WorldConfig::tiny(),
+            WorldConfig::small(),
+            WorldConfig::paper(),
+        ] {
+            let cfg = WorldConfig {
+                recipe_scale: 0.05,
+                ..base
+            };
+            let serial = generate_world_on(&cfg, 1);
+            for threads in [2, 3, 8] {
+                let w = generate_world_on(&cfg, threads);
+                assert!(
+                    w.flavor.ingredients().eq(serial.flavor.ingredients()),
+                    "threads = {threads}: ingredients differ"
+                );
+                assert_eq!(w.recipes.n_recipes(), serial.recipes.n_recipes());
+                for (a, b) in w.recipes.recipes().zip(serial.recipes.recipes()) {
+                    assert_eq!(a, b, "threads = {threads}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use culinaria_flavordb::artifact::layout::{
 pub use culinaria_flavordb::artifact::layout::{AlignedBytes, ArtifactError};
 use culinaria_flavordb::IngredientId;
 
+use crate::cuisine::distinct_ingredients;
 use crate::error::RecipeDbError;
 use crate::recipe::{RecipeId, Source};
 use crate::region::Region;
@@ -475,13 +476,7 @@ impl<'a> BorrowedCuisine<'a> {
     /// The distinct ingredients used across the cuisine, sorted
     /// (identical to [`crate::Cuisine::ingredient_set`]).
     pub fn ingredient_set(&self) -> Vec<IngredientId> {
-        let mut all: Vec<IngredientId> = Vec::new();
-        for i in 0..self.ids.len() {
-            all.extend_from_slice(self.ingredients_of(i));
-        }
-        all.sort_unstable();
-        all.dedup();
-        all
+        distinct_ingredients((0..self.ids.len()).map(|i| self.ingredients_of(i)))
     }
 
     /// Per-ingredient recipe counts (identical to

@@ -40,14 +40,7 @@ impl<'a> Cuisine<'a> {
 
     /// Distinct ingredients used by the cuisine, sorted by id.
     pub fn ingredient_set(&self) -> Vec<IngredientId> {
-        let mut all: Vec<IngredientId> = self
-            .recipes
-            .iter()
-            .flat_map(|r| r.ingredients().iter().copied())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all
+        distinct_ingredients(self.recipes.iter().map(|r| r.ingredients()))
     }
 
     /// Frequency of use: ingredient → number of recipes using it.
@@ -82,6 +75,23 @@ impl<'a> Cuisine<'a> {
         pairs.truncate(k);
         pairs
     }
+}
+
+/// The sorted distinct ids across `lists`, in a buffer no larger than
+/// they are: one reservation for every occurrence, then sort, dedup and
+/// shrink. Both cuisine views build their ingredient sets here.
+pub(crate) fn distinct_ingredients<'a, I>(lists: I) -> Vec<IngredientId>
+where
+    I: Iterator<Item = &'a [IngredientId]> + Clone,
+{
+    let mut all = Vec::with_capacity(lists.clone().map(<[_]>::len).sum());
+    for list in lists {
+        all.extend_from_slice(list);
+    }
+    all.sort_unstable();
+    all.dedup();
+    all.shrink_to_fit();
+    all
 }
 
 #[cfg(test)]

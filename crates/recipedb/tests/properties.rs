@@ -238,6 +238,41 @@ proptest! {
     }
 
     #[test]
+    fn ingredient_sets_are_sorted_distinct_and_right_sized(
+        specs in proptest::collection::vec(
+            (
+                0usize..22,
+                0usize..5,
+                proptest::collection::vec(
+                    (any::<bool>(), 0u32..30, any::<u32>())
+                        .prop_map(|(small, a, b)| if small { a } else { b }),
+                    1..12,
+                ),
+            ),
+            0..40,
+        )
+    ) {
+        // Ids from CRDB2 files and `add_recipe` are any `u32`.
+        let mut store = RecipeStore::new();
+        grow(&mut store, &specs, specs.len());
+        let bytes = AlignedBytes::from_vec(RecipeArtifactBuilder::new(&store).build().expect("encodes"));
+        let db = artifact::open(bytes.as_slice()).expect("opens");
+        for region in Region::ALL {
+            let expect: Vec<IngredientId> = store
+                .region_recipe_ids(region)
+                .iter()
+                .flat_map(|&rid| store.recipe(rid).expect("live id").ingredients().to_vec())
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            for set in [store.cuisine(region).ingredient_set(), db.cuisine(region).ingredient_set()] {
+                prop_assert_eq!(&set, &expect);
+                prop_assert_eq!(set.capacity(), set.len());
+            }
+        }
+    }
+
+    #[test]
     fn snapshot_roundtrip(store in arb_store()) {
         // builder → open → to_recipe_store → builder: one byte
         // encoding per logical content.

@@ -13,7 +13,9 @@
 //!   the result into the index's dedicated slot — no locks, no
 //!   post-hoc sorting;
 //! * the caller receives `Vec<T>` in task order, making the canonical
-//!   merge a plain in-order fold.
+//!   merge a plain in-order fold;
+//! * the caller works as one of the workers, so `n` threads start
+//!   `n − 1` scoped threads and one loop serves every thread count.
 //!
 //! Workers can carry mutable per-worker scratch state (`init` builds
 //! one per worker), which is how the samplers reuse allocation-free
@@ -237,8 +239,8 @@ impl PoolObs {
 /// the determinism contract DESIGN.md documents.
 ///
 /// `n_threads == 0` means "use the available parallelism"; the count is
-/// always capped by `n_tasks`. With one effective thread the queue runs
-/// inline with no thread machinery at all.
+/// always capped by `n_tasks`. The caller is one of the workers, so a
+/// run on `n` threads starts `n − 1`, and a one-thread run starts none.
 ///
 /// Delegates to [`try_run_observed`] with infallible tasks and a
 /// disabled [`PoolObs`]: a panicking task still panics the caller (with
@@ -298,105 +300,71 @@ where
     obs.tasks.add(n_tasks as u64);
     obs.queue_depth.set(n_tasks as i64);
     obs.workers.set(n_threads as i64);
-    if n_threads == 1 {
-        let timer = obs.worker_busy.start();
-        let mut state = init();
-        let mut out = Vec::with_capacity(n_tasks);
-        for i in 0..n_tasks {
-            match catch_unwind(AssertUnwindSafe(|| task(&mut state, i))) {
-                Ok(Ok(value)) => out.push(value),
-                Ok(Err(e)) => {
-                    timer.stop();
-                    obs.worker_tasks.record((i + 1) as u64);
-                    obs.failures.incr();
-                    return Err(TaskFailure {
-                        index: i,
-                        kind: FailureKind::Failed(e),
-                    });
-                }
-                Err(payload) => {
-                    timer.stop();
-                    obs.worker_tasks.record((i + 1) as u64);
-                    obs.failures.incr();
-                    return Err(TaskFailure {
-                        index: i,
-                        kind: FailureKind::Panicked(panic_message(payload)),
-                    });
-                }
-            }
-        }
-        timer.stop();
-        obs.worker_tasks.record(n_tasks as u64);
-        return Ok(out);
-    }
-
     let slots = Slots::new(n_tasks);
     let cursor = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
     let failure: Mutex<Option<TaskFailure<E>>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        let slots = &slots;
-        let cursor = &cursor;
-        let poisoned = &poisoned;
-        let failure = &failure;
-        let init = &init;
-        let task = &task;
-        let worker = move || {
-            // One clock read per worker per run — nothing per task.
-            let started = obs.is_enabled().then(Instant::now);
-            let mut claimed = 0u64;
-            let mut state = init();
-            loop {
-                // The poison check gates *new* claims only; the
-                // task that set it (and any already in flight on
-                // other workers) has run to completion.
-                if poisoned.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n_tasks {
-                    break;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| task(&mut state, i)));
-                claimed += 1;
-                let kind = match outcome {
-                    Ok(Ok(value)) => {
-                        // SAFETY: `i` came from the shared cursor,
-                        // so this worker is its unique writer.
-                        unsafe { slots.write(i, value) };
-                        continue;
-                    }
-                    Ok(Err(e)) => FailureKind::Failed(e),
-                    Err(payload) => FailureKind::Panicked(panic_message(payload)),
-                };
-                poisoned.store(true, Ordering::Relaxed);
-                let mut slot = failure.lock().unwrap_or_else(|p| p.into_inner());
-                // Lowest index wins: the cursor is monotonic, so
-                // every index below any failing one was claimed and
-                // ran; keeping the minimum makes the reported
-                // failure schedule-independent.
-                let keep = match &*slot {
-                    Some(prev) => i < prev.index,
-                    None => true,
-                };
-                if keep {
-                    *slot = Some(TaskFailure { index: i, kind });
-                }
+    let worker = || {
+        // One clock read per worker per run — nothing per task.
+        let started = obs.is_enabled().then(Instant::now);
+        let mut claimed = 0u64;
+        let mut state = init();
+        loop {
+            // The poison check gates *new* claims only; the task that
+            // set it (and any already in flight on other workers) has
+            // run to completion.
+            if poisoned.load(Ordering::Relaxed) {
                 break;
             }
-            if let Some(started) = started {
-                obs.worker_busy.record_duration(started.elapsed());
-                obs.worker_tasks.record(claimed);
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n_tasks {
+                break;
             }
-        };
-        // Each worker runs under the caller's fault plan, so a plan
-        // reaches the tasks of the runs started on its thread, and no
-        // others.
-        let plan = fault::current();
-        for _ in 0..n_threads {
-            let plan = plan.clone();
+            let outcome = catch_unwind(AssertUnwindSafe(|| task(&mut state, i)));
+            claimed += 1;
+            let kind = match outcome {
+                Ok(Ok(value)) => {
+                    // SAFETY: `i` came from the shared cursor, so this
+                    // worker is its unique writer.
+                    unsafe { slots.write(i, value) };
+                    continue;
+                }
+                Ok(Err(e)) => FailureKind::Failed(e),
+                Err(payload) => FailureKind::Panicked(panic_message(payload)),
+            };
+            poisoned.store(true, Ordering::Relaxed);
+            let mut slot = failure.lock().unwrap_or_else(|p| p.into_inner());
+            // Lowest index wins: the cursor is monotonic, so every
+            // index below any failing one was claimed and ran; keeping
+            // the minimum makes the reported failure
+            // schedule-independent.
+            let keep = match &*slot {
+                Some(prev) => i < prev.index,
+                None => true,
+            };
+            if keep {
+                *slot = Some(TaskFailure { index: i, kind });
+            }
+            break;
+        }
+        if let Some(started) = started {
+            obs.worker_busy.record_duration(started.elapsed());
+            obs.worker_tasks.record(claimed);
+        }
+    };
+    // The caller is one of the `n_threads` workers, so a one-thread run
+    // starts no thread. Each spawned worker runs under the caller's
+    // fault plan, so a plan reaches the tasks of the runs started on
+    // its thread, and no others. The caller enters the loop through the
+    // same `inherit` call (its plan is already its own), so every
+    // worker runs one compiled copy of the loop: a second copy inlined
+    // here ran 2-thread Monte Carlo about 10 % slower.
+    std::thread::scope(|scope| {
+        for _ in 1..n_threads {
+            let plan = fault::current();
             scope.spawn(move || fault::inherit(plan, worker));
         }
+        fault::inherit(fault::current(), worker);
     });
     match failure.into_inner().unwrap_or_else(|p| p.into_inner()) {
         Some(f) => {
@@ -769,6 +737,44 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("pool.runs"), Some(2));
         assert_eq!(snap.counter("pool.failures"), Some(1));
+    }
+
+    #[test]
+    fn caller_works_as_one_of_the_workers() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 3, 8] {
+            // Spawned workers hold their task until the caller has run
+            // one (or a shared deadline passes), so the caller cannot
+            // find the queue already drained.
+            let caller_ran = AtomicBool::new(false);
+            let deadline = Instant::now() + std::time::Duration::from_secs(2);
+            let ids = run(
+                threads,
+                64,
+                || (),
+                |_, _| {
+                    let me = std::thread::current().id();
+                    if me == caller {
+                        caller_ran.store(true, Ordering::SeqCst);
+                    }
+                    while !caller_ran.load(Ordering::SeqCst) && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    me
+                },
+            );
+            if threads == 1 {
+                assert!(
+                    ids.iter().all(|&id| id == caller),
+                    "a one-thread run left the caller"
+                );
+            } else {
+                assert!(
+                    ids.contains(&caller),
+                    "threads = {threads}: the caller ran no task"
+                );
+            }
+        }
     }
 
     #[test]
